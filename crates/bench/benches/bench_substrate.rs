@@ -1,10 +1,11 @@
-//! Criterion benchmarks of the substrates: shortest paths, min-cost flow,
-//! the simplex, topology generation and the discrete-event simulator.
+//! Criterion benchmarks of the substrates: shortest paths, the bipartite
+//! transportation solver, the simplex, topology generation and the
+//! discrete-event simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use mec_gap::flow::MinCostFlow;
+use mec_gap::flow::Transportation;
 use mec_lp::{LpBuilder, Relation};
 use mec_sim::{nearest_cloudlet_profile, simulate, SimConfig};
 use mec_topology::gtitm::{generate as gen_ts, GtItmConfig};
@@ -31,22 +32,19 @@ fn bench_topology(c: &mut Criterion) {
 }
 
 fn bench_flow(c: &mut Criterion) {
-    let mut g = c.benchmark_group("min_cost_flow");
+    let mut g = c.benchmark_group("transportation");
     g.sample_size(10);
     for n in [20usize, 60, 120] {
         g.bench_with_input(BenchmarkId::new("bipartite_assignment", n), &n, |b, &n| {
             b.iter(|| {
-                let (s, t) = (2 * n, 2 * n + 1);
-                let mut f = MinCostFlow::new(2 * n + 2);
+                let mut t = Transportation::new(vec![1.0; n]);
                 for i in 0..n {
-                    f.add_edge(s, i, 1.0, 0.0);
-                    f.add_edge(n + i, t, 1.0, 0.0);
-                    for j in 0..n {
-                        let cost = ((i * 31 + j * 17) % 97) as f64 + 1.0;
-                        f.add_edge(i, n + j, 1.0, cost);
-                    }
+                    t.add_item(
+                        1.0,
+                        (0..n).map(|j| (j, ((i * 31 + j * 17) % 97) as f64 + 1.0)),
+                    );
                 }
-                f.run(s, t, n as f64)
+                t.solve()
             })
         });
     }

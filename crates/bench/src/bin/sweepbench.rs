@@ -13,7 +13,7 @@
 //!
 //! * **appro** (`sweepbench appro`) — the end-to-end `appro` pipeline over
 //!   a providers × cloudlets grid, one timing per LP backend (dense
-//!   tableau, sparse revised simplex, min-cost-flow transportation fast
+//!   tableau, sparse revised simplex, bipartite transportation fast
 //!   path), written to `BENCH_appro.json`. Backends are checked to agree
 //!   on the LP lower bound and the rounded assignment cost before anything
 //!   is timed. `--smoke` runs one tiny cell once per backend — the CI

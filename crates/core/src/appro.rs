@@ -585,28 +585,34 @@ mod tests {
     fn lp_backends_agree() {
         // Every backend solves the same relaxation to optimality, so the
         // LP bound is identical and the rounded assignments can differ only
-        // by equal-cost ties.
-        let m = market(12, 3);
-        let auto = appro(&m, &ApproConfig::paper_flat()).unwrap();
-        for backend in [
-            LpBackend::Transportation,
-            LpBackend::Revised,
-            LpBackend::Dense,
-        ] {
-            let sol = appro(&m, &ApproConfig::paper_flat().with_lp_backend(backend)).unwrap();
-            assert!(
-                (sol.lp_lower_bound - auto.lp_lower_bound).abs() < 1e-6,
-                "{backend:?}: bound {} vs auto {}",
-                sol.lp_lower_bound,
-                auto.lp_lower_bound
-            );
-            assert!(
-                (sol.flat_cost - auto.flat_cost).abs() < 1e-6,
-                "{backend:?}: flat cost {} vs auto {}",
-                sol.flat_cost,
-                auto.flat_cost
-            );
-            assert!(sol.profile.is_feasible(&m));
+        // by equal-cost ties. Both pricings: flat over merged bins, and the
+        // default marginal pricing over per-slot bins (what `lcf` runs), on
+        // a market whose providers outnumber its slots.
+        let m = market(40, 5);
+        for config in [ApproConfig::paper_flat(), ApproConfig::new()] {
+            let auto = appro(&m, &config).unwrap();
+            for backend in [
+                LpBackend::Transportation,
+                LpBackend::Revised,
+                LpBackend::Dense,
+            ] {
+                let sol = appro(&m, &config.clone().with_lp_backend(backend)).unwrap();
+                assert!(
+                    (sol.lp_lower_bound - auto.lp_lower_bound).abs() < 1e-6,
+                    "{:?} {backend:?}: bound {} vs auto {}",
+                    config.pricing,
+                    sol.lp_lower_bound,
+                    auto.lp_lower_bound
+                );
+                assert!(
+                    (sol.flat_cost - auto.flat_cost).abs() < 1e-6,
+                    "{:?} {backend:?}: flat cost {} vs auto {}",
+                    config.pricing,
+                    sol.flat_cost,
+                    auto.flat_cost
+                );
+                assert!(sol.profile.is_feasible(&m));
+            }
         }
     }
 

@@ -1,67 +1,70 @@
-//! Minimum-cost flow on sparse graphs (successive shortest paths with
-//! Johnson potentials).
+//! Bipartite transportation by successive shortest paths.
 //!
-//! Used by the Shmoys–Tardos rounding to extract a minimum-cost integral
-//! matching from the fractional LP solution, and by the transportation fast
-//! path of the relaxation. Arc costs must be non-negative (true for every
-//! graph built in this crate), which lets each augmentation run Dijkstra on
-//! reduced costs instead of Bellman–Ford — the difference between seconds
-//! and minutes on the paper's 400-node sweeps.
+//! Both flow problems in this crate are bipartite: the transportation
+//! relaxation (items supply `w_i`, bins absorb up to `CAP_j`) and the
+//! Shmoys–Tardos matching (items supply 1, unit slots absorb 1). So the
+//! solver takes exactly that shape — sources with a supply, sinks with a
+//! capacity, and per-source arcs with a non-negative per-unit cost stored
+//! in CSR form — rather than a general graph.
+//!
+//! Each augmentation runs Dijkstra on reduced costs from one source with
+//! residual supply (the lowest-index one) and stops as soon as the sink
+//! `t` settles. Potentials are then raised by `min(dist[v], dist[t])` for
+//! every node, unreached nodes by `dist[t]`. That keeps every residual
+//! reduced cost non-negative despite the early exit: no node is raised by
+//! more than `dist[t]`, which is what every unsettled node gets, so an arc
+//! out of an unsettled node loses no slack; and an arc `u → v` out of a
+//! settled node was relaxed, so `v`'s raise is at most
+//! `dist[u] + rc(u, v)`. Forward arcs are uncapacitated (a source's own
+//! supply bounds them), and a bin's reverse arcs exist only for the arcs
+//! that carry flow into it.
 
-use mec_num::approx_zero;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A directed arc with residual bookkeeping.
-#[derive(Debug, Clone)]
-struct Arc {
-    to: usize,
-    cap: f64,
-    cost: f64,
-    flow: f64,
-    /// Index of the reverse arc in `arcs`.
-    rev: usize,
-}
+/// Tolerance for saturation and for distance improvements.
+const EPS: f64 = 1e-12;
 
-/// Handle to an arc added with [`MinCostFlow::add_edge`]; use it to query
-/// the final flow with [`MinCostFlow::flow_on`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArcId(usize);
-
-/// Outcome of a [`MinCostFlow::run`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowResult {
-    /// Amount of flow actually routed (≤ the requested amount).
-    pub flow: f64,
-    /// Total cost of the routed flow.
-    pub cost: f64,
-}
-
-/// Sparse min-cost-flow network builder/solver.
+/// A transportation network: sources (items) with a supply, sinks (bins)
+/// with a capacity, and arcs from items to bins with a per-unit cost.
+///
+/// Arcs are numbered in the order they are added (item-major, since each
+/// item's arcs are added together); [`TransportFlow::flow`] is indexed by
+/// that number.
 ///
 /// # Examples
 ///
 /// ```
-/// use mec_gap::flow::MinCostFlow;
+/// use mec_gap::flow::Transportation;
 ///
-/// // s=0 -> a=1 -> t=2 with capacity 1, plus a costlier parallel path.
-/// let mut f = MinCostFlow::new(3);
-/// let cheap = f.add_edge(0, 1, 1.0, 1.0);
-/// f.add_edge(1, 2, 1.0, 1.0);
-/// f.add_edge(0, 2, 1.0, 10.0);
-/// let r = f.run(0, 2, 2.0);
-/// assert!((r.flow - 2.0).abs() < 1e-9);
-/// assert!((r.cost - 12.0).abs() < 1e-9);
-/// assert!((f.flow_on(cheap) - 1.0).abs() < 1e-9);
+/// // Two bins of capacity 1; item 0 (supply 2) prefers bin 0.
+/// let mut t = Transportation::new(vec![1.0, 1.0]);
+/// t.add_item(2.0, [(0, 1.0), (1, 3.0)]);
+/// let r = t.solve();
+/// assert!((r.routed - 2.0).abs() < 1e-9);
+/// assert!((r.cost - 4.0).abs() < 1e-9);
+/// assert!((r.flow[0] - 1.0).abs() < 1e-9 && (r.flow[1] - 1.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MinCostFlow {
-    n: usize,
-    arcs: Vec<Arc>,
-    adj: Vec<Vec<usize>>,
+pub struct Transportation {
+    capacity: Vec<f64>,
+    supply: Vec<f64>,
+    /// Item `i` owns arcs `start[i]..start[i + 1]`.
+    start: Vec<usize>,
+    bin: Vec<usize>,
+    cost: Vec<f64>,
 }
 
-const EPS: f64 = 1e-12;
+/// Outcome of [`Transportation::solve`].
+#[derive(Debug, Clone)]
+pub struct TransportFlow {
+    /// Amount of supply routed (≤ the total supply).
+    pub routed: f64,
+    /// Total cost of the routed flow.
+    pub cost: f64,
+    /// Flow on every arc, in the order the arcs were added.
+    pub flow: Vec<f64>,
+}
 
 #[derive(Debug, PartialEq)]
 struct HeapEntry {
@@ -84,148 +87,180 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-impl MinCostFlow {
-    /// Creates a network with `n` nodes and no arcs.
-    pub fn new(n: usize) -> Self {
-        MinCostFlow {
-            n,
-            arcs: Vec::new(),
-            adj: vec![Vec::new(); n],
+impl Transportation {
+    /// Creates a network with one bin per entry of `capacity` and no items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a capacity is negative or non-finite.
+    pub fn new(capacity: Vec<f64>) -> Self {
+        assert!(
+            capacity.iter().all(|c| c.is_finite() && *c >= 0.0),
+            "capacity must be >= 0"
+        );
+        Transportation {
+            capacity,
+            supply: Vec::new(),
+            start: vec![0],
+            bin: Vec::new(),
+            cost: Vec::new(),
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Adds a directed arc `u -> v` with the given capacity and per-unit
-    /// cost; returns a handle for [`MinCostFlow::flow_on`].
+    /// Adds the next item, with the given supply and `(bin, per-unit
+    /// cost)` arcs. Its arcs take the next indices in
+    /// [`TransportFlow::flow`], in the order given.
     ///
     /// # Panics
     ///
-    /// Panics if a node is out of range, the capacity is negative or
-    /// non-finite, or the cost is negative or non-finite (non-negative
-    /// costs are what allow the Dijkstra-based solver).
-    pub fn add_edge(&mut self, u: usize, v: usize, cap: f64, cost: f64) -> ArcId {
-        assert!(u < self.n && v < self.n, "node out of range");
-        assert!(cap.is_finite() && cap >= 0.0, "capacity must be >= 0");
-        assert!(cost.is_finite() && cost >= 0.0, "cost must be >= 0");
-        let fwd = self.arcs.len();
-        self.arcs.push(Arc {
-            to: v,
-            cap,
-            cost,
-            flow: 0.0,
-            rev: fwd + 1,
-        });
-        self.arcs.push(Arc {
-            to: u,
-            cap: 0.0,
-            cost: -cost,
-            flow: 0.0,
-            rev: fwd,
-        });
-        self.adj[u].push(fwd);
-        self.adj[v].push(fwd + 1);
-        ArcId(fwd)
+    /// Panics if the supply is negative or non-finite, a bin is out of
+    /// range, or a cost is negative or non-finite (non-negative costs are
+    /// what allow the Dijkstra-based solver).
+    pub fn add_item(&mut self, supply: f64, arcs: impl IntoIterator<Item = (usize, f64)>) {
+        assert!(supply.is_finite() && supply >= 0.0, "supply must be >= 0");
+        for (bin, cost) in arcs {
+            assert!(bin < self.capacity.len(), "bin out of range");
+            assert!(cost.is_finite() && cost >= 0.0, "cost must be >= 0");
+            self.bin.push(bin);
+            self.cost.push(cost);
+        }
+        self.start.push(self.bin.len());
+        self.supply.push(supply);
     }
 
-    /// Flow currently on the arc (after [`MinCostFlow::run`]).
-    pub fn flow_on(&self, id: ArcId) -> f64 {
-        self.arcs[id.0].flow
-    }
-
-    /// Routes up to `amount` units of flow from `s` to `t` at minimum cost.
+    /// Routes as much supply as the capacities admit, at minimum cost.
     ///
-    /// Returns the amount actually routed and its cost. If the network
-    /// cannot carry the full amount, the result's `flow` is smaller than
-    /// `amount` (callers decide whether that is an error).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s == t`, a node is out of range, or `amount` is negative.
-    pub fn run(&mut self, s: usize, t: usize, amount: f64) -> FlowResult {
-        assert!(s < self.n && t < self.n && s != t, "bad terminals");
-        assert!(amount >= 0.0, "amount must be >= 0");
-        let mut remaining = amount;
-        let mut total_cost = 0.0;
+    /// Items are served in index order; one that can no longer reach any
+    /// bin with room keeps its residual supply (the result's `routed` then
+    /// falls short of the total supply, and callers decide whether that is
+    /// an error).
+    pub fn solve(&self) -> TransportFlow {
+        let n = self.supply.len();
+        let m = self.capacity.len();
+        // Nodes: items 0..n, bins n..n+m, sink n+m.
+        let sink = n + m;
+        let mut flow = vec![0.0; self.bin.len()];
+        let mut load = vec![0.0; m];
+        let mut item_of = vec![0usize; self.bin.len()];
+        for i in 0..n {
+            item_of[self.start[i]..self.start[i + 1]].fill(i);
+        }
+        // Per bin, the arcs carrying flow into it: its only reverse arcs.
+        let mut carried: Vec<Vec<usize>> = vec![Vec::new(); m];
+        // Johnson potentials: every arc cost is >= 0, so pi = 0 is a valid
+        // start.
+        let mut pi = vec![0.0; sink + 1];
+        let mut dist = vec![f64::INFINITY; sink + 1];
+        // The arc a node was reached by: for a bin, the forward arc into
+        // it; for an item, the carried arc it was reached back along; for
+        // the sink, the bin it was reached from.
+        let mut pred = vec![0; sink + 1];
+        let mut heap = BinaryHeap::new();
         let mut routed = 0.0;
-        // Johnson potentials: all arc costs are >= 0 initially, so pi = 0 is
-        // a valid start; after each Dijkstra, pi[v] += dist[v] keeps every
-        // residual reduced cost non-negative.
-        let mut pi = vec![0.0; self.n];
-        let mut dist = vec![f64::INFINITY; self.n];
-        let mut pred: Vec<Option<usize>> = vec![None; self.n];
+        let mut total_cost = 0.0;
 
-        while remaining > EPS {
-            dist.fill(f64::INFINITY);
-            pred.fill(None);
-            dist[s] = 0.0;
-            let mut heap = BinaryHeap::new();
-            heap.push(HeapEntry { dist: 0.0, node: s });
-            while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-                if d > dist[u] + EPS {
-                    continue;
-                }
-                for &ai in &self.adj[u] {
-                    let a = &self.arcs[ai];
-                    // Saturated arc: residual capacity within EPS of zero
-                    // (flow never exceeds cap, so this is a one-sided test).
-                    if approx_zero(a.cap - a.flow, EPS) {
+        for src in 0..n {
+            let mut residual = self.supply[src];
+            while residual > EPS {
+                dist.fill(f64::INFINITY);
+                dist[src] = 0.0;
+                heap.clear();
+                heap.push(HeapEntry {
+                    dist: 0.0,
+                    node: src,
+                });
+                let mut reached = false;
+                while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+                    if d > dist[u] + EPS {
                         continue;
                     }
-                    let rc = a.cost + pi[u] - pi[a.to];
-                    debug_assert!(rc > -1e-6, "negative reduced cost {rc}");
-                    let nd = d + rc.max(0.0);
-                    if nd < dist[a.to] - EPS {
-                        dist[a.to] = nd;
-                        pred[a.to] = Some(ai);
-                        heap.push(HeapEntry {
-                            dist: nd,
-                            node: a.to,
-                        });
+                    if u == sink {
+                        reached = true;
+                        break;
+                    }
+                    let mut relax = |v: usize, rc: f64, via: usize| {
+                        debug_assert!(rc > -1e-6, "negative reduced cost {rc}");
+                        let nd = d + rc.max(0.0);
+                        if nd < dist[v] - EPS {
+                            dist[v] = nd;
+                            pred[v] = via;
+                            heap.push(HeapEntry { dist: nd, node: v });
+                        }
+                    };
+                    if u < n {
+                        for a in self.start[u]..self.start[u + 1] {
+                            let v = n + self.bin[a];
+                            relax(v, self.cost[a] + pi[u] - pi[v], a);
+                        }
+                    } else {
+                        let j = u - n;
+                        for &a in &carried[j] {
+                            let v = item_of[a];
+                            relax(v, pi[u] - pi[v] - self.cost[a], a);
+                        }
+                        if self.capacity[j] - load[j] > EPS {
+                            relax(sink, pi[u] - pi[sink], j);
+                        }
                     }
                 }
-            }
-            if !dist[t].is_finite() {
-                break; // No augmenting path left.
-            }
-            for v in 0..self.n {
-                if dist[v].is_finite() {
-                    pi[v] += dist[v];
+                if !reached {
+                    break; // No bin with room is reachable from `src`.
                 }
+                let dt = dist[sink];
+                for (p, d) in pi.iter_mut().zip(&dist) {
+                    *p += d.min(dt);
+                }
+
+                // Bottleneck: the residual supply, the last bin's room and
+                // the flow on every reverse arc of the path.
+                let last = pred[sink];
+                let mut push = residual.min(self.capacity[last] - load[last]);
+                let mut v = n + last;
+                while v != src {
+                    let a = pred[v];
+                    if v < n {
+                        push = push.min(flow[a]);
+                        v = n + self.bin[a];
+                    } else {
+                        v = item_of[a];
+                    }
+                }
+                // Apply, accumulating the true (unreduced) cost.
+                load[last] += push;
+                let mut path_cost = 0.0;
+                let mut v = n + last;
+                while v != src {
+                    let a = pred[v];
+                    let j = self.bin[a];
+                    if v < n {
+                        path_cost -= self.cost[a];
+                        flow[a] -= push;
+                        if flow[a] <= EPS {
+                            let k = carried[j]
+                                .iter()
+                                .position(|&c| c == a)
+                                .expect("a reverse arc carries flow");
+                            carried[j].remove(k);
+                        }
+                        v = n + j;
+                    } else {
+                        path_cost += self.cost[a];
+                        if flow[a] <= EPS {
+                            carried[j].push(a);
+                        }
+                        flow[a] += push;
+                        v = item_of[a];
+                    }
+                }
+                total_cost += push * path_cost;
+                routed += push;
+                residual -= push;
             }
-            // Bottleneck along the path.
-            let mut push = remaining;
-            let mut v = t;
-            while v != s {
-                let ai = pred[v].expect("path is connected");
-                let a = &self.arcs[ai];
-                push = push.min(a.cap - a.flow);
-                v = self.arcs[a.rev].to;
-            }
-            if approx_zero(push, EPS) {
-                break; // Degenerate path; cannot make progress.
-            }
-            // Apply, accumulating the true (unreduced) cost.
-            let mut v = t;
-            let mut path_cost = 0.0;
-            while v != s {
-                let ai = pred[v].expect("path is connected");
-                let rev = self.arcs[ai].rev;
-                path_cost += self.arcs[ai].cost;
-                self.arcs[ai].flow += push;
-                self.arcs[rev].flow -= push;
-                v = self.arcs[rev].to;
-            }
-            total_cost += push * path_cost;
-            routed += push;
-            remaining -= push;
         }
-        FlowResult {
-            flow: routed,
+        TransportFlow {
+            routed,
             cost: total_cost,
+            flow,
         }
     }
 }
@@ -236,87 +271,65 @@ mod tests {
     use mec_num::assert_approx_eq;
 
     #[test]
-    fn single_path() {
-        let mut f = MinCostFlow::new(2);
-        f.add_edge(0, 1, 5.0, 2.0);
-        let r = f.run(0, 1, 3.0);
-        assert_approx_eq!(r.flow, 3.0, 1e-12);
-        assert_approx_eq!(r.cost, 6.0, 1e-12);
-    }
-
-    #[test]
-    fn prefers_cheaper_path() {
-        let mut f = MinCostFlow::new(4);
-        let cheap1 = f.add_edge(0, 1, 1.0, 1.0);
-        f.add_edge(1, 3, 1.0, 1.0);
-        let exp1 = f.add_edge(0, 2, 1.0, 5.0);
-        f.add_edge(2, 3, 1.0, 5.0);
-        let r = f.run(0, 3, 1.0);
-        assert_approx_eq!(r.cost, 2.0, 1e-12);
-        assert_approx_eq!(f.flow_on(cheap1), 1.0, 1e-12);
-        assert_approx_eq!(f.flow_on(exp1), 0.0, 1e-12);
-    }
-
-    #[test]
     fn splits_when_capacity_binds() {
-        let mut f = MinCostFlow::new(4);
-        f.add_edge(0, 1, 1.0, 1.0);
-        f.add_edge(1, 3, 1.0, 1.0);
-        f.add_edge(0, 2, 1.0, 5.0);
-        f.add_edge(2, 3, 1.0, 5.0);
-        let r = f.run(0, 3, 2.0);
-        assert_approx_eq!(r.flow, 2.0, 1e-12);
-        assert_approx_eq!(r.cost, 12.0, 1e-12);
+        // Both items prefer bin 0, which holds one; the cheaper detour
+        // goes to item 1.
+        let mut t = Transportation::new(vec![1.0, 1.0]);
+        t.add_item(1.0, [(0, 1.0), (1, 5.0)]);
+        t.add_item(1.0, [(0, 1.0), (1, 2.0)]);
+        let r = t.solve();
+        assert_approx_eq!(r.routed, 2.0, 1e-12);
+        assert_approx_eq!(r.cost, 3.0, 1e-12);
+        assert_approx_eq!(r.flow[0], 1.0, 1e-12);
+        assert_approx_eq!(r.flow[3], 1.0, 1e-12);
     }
 
     #[test]
-    fn partial_flow_when_capacity_insufficient() {
-        let mut f = MinCostFlow::new(2);
-        f.add_edge(0, 1, 1.0, 1.0);
-        let r = f.run(0, 1, 5.0);
-        assert_approx_eq!(r.flow, 1.0, 1e-12);
+    fn fractional_split_of_one_item() {
+        let mut t = Transportation::new(vec![0.5, 0.75, 2.0]);
+        t.add_item(1.0, [(0, 1.0), (1, 2.0), (2, 3.0)]);
+        let r = t.solve();
+        assert_approx_eq!(r.routed, 1.0, 1e-12);
+        assert_approx_eq!(r.cost, 0.5 + 1.0, 1e-12);
+        assert_approx_eq!(r.flow[2], 0.0, 1e-12);
     }
 
     #[test]
-    fn rerouting_via_residual_arcs() {
-        // The second augmentation must undo part of the first via the
-        // residual arc a->b: optimum routes {s-a-t, s-b-t} at cost 22.
-        let mut f = MinCostFlow::new(4);
-        let (s, a, b, t) = (0, 1, 2, 3);
-        f.add_edge(s, a, 1.0, 1.0);
-        f.add_edge(a, t, 1.0, 10.0);
-        f.add_edge(s, b, 1.0, 10.0);
-        f.add_edge(b, t, 1.0, 1.0);
-        f.add_edge(a, b, 1.0, 0.0);
-        let r = f.run(s, t, 2.0);
-        assert_approx_eq!(r.flow, 2.0, 1e-12);
-        assert!((r.cost - 22.0).abs() < 1e-9);
+    fn partial_routing_when_capacity_is_short() {
+        let mut t = Transportation::new(vec![1.0]);
+        t.add_item(5.0, [(0, 1.0)]);
+        let r = t.solve();
+        assert_approx_eq!(r.routed, 1.0, 1e-12);
+        assert_approx_eq!(r.cost, 1.0, 1e-12);
     }
 
     #[test]
-    fn fractional_capacities() {
-        let mut f = MinCostFlow::new(3);
-        f.add_edge(0, 1, 0.5, 1.0);
-        f.add_edge(0, 1, 0.75, 2.0);
-        f.add_edge(1, 2, 2.0, 0.0);
-        let r = f.run(0, 2, 1.0);
-        assert!((r.flow - 1.0).abs() < 1e-9);
-        assert!((r.cost - (0.5 + 1.0)).abs() < 1e-9);
+    fn item_without_arcs_routes_nothing() {
+        let mut t = Transportation::new(vec![1.0]);
+        t.add_item(1.0, []);
+        t.add_item(1.0, [(0, 2.0)]);
+        let r = t.solve();
+        assert_approx_eq!(r.routed, 1.0, 1e-12);
+        assert_approx_eq!(r.cost, 2.0, 1e-12);
     }
 
     #[test]
-    fn disconnected_routes_zero() {
-        let mut f = MinCostFlow::new(3);
-        f.add_edge(0, 1, 1.0, 1.0);
-        let r = f.run(0, 2, 1.0);
-        assert_approx_eq!(r.flow, 0.0, 1e-12);
-        assert_approx_eq!(r.cost, 0.0, 1e-12);
+    fn reroutes_through_a_reverse_arc() {
+        // Item 0 takes bin 0 first; item 1 can only use bin 0, so the
+        // second search must push item 0 back out to bin 1 along the
+        // reverse arc: optimum {0 -> 1, 1 -> 0} at cost 10 + 1.
+        let mut t = Transportation::new(vec![1.0, 1.0]);
+        t.add_item(1.0, [(0, 1.0), (1, 10.0)]);
+        t.add_item(1.0, [(0, 1.0)]);
+        let r = t.solve();
+        assert_approx_eq!(r.routed, 2.0, 1e-12);
+        assert_approx_eq!(r.cost, 11.0, 1e-12);
+        assert_eq!(r.flow, vec![0.0, 1.0, 1.0]);
     }
 
     #[test]
-    fn larger_random_instance_matches_greedy_lower_bound() {
-        // Bipartite 6x6 unit assignment: SSP must return a perfect matching
-        // whose cost is >= the sum of row minima and <= sum of row maxima.
+    fn assignment_matches_brute_force() {
+        // 6x6 unit assignment: the flow must find the optimal permutation.
         let costs = [
             [4.0, 1.0, 3.0, 2.0, 9.0, 5.0],
             [2.0, 0.5, 6.0, 3.0, 1.0, 8.0],
@@ -326,63 +339,44 @@ mod tests {
             [5.0, 4.0, 2.0, 3.0, 6.0, 1.0],
         ];
         let n = 6;
-        let (s, t) = (2 * n, 2 * n + 1);
-        let mut f = MinCostFlow::new(2 * n + 2);
-        #[allow(clippy::needless_range_loop)] // i, j are bipartite node ids
-        for i in 0..n {
-            f.add_edge(s, i, 1.0, 0.0);
-            f.add_edge(n + i, t, 1.0, 0.0);
-            for j in 0..n {
-                f.add_edge(i, n + j, 1.0, costs[i][j]);
-            }
+        let mut t = Transportation::new(vec![1.0; n]);
+        for row in &costs {
+            t.add_item(1.0, row.iter().copied().enumerate());
         }
-        let r = f.run(s, t, n as f64);
-        assert!((r.flow - n as f64).abs() < 1e-9);
-        let lb: f64 = costs
-            .iter()
-            .map(|row| row.iter().cloned().fold(f64::INFINITY, f64::min))
-            .sum();
-        assert!(r.cost >= lb - 1e-9);
-        // Known optimum by inspection/brute force: check against exhaustive.
-        let mut best = f64::INFINITY;
-        let mut perm = [0usize; 6];
-        fn go(
-            k: usize,
-            used: &mut u32,
-            perm: &mut [usize; 6],
-            costs: &[[f64; 6]; 6],
-            best: &mut f64,
-        ) {
+        let r = t.solve();
+        assert_approx_eq!(r.routed, n as f64, 1e-9);
+        fn go(k: usize, used: &mut u32, costs: &[[f64; 6]; 6], acc: f64, best: &mut f64) {
             if k == 6 {
-                let c: f64 = (0..6).map(|i| costs[i][perm[i]]).sum();
-                if c < *best {
-                    *best = c;
-                }
+                *best = best.min(acc);
                 return;
             }
             for j in 0..6 {
                 if *used & (1 << j) == 0 {
                     *used |= 1 << j;
-                    perm[k] = j;
-                    go(k + 1, used, perm, costs, best);
+                    go(k + 1, used, costs, acc + costs[k][j], best);
                     *used &= !(1 << j);
                 }
             }
         }
-        let mut used = 0u32;
-        go(0, &mut used, &mut perm, &costs, &mut best);
+        let mut best = f64::INFINITY;
+        go(0, &mut 0, &costs, 0.0, &mut best);
         assert!(
             (r.cost - best).abs() < 1e-9,
-            "SSP {} vs brute {}",
+            "flow {} vs brute {}",
             r.cost,
             best
         );
+        // The flow is an integral permutation.
+        for i in 0..n {
+            let row = &r.flow[i * n..(i + 1) * n];
+            assert_eq!(row.iter().filter(|f| **f > 0.5).count(), 1);
+        }
     }
 
     #[test]
     #[should_panic(expected = "cost must be >= 0")]
     fn rejects_negative_costs() {
-        let mut f = MinCostFlow::new(2);
-        f.add_edge(0, 1, 1.0, -1.0);
+        let mut t = Transportation::new(vec![1.0]);
+        t.add_item(1.0, [(0, -1.0)]);
     }
 }

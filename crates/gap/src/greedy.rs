@@ -21,7 +21,7 @@ pub fn solve(inst: &GapInstance) -> Result<Assignment, GapError> {
     let m = inst.bins();
 
     for i in 0..n {
-        if !(0..m).any(|j| inst.cost(i, j).is_finite() && inst.weight(i, j) <= inst.capacity(j)) {
+        if !(0..m).any(|j| inst.is_allowed(i, j)) {
             return Err(GapError::ItemDoesNotFit { item: i });
         }
     }

@@ -4,7 +4,9 @@
 //! the Shmoys–Tardos approximation \[34\]. This crate implements:
 //!
 //! * [`instance`] — GAP instances and assignments,
-//! * [`flow`] — a min-cost-flow substrate (successive shortest paths),
+//! * [`flow`] — the bipartite transportation solver (successive shortest
+//!   paths from one item at a time) behind the relaxation's fast path and
+//!   the rounding's matching,
 //! * [`lp_relax`] — the LP relaxation (general simplex path — revised or
 //!   dense — plus a transportation fast path for per-item uniform weights
 //!   over admissible bins; select via [`LpBackend`]),

@@ -14,18 +14,19 @@
 //! * [`solve_lp`] — the general relaxation via the [`mec_lp`] simplex
 //!   (sparse revised by default, dense tableau as the reference oracle);
 //!   works for arbitrary bin-dependent weights.
-//! * [`solve_transportation`] — a min-cost-flow fast path for the
-//!   *uniform-allowed-weight* case (`w_ij = w_i` across every admissible
-//!   bin, [`GapInstance::has_uniform_allowed_weights`]), which is exactly
-//!   the class produced by the paper's virtual-cloudlet reduction —
-//!   uniform slot demand with per-item [`FORBIDDEN`] arcs. The relaxation
-//!   is then a transportation LP whose optimal vertex the flow computes.
+//! * [`solve_transportation`] — a transportation fast path
+//!   ([`crate::flow`]) for the *uniform-allowed-weight* case (`w_ij = w_i`
+//!   across every admissible bin,
+//!   [`GapInstance::has_uniform_allowed_weights`]), which is exactly the
+//!   class produced by the paper's virtual-cloudlet reduction — uniform
+//!   slot demand with per-item [`FORBIDDEN`] arcs. The relaxation is then
+//!   a transportation LP whose optimal vertex the flow computes.
 //!
 //! [`FORBIDDEN`]: crate::instance::FORBIDDEN
 
 use mec_lp::{LpBuilder, LpError, Relation, SolverBackend};
 
-use crate::flow::MinCostFlow;
+use crate::flow::Transportation;
 use crate::instance::GapInstance;
 
 /// Which relaxation path [`solve_relaxation_with`] takes.
@@ -36,8 +37,8 @@ pub enum LpBackend {
     /// simplex otherwise.
     #[default]
     Auto,
-    /// Force the min-cost-flow transportation fast path (panics when the
-    /// instance is outside its applicability class).
+    /// Force the transportation fast path (panics when the instance is
+    /// outside its applicability class).
     Transportation,
     /// Force the general LP on the sparse revised simplex.
     Revised,
@@ -228,8 +229,8 @@ pub fn solve_lp_with(
     })
 }
 
-/// Solves the relaxation via min-cost flow when every item's weight is
-/// uniform across its admissible bins.
+/// Solves the relaxation as a transportation problem ([`crate::flow`])
+/// when every item's weight is uniform across its admissible bins.
 ///
 /// The substitution `y_ij = w_i · x_ij` turns the relaxation into a
 /// transportation problem: item `i` supplies `w_i` units, bin `j` absorbs at
@@ -261,13 +262,9 @@ pub fn solve_transportation(inst: &GapInstance) -> Result<FractionalSolution, Ga
     let mut fractions = Vec::new();
     let mut objective = 0.0;
 
-    // Nodes: 0 = source, 1..=n items, n+1..=n+m bins, n+m+1 = sink.
-    let src = 0;
-    let item0 = 1;
-    let bin0 = 1 + n;
-    let sink = 1 + n + m;
-    let mut f = MinCostFlow::new(n + m + 2);
-    let mut arc_of_pair = Vec::new();
+    let mut net = Transportation::new((0..m).map(|j| inst.capacity(j)).collect());
+    // The instance item, bin and weight behind every arc, in arc order.
+    let mut arc_pairs = Vec::new();
     let mut total_supply = 0.0;
 
     for i in 0..n {
@@ -292,26 +289,18 @@ pub fn solve_transportation(inst: &GapInstance) -> Result<FractionalSolution, Ga
             continue;
         }
         total_supply += w;
-        f.add_edge(src, item0 + i, w, 0.0);
-        for j in 0..m {
-            if allowed(inst, i, j) {
-                let arc = f.add_edge(item0 + i, bin0 + j, w, inst.cost(i, j) / w);
-                arc_of_pair.push((i, j, arc, w));
-            }
-        }
-    }
-    for j in 0..m {
-        f.add_edge(bin0 + j, sink, inst.capacity(j), 0.0);
+        let bins = (0..m).filter(|&j| allowed(inst, i, j));
+        arc_pairs.extend(bins.clone().map(|j| (i, j, w)));
+        net.add_item(w, bins.map(|j| (j, inst.cost(i, j) / w)));
     }
 
     if total_supply > 0.0 {
-        let res = f.run(src, sink, total_supply);
-        if res.flow + 1e-6 < total_supply {
+        let res = net.solve();
+        if res.routed + 1e-6 < total_supply {
             return Err(GapError::Infeasible);
         }
         objective += res.cost;
-        for (i, j, arc, w) in arc_of_pair {
-            let y = f.flow_on(arc);
+        for ((i, j, w), y) in arc_pairs.into_iter().zip(res.flow) {
             if y > 1e-9 {
                 fractions.push((i, j, (y / w).min(1.0)));
             }

@@ -15,9 +15,10 @@
 //! 2. The items and slots form a bipartite graph in which the fractional
 //!    solution is a fractional perfect matching on the item side; a
 //!    minimum-cost integral matching therefore exists and costs no more.
-//!    We extract it with unit-capacity min-cost flow.
+//!    We extract it as a unit-supply, unit-capacity transportation
+//!    problem ([`crate::flow`]).
 
-use crate::flow::MinCostFlow;
+use crate::flow::Transportation;
 use crate::instance::{Assignment, GapInstance};
 use crate::lp_relax::{solve_relaxation_with, FractionalSolution, GapError, LpBackend};
 
@@ -177,33 +178,31 @@ fn round_with(
         slot_edges.extend(per_chunk.into_iter().flatten());
     }
 
-    // 2. Min-cost perfect matching on the item side via unit-cap flow.
+    // 2. Min-cost perfect matching on the item side: every item supplies
+    //    one unit, every slot absorbs one.
     let s_count = slot_edges.len();
     mec_obs::counter_add("gap.rounding_slots", s_count as u64);
-    let src = 0;
-    let item0 = 1;
-    let slot0 = 1 + n;
-    let sink = 1 + n + s_count;
-    let mut f = MinCostFlow::new(n + s_count + 2);
-    let mut pair_arcs = Vec::new();
-    for i in 0..n {
-        f.add_edge(src, item0 + i, 1.0, 0.0);
-    }
+    let mut item_slots: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     for (s, edges) in slot_edges.iter().enumerate() {
         for e in edges {
-            let arc = f.add_edge(item0 + e.item, slot0 + s, 1.0, inst.cost(e.item, e.bin));
-            pair_arcs.push((e.item, e.bin, arc));
+            item_slots[e.item].push((s, e.bin));
         }
-        f.add_edge(slot0 + s, sink, 1.0, 0.0);
     }
-    let res = f.run(src, sink, n as f64);
-    if res.flow + 1e-6 < n as f64 {
+    let mut net = Transportation::new(vec![1.0; s_count]);
+    // The item and bin behind every arc, in arc order.
+    let mut arc_pairs = Vec::new();
+    for (i, slots) in item_slots.iter().enumerate() {
+        arc_pairs.extend(slots.iter().map(|&(_, j)| (i, j)));
+        net.add_item(1.0, slots.iter().map(|&(s, j)| (s, inst.cost(i, j))));
+    }
+    let res = net.solve();
+    if res.routed + 1e-6 < n as f64 {
         return Err(GapError::Infeasible);
     }
 
     let mut of = vec![usize::MAX; n];
-    for (item, bin, arc) in pair_arcs {
-        if f.flow_on(arc) > 0.5 {
+    for ((item, bin), y) in arc_pairs.into_iter().zip(res.flow) {
+        if y > 0.5 {
             of[item] = bin;
         }
     }
@@ -277,10 +276,11 @@ pub fn solve_with(inst: &GapInstance, backend: LpBackend) -> Result<StSolution, 
 }
 
 /// The per-bin augmented-capacity bound the rounding guarantees:
-/// `load(j) ≤ CAP_j + max_i w_ij` over items allowed in `j`.
+/// `load(j) ≤ CAP_j + max_i w_ij` over the items admissible in `j`
+/// ([`GapInstance::is_allowed`]).
 pub fn augmented_capacity(inst: &GapInstance, bin: usize) -> f64 {
     let max_w = (0..inst.items())
-        .filter(|&i| inst.cost(i, bin).is_finite())
+        .filter(|&i| inst.is_allowed(i, bin))
         .map(|i| inst.weight(i, bin))
         .fold(0.0, f64::max);
     inst.capacity(bin) + max_w

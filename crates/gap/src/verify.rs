@@ -1,10 +1,12 @@
 //! Validity checking for GAP assignments.
 //!
 //! [`check_assignment`] certifies the Shmoys–Tardos guarantee from first
-//! principles: every item is assigned to an in-range bin it is actually
-//! allowed in (finite cost), and no bin's load exceeds its *augmented*
-//! capacity `CAP_j + max_i w_ij` — the rounding's Lemma-2 bound. It reads
-//! only the raw instance data, sharing no code with the rounding itself.
+//! principles: every item is assigned to an in-range bin that is
+//! admissible for it ([`GapInstance::is_allowed`]: finite cost, and the
+//! item fits the bin on its own), and no bin's load exceeds its
+//! *augmented* capacity `CAP_j + max_i w_ij` over the items admissible
+//! there — the rounding's Lemma-2 bound. It reads only the raw instance
+//! data, sharing no code with the rounding itself.
 //!
 //! With the `verify` cargo feature enabled,
 //! [`crate::shmoys_tardos::solve`] certifies its own output before
@@ -24,11 +26,13 @@ pub enum GapViolation {
         /// The out-of-range bin index.
         bin: usize,
     },
-    /// An item was assigned to a bin its cost marks as forbidden.
+    /// An item was assigned to a bin that is inadmissible for it: the
+    /// pair's cost is forbidden or the item alone exceeds the bin's
+    /// capacity ([`GapInstance::is_allowed`]).
     ForbiddenAssignment {
         /// The item.
         item: usize,
-        /// The forbidden bin.
+        /// The inadmissible bin.
         bin: usize,
     },
     /// A bin's load exceeds its augmented capacity.
@@ -56,7 +60,7 @@ impl std::fmt::Display for GapViolation {
                 write!(f, "item {item} assigned to out-of-range bin {bin}")
             }
             GapViolation::ForbiddenAssignment { item, bin } => {
-                write!(f, "item {item} assigned to forbidden bin {bin}")
+                write!(f, "item {item} assigned to inadmissible bin {bin}")
             }
             GapViolation::BinOverloaded {
                 bin,
@@ -100,7 +104,7 @@ pub fn check_assignment(
             out.push(GapViolation::BinOutOfRange { item, bin });
             continue;
         }
-        if !inst.cost(item, bin).is_finite() {
+        if !inst.is_allowed(item, bin) {
             out.push(GapViolation::ForbiddenAssignment { item, bin });
         }
         loads[bin] += inst.weight(item, bin);
@@ -123,6 +127,7 @@ pub fn check_assignment(
 mod tests {
     use super::*;
     use crate::instance::FORBIDDEN;
+    use mec_num::assert_approx_eq;
 
     fn inst() -> GapInstance {
         let mut inst = GapInstance::new(3, 2);
@@ -173,6 +178,27 @@ mod tests {
         i.set_cost(2, 1, 5.0);
         let a = Assignment::new(vec![0, 1, 1]);
         assert_eq!(check_assignment(&i, &a, 1e-9), vec![]);
+    }
+
+    #[test]
+    fn oversized_item_neither_admissible_nor_augments_capacity() {
+        // Bin 1 (capacity 1) holds a 0.5 item and a 5.0 item whose cost
+        // there is finite. The big item does not fit the bin on its own,
+        // so the pair is inadmissible, and the Shmoys–Tardos bound stays
+        // 1 + 0.5 rather than 1 + 5.
+        let mut i = GapInstance::new(2, 2);
+        i.set_cost(0, 0, 1.0).set_cost(0, 1, 1.0);
+        i.set_cost(1, 0, 1.0).set_cost(1, 1, 1.0);
+        i.set_item_weight(0, 0.5).set_item_weight(1, 5.0);
+        i.set_capacity(0, 10.0).set_capacity(1, 1.0);
+        assert_approx_eq!(augmented_capacity(&i, 1), 1.5, 1e-12);
+        let v = check_assignment(&i, &Assignment::new(vec![1, 1]), 1e-9);
+        assert!(v
+            .iter()
+            .any(|v| matches!(v, GapViolation::ForbiddenAssignment { item: 1, bin: 1 })));
+        assert!(v
+            .iter()
+            .any(|v| matches!(v, GapViolation::BinOverloaded { bin: 1, .. })));
     }
 
     #[test]

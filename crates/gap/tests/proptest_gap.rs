@@ -4,7 +4,9 @@
 //! * the Shmoys–Tardos assignment costs no more than the LP optimum;
 //! * the LP optimum lower-bounds the exact integral optimum;
 //! * rounding never overflows a bin by more than the largest item weight;
-//! * the transportation fast path agrees with the general LP relaxation;
+//! * the transportation fast path agrees with the general LP relaxation,
+//!   also on Appro-shaped instances (unit slots priced by marginal
+//!   congestion, a large remote bin some items may not use);
 //! * the `verify::check_assignment` certifier accepts every rounded output.
 
 use mec_gap::{check_assignment, exact, greedy, lp_relax, shmoys_tardos, GapInstance, FORBIDDEN};
@@ -160,5 +162,104 @@ proptest! {
         prop_assert!((a.objective - b.objective).abs()
             < 1e-5 * (1.0 + a.objective.abs()),
             "LP {} vs transportation {}", a.objective, b.objective);
+    }
+}
+
+/// An instance shaped like Appro's marginal-pricing reduction: cloudlets
+/// split into unit slots, slot `k` of cloudlet `c` priced
+/// `base_ic + p_c·(2k−1)`, plus one large remote bin.
+#[derive(Debug, Clone)]
+struct ApproShaped {
+    weights: Vec<f64>,
+    /// Unit slots per cloudlet.
+    slots: Vec<usize>,
+    /// Congestion price `p_c` per cloudlet.
+    price: Vec<f64>,
+    /// `base_ic`, item-major.
+    base: Vec<f64>,
+    remote: Vec<f64>,
+    /// Items that may not stay remote (capped at the slot count, so the
+    /// relaxation stays feasible: every weight is at most one slot).
+    pinned: Vec<bool>,
+}
+
+fn appro_shaped() -> impl Strategy<Value = ApproShaped> {
+    (20usize..=60, 3usize..=8).prop_flat_map(|(items, cloudlets)| {
+        use proptest::collection::vec;
+        (
+            vec(0.0..0.95f64, items),
+            vec(1usize..=6, cloudlets),
+            vec(0.1..2.0f64, cloudlets),
+            vec(1.0..10.0f64, items * cloudlets),
+            vec(5.0..40.0f64, items),
+            vec(proptest::bool::ANY, items),
+        )
+            .prop_map(|(w, slots, price, base, remote, pinned)| ApproShaped {
+                // Weights in (0.05, 1].
+                weights: w.into_iter().map(|x| 1.0 - x).collect(),
+                slots,
+                price,
+                base,
+                remote,
+                pinned,
+            })
+    })
+}
+
+fn build_appro_shaped(r: &ApproShaped) -> GapInstance {
+    let items = r.weights.len();
+    let cloudlets = r.slots.len();
+    let total_slots: usize = r.slots.iter().sum();
+    let remote = total_slots;
+    let mut inst = GapInstance::new(items, total_slots + 1);
+    let mut pinned = 0;
+    for (i, &w) in r.weights.iter().enumerate() {
+        inst.set_item_weight(i, w);
+        let mut bin = 0;
+        for c in 0..cloudlets {
+            for k in 1..=r.slots[c] {
+                let cost = r.base[i * cloudlets + c] + r.price[c] * (2 * k - 1) as f64;
+                inst.set_cost(i, bin, cost);
+                bin += 1;
+            }
+        }
+        if r.pinned[i] && pinned < total_slots {
+            pinned += 1;
+            inst.set_cost(i, remote, FORBIDDEN);
+        } else {
+            inst.set_cost(i, remote, r.remote[i]);
+        }
+    }
+    for j in 0..total_slots {
+        inst.set_capacity(j, 1.0);
+    }
+    inst.set_capacity(remote, r.weights.iter().sum::<f64>() + 1.0);
+    inst
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On Appro-shaped instances — large enough for the multi-bin
+    /// displacement chains of the real reductions — the transportation
+    /// solver reaches the revised simplex's optimum with a solution that
+    /// covers every item and respects every capacity.
+    #[test]
+    fn transportation_agrees_on_appro_shaped(r in appro_shaped()) {
+        let inst = build_appro_shaped(&r);
+        prop_assert!(inst.has_uniform_allowed_weights());
+        let lp = lp_relax::solve_lp_with(&inst, SolverBackend::Revised).unwrap();
+        let tp = lp_relax::solve_transportation(&inst).unwrap();
+        prop_assert!((lp.objective - tp.objective).abs() < 1e-6 * (1.0 + lp.objective.abs()),
+            "revised {} vs transportation {}", lp.objective, tp.objective);
+        prop_assert!(tp.covers_all_items(inst.items()));
+        let mut load = vec![0.0; inst.bins()];
+        for &(i, j, x) in &tp.fractions {
+            load[j] += inst.weight(i, j) * x;
+        }
+        for (j, l) in load.iter().enumerate() {
+            prop_assert!(*l <= inst.capacity(j) + 1e-9,
+                "bin {j} load {l} over capacity {}", inst.capacity(j));
+        }
     }
 }
