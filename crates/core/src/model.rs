@@ -250,8 +250,9 @@ impl Market {
 
     /// Replaces provider `l`'s `(compute, bandwidth)` demands in place —
     /// the serving layer's `UpdateDemand` operation. Aggregates derived
-    /// from the old demands (a [`crate::state::GameState`] built over
-    /// this market) must be rebuilt afterwards; they are not notified.
+    /// from the old demands are not notified: to change a demand under a
+    /// live [`crate::state::GameState`], call
+    /// [`crate::state::GameState::set_provider_demand`] instead.
     ///
     /// # Panics
     ///

@@ -36,6 +36,14 @@
 //! increments and may drift by ULPs relative to a fresh summation, which
 //! only matters at capacity boundaries already blurred by the `1e-9`
 //! feasibility slack in [`Market::fits`].
+//!
+//! A state either borrows its market ([`GameState::new`], the offline
+//! mechanism) or owns it ([`GameState::owned`], the serving daemon's
+//! writer). Either way [`GameState::set_provider_demand`] moves one
+//! provider's load in `O(1)`; a borrowed market is cloned on the first
+//! such change.
+
+use std::borrow::Cow;
 
 use mec_topology::CloudletId;
 
@@ -68,7 +76,7 @@ use crate::strategy::{Placement, Profile};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GameState<'m> {
-    market: &'m Market,
+    market: Cow<'m, Market>,
     profile: Profile,
     /// Congestion `|σ_i|` per cloudlet.
     sigma: Vec<usize>,
@@ -83,13 +91,28 @@ impl<'m> GameState<'m> {
     ///
     /// Panics if `profile` does not cover exactly the market's providers.
     pub fn new(market: &'m Market, profile: Profile) -> Self {
+        GameState::with_market(Cow::Borrowed(market), profile)
+    }
+
+    /// Builds a state that owns its market, in `O(N + M)`. The serving
+    /// daemon's writers hold one for their whole life and change demands
+    /// through [`GameState::set_provider_demand`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile` does not cover exactly the market's providers.
+    pub fn owned(market: Market, profile: Profile) -> GameState<'static> {
+        GameState::with_market(Cow::Owned(market), profile)
+    }
+
+    fn with_market(market: Cow<'m, Market>, profile: Profile) -> Self {
         assert_eq!(
             profile.len(),
             market.provider_count(),
             "profile/provider count mismatch"
         );
-        let sigma = profile.congestion(market);
-        let loads = profile.loads(market);
+        let sigma = profile.congestion(&market);
+        let loads = profile.loads(&market);
         GameState {
             market,
             profile,
@@ -103,10 +126,34 @@ impl<'m> GameState<'m> {
         GameState::new(market, Profile::all_remote(market.provider_count()))
     }
 
+    /// Replaces provider `l`'s `(compute, bandwidth)` demands and moves
+    /// its load at its current cloudlet by the difference — `O(1)`, no
+    /// rebuild. The state may then overload that cloudlet; the caller
+    /// decides whether to evict. A borrowed market is cloned first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range or a demand is negative/non-finite.
+    pub fn set_provider_demand(&mut self, l: ProviderId, compute: f64, bandwidth: f64) {
+        let old = self.market.provider(l);
+        let (da, db) = (
+            compute - old.compute_demand,
+            bandwidth - old.bandwidth_demand,
+        );
+        self.market
+            .to_mut()
+            .set_provider_demand(l, compute, bandwidth);
+        if let Placement::Cloudlet(c) = self.profile.placement(l) {
+            let load = &mut self.loads[c.index()];
+            load.0 += da;
+            load.1 += db;
+        }
+    }
+
     /// The underlying market.
     #[inline]
-    pub fn market(&self) -> &'m Market {
-        self.market
+    pub fn market(&self) -> &Market {
+        &self.market
     }
 
     /// Read-only view of the profile.
@@ -254,7 +301,7 @@ impl<'m> GameState<'m> {
     ///
     /// Returns `None` when no candidate at all is available.
     pub fn best_response(&self, l: ProviderId) -> Option<(Placement, f64)> {
-        let market = self.market;
+        let market = self.market();
         let current = self.profile.placement(l);
         let spec = market.provider(l);
 
@@ -299,11 +346,11 @@ impl<'m> GameState<'m> {
     /// `debug_assert!`ed after every [`GameState::apply_move`] and pounded
     /// by the randomized differential tests.
     pub fn agrees_with_recompute(&self, tol: f64) -> bool {
-        let sigma = self.profile.congestion(self.market);
+        let sigma = self.profile.congestion(&self.market);
         if sigma != self.sigma {
             return false;
         }
-        let loads = self.profile.loads(self.market);
+        let loads = self.profile.loads(&self.market);
         loads
             .iter()
             .zip(&self.loads)

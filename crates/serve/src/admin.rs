@@ -490,7 +490,7 @@ fn reload_topology(body: &[u8], shared: &AdminShared) -> (u16, &'static str, Str
     // Same validation boot applies to --regions, against the *live*
     // cloudlet and shard counts; nothing is swapped on failure.
     let validated =
-        match crate::server::region_map(Some(&map), shared.cloudlets, shared.coord.shards) {
+        match crate::shard::region_map(Some(&map), shared.cloudlets, shared.coord.shards) {
             Ok(v) => v,
             Err(e) => return reject(e.to_string()),
         };

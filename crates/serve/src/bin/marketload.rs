@@ -49,8 +49,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use mec_serve::{
-    drain_bench, run_load, run_scenario, serve, Client, DrainConfig, LoadConfig, ScenarioConfig,
-    ServerConfig,
+    drain_bench, run_load, run_scenario, serve, Client, DrainConfig, LoadConfig, ServerConfig,
 };
 use mec_workload::{gtitm_scenario, Params};
 
@@ -138,7 +137,6 @@ fn run_direct(args: &[String]) -> i32 {
         shards,
         commands: parse_flag(args, "--commands", 100_000),
         seed,
-        ..DrainConfig::default()
     };
     let report = match drain_bench(scenario.generated.market, regions, &cfg) {
         Ok(r) => r,
@@ -202,7 +200,7 @@ fn run_scenario_mode(args: &[String], kind: &str) -> i32 {
     let market = gtitm_scenario(size, &Params::paper().with_providers(providers), seed)
         .generated
         .market;
-    let report = run_scenario(market, &trace, &ScenarioConfig::default());
+    let report = run_scenario(market, &trace);
     println!(
         "{}: {} requests over {} epochs  hit rate {:.3}  ({} re-caches, \
          {} joins, {} rejected, {} leaves, social cost {:.3})",

@@ -44,9 +44,9 @@ impl DemandTracker {
     }
 
     /// An empty tracker: every [`DemandTracker::note`] is ignored and
-    /// every [`DemandTracker::take`] returns zero. Contexts built without
-    /// an I/O side (the drain benchmark, the legacy in-process driver)
-    /// use this so the hot-first ordering stays inert.
+    /// every [`DemandTracker::take`] returns zero. The drain benchmark,
+    /// which has no I/O side to note queries, boots its writers with this
+    /// so the hot-first ordering stays inert.
     pub fn disabled() -> DemandTracker {
         DemandTracker::new(0)
     }

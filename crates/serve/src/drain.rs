@@ -3,13 +3,14 @@
 //! The live `marketload` smoke numbers measure the whole daemon — client
 //! syscalls, the poll loop, and the writer threads together — which on a
 //! small host is dominated by per-request wakeups and says little about
-//! the market data plane itself. This bench isolates the writer path: a
-//! seeded join/leave churn stream is routed straight into the per-shard
-//! command queues (exactly how the I/O threads route, owner lookup
-//! through the [`Router`]) *before* the writers start, then the clock
-//! runs from spawn to the end of the coordinated drain — final
-//! equilibrium convergence included, since shrinking those maintenance
-//! sweeps is half the point of region sharding.
+//! the market data plane itself. This bench isolates the writer path: it
+//! boots the same `ShardSet` the daemon does, routes a seeded
+//! join/leave churn stream straight into the per-shard command queues
+//! (exactly how the I/O threads route, owner lookup through the router)
+//! *before* the writers start, and queues the drain behind it; the clock
+//! then runs from writer start to the end of the coordinated drain —
+//! final equilibrium convergence included, since shrinking those
+//! maintenance sweeps is half the point of region sharding.
 //!
 //! Preloading makes this a saturation measurement: every queue stays
 //! deep for the whole run, channel wakeups amortize across maximal
@@ -20,18 +21,15 @@
 //! over the shard's own providers. This is the workload behind the CI
 //! shard-scaling gate (`cargo xtask tailgate scale`).
 
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mec_core::model::Market;
-use mec_core::Profile;
 
 use crate::chan;
-use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, Reply, ShardCtx};
-use crate::server::region_map;
-use crate::shard::{Coordinator, DrainOp, Router, ShardGauges};
-use crate::view::{MarketView, SharedView};
+use crate::demand::DemandTracker;
+use crate::market::{Command, Reply};
+use crate::shard::{BootState, ShardSet};
 
 /// Knobs of [`drain_bench`].
 #[derive(Debug, Clone)]
@@ -42,10 +40,6 @@ pub struct DrainConfig {
     pub commands: usize,
     /// RNG seed for the churn stream.
     pub seed: u64,
-    /// Improving moves per maintenance quantum (see [`MarketConfig`]).
-    pub epoch_moves: usize,
-    /// Most commands a shard takes per batched drain.
-    pub batch_max: usize,
 }
 
 impl Default for DrainConfig {
@@ -54,8 +48,6 @@ impl Default for DrainConfig {
             shards: 1,
             commands: 100_000,
             seed: 1,
-            epoch_moves: 32,
-            batch_max: 256,
         }
     }
 }
@@ -67,7 +59,7 @@ pub struct DrainReport {
     pub shards: usize,
     /// Commands pushed (joins + leaves).
     pub commands: usize,
-    /// Feeder start to last shard joined — includes the final
+    /// Writer start to last shard joined — includes the final
     /// equilibrium convergence and the coordinated drain.
     pub elapsed: Duration,
     /// Commands settled per shard (from the write gauges; forwarded
@@ -144,30 +136,19 @@ pub fn drain_bench(
     cfg: &DrainConfig,
 ) -> std::io::Result<DrainReport> {
     let n = market.provider_count();
-    let m = market.cloudlet_count();
-    let shards = cfg.shards.clamp(1, m.max(1));
-    let region_of = region_map(regions.as_ref(), m, shards)?;
-
-    let views: Vec<Arc<SharedView>> = (0..shards)
-        .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
-        .collect();
-    let router = Arc::new(Router::new(n, shards));
-    let gauges = Arc::new(ShardGauges::new(shards));
-    let coord = Arc::new(Coordinator::new(shards, region_of.clone(), 0));
-    // The I/O side of this bench is already gone when the writers start
-    // (the whole stream is preloaded), so the counter starts at zero and
-    // the queued drain command governs teardown.
-    let io_live = Arc::new(AtomicUsize::new(0));
-
     // Queues sized to the stream: the preload never blocks, and every
-    // writer sees saturation depth from its first batch to its last.
-    let mut txs = Vec::with_capacity(shards);
-    let mut rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = chan::bounded::<Command>(cfg.commands + 2);
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    // writer sees saturation depth from its first batch to its last. No
+    // I/O side notes queries, so the demand tracker stays inert.
+    let mut set = ShardSet::boot(
+        BootState::fresh(market),
+        cfg.shards,
+        regions.as_ref(),
+        cfg.commands + 2,
+        None,
+        Arc::new(DemandTracker::disabled()),
+        1,
+    )?;
+    let shards = set.txs.len();
 
     // Preload: route by owner lookup, exactly like an I/O thread. The
     // stream is identical across shard counts (same seed, same order);
@@ -193,88 +174,26 @@ pub fn drain_bench(
                 reply: Reply::Oneshot(tx),
             }
         };
-        let k = router.owner(p).min(shards - 1);
-        let _ = txs[k].send(cmd);
+        let k = set.router.owner(p).min(shards - 1);
+        let _ = set.txs[k].send(cmd);
     }
-    // Teardown rides at the back of every queue: coordinated drain at
-    // several shards, the legacy shutdown command at one.
-    if shards > 1 {
-        let (tx, _rx) = chan::oneshot();
-        let op = Arc::new(DrainOp::new(shards, Reply::Oneshot(tx)));
-        for tx_k in &txs {
-            let _ = tx_k.send(Command::DrainAll { op: op.clone() });
-        }
-    } else {
-        let (tx, _rx) = chan::oneshot();
-        let _ = txs[0].send(Command::Shutdown {
-            reply: Reply::Oneshot(tx),
-        });
-    }
-
-    let market_cfg = MarketConfig {
-        epoch_moves: cfg.epoch_moves,
-        batch_max: cfg.batch_max,
-        snapshot_path: None,
-    };
+    // The coordinated drain rides at the back of every queue.
+    set.shutdown();
 
     let started = Instant::now();
-    let mut threads = Vec::with_capacity(shards);
-    for (k, rx) in rxs.into_iter().enumerate() {
-        let mine: Vec<bool> = region_of.iter().map(|&r| r == k).collect();
-        let ctx = ShardCtx::new(
-            k,
-            shards,
-            mine,
-            router.clone(),
-            if shards > 1 { txs.clone() } else { Vec::new() },
-            if shards > 1 {
-                views.clone()
-            } else {
-                Vec::new()
-            },
-            coord.clone(),
-            gauges.clone(),
-            (shards > 1).then(|| io_live.clone()),
-        );
-        let shard_market = market.clone();
-        let profile = Profile::all_remote(n);
-        let active = vec![false; n];
-        let view = views[k].clone();
-        let cfg_k = market_cfg.clone();
-        // Writer threads under measurement; joined below, never leaked.
-        // lint: allow(thread-spawn)
-        threads.push(std::thread::spawn(move || {
-            run_shard(shard_market, profile, active, 0, &rx, &view, &cfg_k, &ctx)
-        }));
-    }
-    drop(txs);
-
-    let mut outcomes: Vec<MarketOutcome> = Vec::with_capacity(shards);
-    for t in threads {
-        match t.join() {
-            Ok(o) => outcomes.push(o),
-            Err(e) => std::panic::resume_unwind(e),
-        }
-    }
-    let elapsed = started.elapsed();
-
-    let mut report = DrainReport {
+    set.start(|| {});
+    let gauges = set.gauges.clone();
+    let outcome = set.join();
+    Ok(DrainReport {
         shards,
         commands: cfg.commands,
-        elapsed,
+        elapsed: started.elapsed(),
         per_shard: (0..shards).map(|k| gauges.writes(k)).collect(),
-        epochs: 0,
-        moves: 0,
-        equilibrium: true,
-        violations: Vec::new(),
-    };
-    for o in outcomes {
-        report.epochs += o.epochs;
-        report.moves += o.moves;
-        report.equilibrium &= o.equilibrium;
-        report.violations.extend(o.violations);
-    }
-    Ok(report)
+        epochs: outcome.epochs,
+        moves: outcome.moves,
+        equilibrium: outcome.equilibrium,
+        violations: outcome.violations,
+    })
 }
 
 #[cfg(test)]

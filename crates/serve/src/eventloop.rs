@@ -556,11 +556,8 @@ fn dispatch(
         conn: conn_id,
         req: req_id,
     };
-    if shared.shards() > 1
-        && matches!(
-            req,
-            Request::Snapshot | Request::Restore | Request::Shutdown
-        )
+    if matches!(req, Request::Shutdown)
+        || (shared.shards() > 1 && matches!(req, Request::Snapshot | Request::Restore))
     {
         fan_out_admin(conn, req_id, &req, reply, shared, backlog);
         return;
@@ -583,11 +580,12 @@ fn dispatch(
     backlog.push_back((shard, cmd)); // lint: allow(growth) — same BACKLOG_PAUSE bound as above
 }
 
-/// Fans a multi-shard admin request out to every shard queue: `snapshot`
-/// and `restore` become a coordinated two-phase op (prepare now; the
-/// last prepare-acker enqueues the apply fan-out), `shutdown` a drain
-/// barrier. The single client reply travels inside the shared op and the
-/// last shard to complete answers it, so the connection sees exactly one
+/// Fans an admin request out to every shard queue: `shutdown` becomes a
+/// drain barrier (one member per shard, at any shard count), and on a
+/// sharded daemon `snapshot` and `restore` become a coordinated two-phase
+/// op (prepare now; the last prepare-acker enqueues the apply fan-out).
+/// The single client reply travels inside the shared op and the last
+/// shard to complete answers it, so the connection sees exactly one
 /// response in request order.
 fn fan_out_admin(
     conn: &mut Conn,

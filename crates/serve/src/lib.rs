@@ -21,13 +21,14 @@
 //!   scoring cache hits and observed re-cache moves;
 //! * [`eventloop`] — the poll-based I/O loop (vendored `poll(2)` shim,
 //!   nonblocking sockets, per-connection buffers, ordered completions);
-//! * [`market`] — the single-writer market thread: batched admission
-//!   control against the incremental [`mec_core::GameState`] residuals
-//!   (Eq. 4–5), preemptible best-response *maintenance quanta* between
-//!   queue drains (Lemma 3), versioned crash-recovery snapshots;
-//! * [`shard`] — region-keyed market sharding: the provider→shard
-//!   router, cross-shard migration bookkeeping, and coordinated
-//!   multi-shard snapshot manifests;
+//! * [`market`] — the shard writer: batched admission control against
+//!   the incremental [`mec_core::GameState`] residuals (Eq. 4–5),
+//!   preemptible best-response *maintenance quanta* between queue drains
+//!   (Lemma 3), versioned crash-recovery snapshots;
+//! * [`shard`] — region-keyed market sharding: the one boot path for a
+//!   set of shard writers, the provider→shard router, cross-shard
+//!   migration bookkeeping, and coordinated multi-shard snapshot
+//!   manifests;
 //! * [`admin`] — the std-only HTTP/1.1 admin surface: Prometheus
 //!   `/metrics`, live placement/residual/shard inspection, and
 //!   validated topology hot-reload;
@@ -63,8 +64,8 @@ pub use client::Client;
 pub use demand::{DemandTracker, DEMAND_EWMA_ALPHA};
 pub use drain::{drain_bench, DrainConfig, DrainReport};
 pub use load::{run_load, LoadConfig, LoadReport};
-pub use market::{MarketConfig, MarketOutcome};
+pub use market::MarketOutcome;
 pub use proto::{Request, Response, StatsReport};
-pub use scenario::{run_scenario, ScenarioConfig, ScenarioReport};
+pub use scenario::{run_scenario, ScenarioReport};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use view::{MarketView, SharedView};

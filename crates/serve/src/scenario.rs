@@ -2,9 +2,8 @@
 //! the socket-free bridge between the dynamic-popularity trace engine
 //! and the daemon's demand-driven re-caching.
 //!
-//! [`run_scenario`] boots one shard writer thread (the same
-//! [`crate::market::run_shard`] loop the daemon runs), then walks the
-//! trace epoch by epoch:
+//! [`run_scenario`] boots a one-shard writer through the same `ShardSet`
+//! the daemon uses, then walks the trace epoch by epoch:
 //!
 //! 1. every request in the epoch is noted into the shared
 //!    [`DemandTracker`] — exactly what the I/O threads do when they
@@ -27,14 +26,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mec_core::model::Market;
-use mec_core::{Placement, Profile};
+use mec_core::Placement;
 use mec_scenario::Trace;
 
 use crate::chan::{self, Sender};
 use crate::demand::DemandTracker;
-use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, Reply, ShardCtx};
+use crate::market::{Command, Reply};
 use crate::proto::Response;
-use crate::shard::{Coordinator, Router, ShardGauges};
+use crate::shard::{BootState, ShardSet};
 use crate::view::{MarketView, SharedView};
 
 /// How long [`run_scenario`] waits for the writer to reach equilibrium
@@ -42,25 +41,6 @@ use crate::view::{MarketView, SharedView};
 /// sized: the dynamics are potential-game-terminating, so this only
 /// fires if the writer thread is starved.
 const EPOCH_SETTLE_MAX: Duration = Duration::from_secs(10);
-
-/// Knobs of the trace replay.
-#[derive(Debug, Clone)]
-pub struct ScenarioConfig {
-    /// Improving moves allowed per maintenance quantum (matches
-    /// [`MarketConfig::epoch_moves`]).
-    pub epoch_moves: usize,
-    /// Queue-drain batch bound (matches [`MarketConfig::batch_max`]).
-    pub batch_max: usize,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            epoch_moves: 32,
-            batch_max: 256,
-        }
-    }
-}
 
 /// What one trace replay measured.
 #[derive(Debug, Clone)]
@@ -116,9 +96,8 @@ fn roundtrip(tx: &Sender<Command>, build: impl FnOnce(Reply) -> Command) -> Resp
 ///
 /// Service `k` of the trace is provider `k` of the market, so the trace
 /// must not name more services than the market has providers.
-pub fn run_scenario(market: Market, trace: &Trace, cfg: &ScenarioConfig) -> ScenarioReport {
+pub fn run_scenario(market: Market, trace: &Trace) -> ScenarioReport {
     let n = market.provider_count();
-    let m = market.cloudlet_count();
     assert!(
         trace.services <= n,
         "trace names {} services, market has {} providers",
@@ -126,42 +105,23 @@ pub fn run_scenario(market: Market, trace: &Trace, cfg: &ScenarioConfig) -> Scen
         n
     );
 
-    let view = Arc::new(SharedView::new(MarketView::empty(n)));
     let demand = Arc::new(DemandTracker::new(n));
-    let ctx = ShardCtx::new(
-        0,
+    // Queue sized for one epoch's worth of churn plus the drain; this
+    // driver is the writer's one I/O-side sender.
+    let mut set = ShardSet::boot(
+        BootState::fresh(market),
         1,
-        vec![true; m],
-        Arc::new(Router::new(n, 1)),
-        Vec::new(),
-        Vec::new(),
-        Arc::new(Coordinator::new(1, vec![0; m], 0)),
-        Arc::new(ShardGauges::new(1)),
         None,
+        n + 8,
+        None,
+        demand.clone(),
+        1,
     )
-    .with_demand(demand.clone());
-    // Queue sized for one epoch's worth of churn plus the shutdown.
-    let (tx, rx) = chan::bounded::<Command>(n + 8);
-    let market_cfg = MarketConfig {
-        epoch_moves: cfg.epoch_moves,
-        batch_max: cfg.batch_max,
-        snapshot_path: None,
-    };
-    let view_w = view.clone();
-    // The writer under test; joined at the end of the replay.
-    // lint: allow(thread-spawn)
-    let writer = std::thread::spawn(move || -> MarketOutcome {
-        run_shard(
-            market,
-            Profile::all_remote(n),
-            vec![false; n],
-            0,
-            &rx,
-            &view_w,
-            &market_cfg,
-            &ctx,
-        )
-    });
+    // lint: allow(panics) — one shard needs no region map, so boot cannot fail.
+    .expect("one-shard boot has no region map to reject");
+    let tx = set.txs[0].clone();
+    let view = set.views[0].clone();
+    set.start(|| {});
 
     let mut report = ScenarioReport {
         label: trace.label.clone(),
@@ -247,11 +207,12 @@ pub fn run_scenario(market: Market, trace: &Trace, cfg: &ScenarioConfig) -> Scen
         }
     }
 
-    let resp = roundtrip(&tx, |reply| Command::Shutdown { reply });
-    assert!(matches!(resp, Response::Draining), "shutdown not honored");
-    drop(tx);
-    // lint: allow(panics) — propagate writer panics to the caller.
-    let outcome = writer.join().expect("writer thread panicked");
+    let resp = set.shutdown().recv();
+    assert!(
+        matches!(resp, Some(Response::Draining)),
+        "shutdown not honored"
+    );
+    let outcome = set.join();
     report.final_social_cost = view.load().social_cost;
     report.equilibrium = outcome.equilibrium;
     report.violations = outcome.violations;
@@ -286,7 +247,7 @@ mod tests {
     #[test]
     fn replay_scores_every_request() {
         let trace = TraceConfig::new("unit", 12, 6, 40, 5).generate();
-        let r = run_scenario(market(12), &trace, &ScenarioConfig::default());
+        let r = run_scenario(market(12), &trace);
         assert_eq!(r.requests, trace.total_requests());
         assert_eq!(r.epochs, 6);
         assert!(r.equilibrium, "writer must drain at equilibrium");
@@ -299,7 +260,7 @@ mod tests {
         // Plenty of capacity: everything that joins should be cached, so
         // the hit rate is high (cold epochs aside).
         let trace = TraceConfig::new("warm", 8, 5, 80, 3).generate();
-        let r = run_scenario(market(8), &trace, &ScenarioConfig::default());
+        let r = run_scenario(market(8), &trace);
         assert!(
             r.hit_rate() > 0.5,
             "expected mostly hits with ample capacity, got {}",
@@ -315,7 +276,7 @@ mod tests {
             .iter()
             .find(|t| t.label == "flash_crowd")
             .expect("standard flash trace");
-        let r = run_scenario(market(16), flash, &ScenarioConfig::default());
+        let r = run_scenario(market(16), flash);
         assert_eq!(r.label, "flash_crowd");
         assert!(r.equilibrium);
         assert!(r.requests > 0);

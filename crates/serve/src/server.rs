@@ -15,36 +15,33 @@
 //! poll-based event loop in [`crate::eventloop`]: nonblocking reads into
 //! per-connection frame decoders, reads answered from the owning shard's
 //! published [`crate::view::MarketView`], writes routed by the
-//! provider→shard [`Router`] as [`Command`]s whose replies come back
-//! through a completion mailbox and leave in request order. No thread is
-//! ever parked on one client.
+//! provider→shard router as [`crate::market::Command`]s whose replies
+//! come back through a completion mailbox and leave in request order. No
+//! thread is ever parked on one client.
 //!
-//! With `shards == 1` the daemon is exactly the legacy single-writer
-//! system: one market thread, one view, plain snapshot files, teardown
-//! by channel disconnection. With `shards > 1` each region gets its own
-//! writer thread; admin requests fan out as coordinated two-phase ops
-//! (see [`crate::shard`]), snapshots become per-shard slice sets behind a
-//! manifest, and teardown is signalled by the `io_live` counter (peers
-//! hold each other's senders, so disconnection can never fire).
+//! The writers boot through one `ShardSet` at every shard count: each
+//! region gets its own writer thread, every shard's first view is
+//! published before the listener accepts, and `shutdown` is a coordinated
+//! drain with one member per shard. Teardown is signalled by the
+//! `io_live` counter of I/O threads (each writer holds its own and its
+//! peers' senders, so its queue never disconnects). With `shards == 1`
+//! `snapshot`/`restore` act on one whole-market file; with `shards > 1`
+//! they fan out as coordinated two-phase ops (see [`crate::shard`]) over
+//! per-shard slice sets behind a manifest.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use mec_core::model::Market;
-use mec_core::{load_snapshot, MarketSnapshot, Placement, Profile, ProviderId};
 
-use crate::chan;
 use crate::demand::DemandTracker;
 use crate::eventloop::{run_io, Completions, IoShared};
-use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, ShardCtx};
+use crate::market::MarketOutcome;
 use crate::proto::{self, Response};
-use crate::shard::{
-    contiguous_regions, parse_manifest, shard_snapshot_path, Coordinator, Router, ShardGauges,
-};
-use crate::view::{MarketView, SharedView};
+use crate::shard::{BootState, ShardSet};
 
 /// Boot configuration of [`serve`].
 #[derive(Debug, Clone)]
@@ -58,12 +55,8 @@ pub struct ServerConfig {
     /// manifest here pointing at per-shard slice files; boot understands
     /// both formats regardless of the configured shard count.
     pub snapshot_path: Option<PathBuf>,
-    /// Improving moves per equilibrium-maintenance quantum.
-    pub epoch_moves: usize,
     /// Bound of each shard's command queue (backpressure for writers).
     pub queue_cap: usize,
-    /// Most commands a shard thread takes per batched drain.
-    pub batch_max: usize,
     /// Event-loop I/O threads; 0 sizes the fleet from the machine
     /// (`available_parallelism`, capped at 4 — the shard threads are the
     /// write bottleneck, extra I/O threads past that just add contention).
@@ -71,7 +64,7 @@ pub struct ServerConfig {
     /// Maximum simultaneous client connections.
     pub max_connections: usize,
     /// Market shards (writer threads), each owning one topology region.
-    /// 1 (the default) keeps the legacy single-writer daemon; clamped to
+    /// 1 (the default) runs one writer over the whole market; clamped to
     /// the cloudlet count.
     pub shards: usize,
     /// Cloudlet→shard region map (`regions[c]` is the owning shard of
@@ -91,9 +84,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             snapshot_path: None,
-            epoch_moves: 32,
             queue_cap: 1024,
-            batch_max: 256,
             io_threads: 0,
             max_connections: 512,
             shards: 1,
@@ -122,7 +113,7 @@ impl ServerConfig {
 pub struct ServerHandle {
     addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
-    shards: Vec<JoinHandle<MarketOutcome>>,
+    shards: ShardSet,
     acceptor: JoinHandle<()>,
     io: Vec<JoinHandle<()>>,
     admin: Option<JoinHandle<()>>,
@@ -149,13 +140,7 @@ impl ServerHandle {
     ///
     /// Panics if a shard, the acceptor, or an I/O thread itself panicked.
     pub fn join(self) -> MarketOutcome {
-        let mut outcomes = Vec::with_capacity(self.shards.len());
-        for h in self.shards {
-            match h.join() {
-                Ok(o) => outcomes.push(o),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
+        let outcome = self.shards.join();
         if let Err(e) = self.acceptor.join() {
             std::panic::resume_unwind(e);
         }
@@ -169,183 +154,8 @@ impl ServerHandle {
                 std::panic::resume_unwind(e);
             }
         }
-        merge_outcomes(outcomes)
+        outcome
     }
-}
-
-/// Folds per-shard outcomes into the daemon-wide one. Counters sum,
-/// equilibrium ANDs, violations concatenate; a provider's placement and
-/// admission flag come from whichever shard holds it active (unique
-/// after a drain — migrations are quiesced before shards finish).
-fn merge_outcomes(mut outcomes: Vec<MarketOutcome>) -> MarketOutcome {
-    let mut merged = outcomes.remove(0);
-    for o in outcomes {
-        merged.seq += o.seq;
-        merged.epochs += o.epochs;
-        merged.moves += o.moves;
-        merged.equilibrium &= o.equilibrium;
-        merged.violations.extend(o.violations);
-        for p in 0..o.active.len() {
-            if o.active[p] {
-                merged.active[p] = true;
-                merged
-                    .profile
-                    .set(ProviderId(p), o.profile.placement(ProviderId(p)));
-            }
-        }
-    }
-    merged
-}
-
-/// Boot state recovered from disk (or the caller's fresh market): the
-/// merged global market, placements, admission mask, seq, the epoch to
-/// seed the snapshot coordinator with, and any per-provider ownership
-/// claims a sharded snapshot set recorded.
-struct BootState {
-    market: Market,
-    profile: Profile,
-    active: Vec<bool>,
-    seq: u64,
-    epoch0: u64,
-    claim: Vec<Option<usize>>,
-}
-
-/// Restores boot state from `path` if a snapshot exists there: either a
-/// sharded manifest (merge every slice of the newest consistent set) or
-/// a legacy whole-market file. No snapshot means a fresh all-remote boot
-/// from the caller's market.
-fn boot_state(market: Market, path: Option<&Path>) -> std::io::Result<BootState> {
-    let fresh = |market: Market| {
-        let n = market.provider_count();
-        BootState {
-            market,
-            profile: Profile::all_remote(n),
-            active: vec![false; n],
-            seq: 0,
-            epoch0: 0,
-            claim: vec![None; n],
-        }
-    };
-    let Some(path) = path.filter(|p| p.exists()) else {
-        return Ok(fresh(market));
-    };
-    let text = std::fs::read_to_string(path)?;
-    let Some(manifest) = parse_manifest(&text) else {
-        // Legacy whole-market snapshot: the file *is* the market state.
-        let snap = load_snapshot(path).map_err(|e| restore_err(path, &e))?;
-        let n = snap.market.provider_count();
-        return Ok(BootState {
-            market: snap.market,
-            profile: snap.profile,
-            active: snap.active,
-            seq: snap.seq,
-            epoch0: 0,
-            claim: vec![None; n],
-        });
-    };
-    let mut slices = Vec::with_capacity(manifest.shards);
-    for k in 0..manifest.shards {
-        let slice_path = shard_snapshot_path(path, manifest.epoch, k);
-        slices.push(load_snapshot(&slice_path).map_err(|e| restore_err(&slice_path, &e))?);
-    }
-    Ok(merge_slices(slices, manifest.epoch))
-}
-
-fn restore_err(path: &Path, e: &dyn std::fmt::Display) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("restoring {}: {e}", path.display()),
-    )
-}
-
-/// Merges the slices of one coordinated snapshot set into a global boot
-/// state. Each slice is authoritative for the providers its ownership
-/// mask claims: their placement, admission flag, and demand vector come
-/// from the owning slice (each shard's market copy tracks `update`s only
-/// for its own providers). Claim conflicts — possible when a crash lands
-/// between a join-forward's ownership transfer and the peer's slice
-/// write — resolve in favor of an *active* claim: the claimant actually
-/// holding the provider in its game state is unique, because migrations
-/// are quiesced while slices are written.
-fn merge_slices(slices: Vec<MarketSnapshot>, epoch: u64) -> BootState {
-    let mut slices = slices.into_iter();
-    // The manifest loader rejects empty snapshot sets before this call.
-    // lint: allow(panics)
-    let first = slices.next().expect("manifest guarantees >= 1 shard");
-    let mut out = BootState {
-        seq: first.seq,
-        epoch0: epoch,
-        claim: vec![None; first.market.provider_count()],
-        profile: Profile::all_remote(first.market.provider_count()),
-        active: vec![false; first.market.provider_count()],
-        market: first.market.clone(),
-    };
-    let n = out.market.provider_count();
-    let mut fold = |k: usize, snap: &MarketSnapshot| {
-        out.seq = out.seq.max(snap.seq);
-        let Some(meta) = snap.shard.as_ref() else {
-            return;
-        };
-        for p in 0..n {
-            if !meta.owned.get(p).copied().unwrap_or(false) {
-                continue;
-            }
-            if out.claim[p].is_some() && (out.active[p] || !snap.active[p]) {
-                // Keep an active claim; an inactive double-claim is a
-                // converged Remote/inactive copy on both sides.
-                continue;
-            }
-            out.claim[p] = Some(k);
-            out.active[p] = snap.active[p];
-            out.profile
-                .set(ProviderId(p), snap.profile.placement(ProviderId(p)));
-            let spec = snap.market.provider(ProviderId(p));
-            out.market.set_provider_demand(
-                ProviderId(p),
-                spec.compute_demand,
-                spec.bandwidth_demand,
-            );
-        }
-    };
-    fold(0, &first);
-    for (k, snap) in slices.enumerate() {
-        fold(k + 1, &snap);
-    }
-    out
-}
-
-/// Validates a caller-supplied region map (or derives the contiguous
-/// fallback): every cloudlet mapped, every shard non-empty.
-pub(crate) fn region_map(
-    regions: Option<&Vec<usize>>,
-    cloudlets: usize,
-    shards: usize,
-) -> std::io::Result<Vec<usize>> {
-    let Some(r) = regions else {
-        return Ok(contiguous_regions(cloudlets, shards));
-    };
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
-    if r.len() != cloudlets {
-        return Err(bad(format!(
-            "region map covers {} cloudlets, market has {cloudlets}",
-            r.len()
-        )));
-    }
-    for k in 0..shards {
-        if !r.contains(&k) {
-            return Err(bad(format!(
-                "region map leaves shard {k} without cloudlets"
-            )));
-        }
-    }
-    if let Some(&r_max) = r.iter().max() {
-        if r_max >= shards {
-            return Err(bad(format!(
-                "region map names shard {r_max}, daemon has {shards}"
-            )));
-        }
-    }
-    Ok(r.clone())
 }
 
 /// Boots the daemon: restores the snapshot if one exists, binds the
@@ -356,38 +166,27 @@ pub(crate) fn region_map(
 /// Propagates bind errors, waker-socket errors, invalid region maps, and
 /// snapshot-restore I/O or corruption errors.
 pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
-    let boot = boot_state(market, cfg.snapshot_path.as_deref())?;
-    let BootState {
-        market,
-        profile,
-        active,
-        seq,
-        epoch0,
-        claim,
-    } = boot;
-    let n = market.provider_count();
-    let m = market.cloudlet_count();
-    let shards = cfg.shards.clamp(1, m.max(1));
-    let region_of = region_map(cfg.regions.as_ref(), m, shards)?;
+    let boot = BootState::load(market, cfg.snapshot_path.as_deref())?;
+    let n = boot.market.provider_count();
+    let m = boot.market.cloudlet_count();
+    let io_count = cfg.io_thread_count();
+    // One demand tracker daemon-wide: every I/O thread notes queries into
+    // it, each writer folds (only) its owned providers' counts.
+    let demand = Arc::new(DemandTracker::new(n));
+    // Every shard publishes its boot view here, before the listener
+    // exists: a client that connects can never read a pre-boot view.
+    let mut shards = ShardSet::boot(
+        boot,
+        cfg.shards,
+        cfg.regions.as_ref(),
+        cfg.queue_cap,
+        cfg.snapshot_path.clone(),
+        demand.clone(),
+        io_count,
+    )?;
 
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let views: Vec<Arc<SharedView>> = (0..shards)
-        .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
-        .collect();
-    let router = Arc::new(Router::new(n, shards));
-    for (p, &claimed) in claim.iter().enumerate() {
-        // Restored/derived ownership: a cached provider belongs to its
-        // cloudlet's region (capacity is accounted there); a remote one
-        // keeps its snapshot claim when still valid, else its home shard.
-        let owner = match profile.placement(ProviderId(p)) {
-            Placement::Cloudlet(c) => region_of[c.index()],
-            Placement::Remote => claimed.filter(|&k| k < shards).unwrap_or(p % shards),
-        };
-        router.set_owner(p, owner);
-    }
-    let gauges = Arc::new(ShardGauges::new(shards));
-    let coord = Arc::new(Coordinator::new(shards, region_of.clone(), epoch0));
     let stop = Arc::new(AtomicBool::new(false));
     // Bind the admin listener before any thread starts so a bad admin
     // address fails the boot instead of leaking a half-started daemon.
@@ -396,19 +195,6 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         None => None,
     };
     let live = Arc::new(AtomicUsize::new(0));
-    let io_count = cfg.io_thread_count();
-    let io_live = Arc::new(AtomicUsize::new(io_count));
-    // One demand tracker daemon-wide: every I/O thread notes queries into
-    // it, each writer folds (only) its owned providers' counts.
-    let demand = Arc::new(DemandTracker::new(n));
-
-    let mut txs = Vec::with_capacity(shards);
-    let mut rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = chan::bounded::<Command>(cfg.queue_cap);
-        txs.push(tx);
-        rxs.push(rx);
-    }
 
     // One IoShared per event-loop thread: its own completion mailbox and
     // accepted-connection inbox, everything else shared daemon-wide.
@@ -419,105 +205,41 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             inbox: Mutex::new(Vec::new()),
             stop: stop.clone(),
             live: live.clone(),
-            txs: txs.clone(),
-            views: views.clone(),
-            router: router.clone(),
-            gauges: gauges.clone(),
-            coord: coord.clone(),
+            txs: shards.txs.clone(),
+            views: shards.views.clone(),
+            router: shards.router.clone(),
+            gauges: shards.gauges.clone(),
+            coord: shards.coord.clone(),
             demand: demand.clone(),
             addr,
         }));
     }
 
-    let market_cfg = MarketConfig {
-        epoch_moves: cfg.epoch_moves,
-        batch_max: cfg.batch_max,
-        snapshot_path: cfg.snapshot_path.clone(),
-    };
     let wakers: Vec<Arc<Completions>> = io_shared.iter().map(|s| s.completions.clone()).collect();
-
-    let mut shard_threads = Vec::with_capacity(shards);
-    for (k, rx) in rxs.into_iter().enumerate() {
-        let mine: Vec<bool> = region_of.iter().map(|&r| r == k).collect();
-        // At one shard the context carries no peer senders and no
-        // io_live counter: the writer keeps the legacy teardown contract
-        // (its receiver disconnects once every I/O thread exits).
-        let ctx = ShardCtx::new(
-            k,
-            shards,
-            mine,
-            router.clone(),
-            if shards > 1 { txs.clone() } else { Vec::new() },
-            if shards > 1 {
-                views.clone()
-            } else {
-                Vec::new()
-            },
-            coord.clone(),
-            gauges.clone(),
-            (shards > 1).then(|| io_live.clone()),
-        )
-        .with_demand(demand.clone());
-        // This shard's slice of the boot state: owned providers carry
-        // their restored placement and admission flag, everyone else is
-        // Remote/inactive (their owner's slice carries them).
-        let shard_market = market.clone();
-        let mut shard_profile = Profile::all_remote(n);
-        let mut shard_active = vec![false; n];
-        for p in 0..n {
-            if router.owner(p) == k {
-                shard_active[p] = active[p];
-                shard_profile.set(ProviderId(p), profile.placement(ProviderId(p)));
-            }
+    let stop_w = stop.clone();
+    shards.start(move || {
+        // This shard is done (drained): stop the acceptor, poke it out of
+        // `accept()` with a throwaway connection, and wake every I/O
+        // thread so it observes the flag and flushes out. Idempotent
+        // across shards.
+        stop_w.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        for c in &wakers {
+            c.wake();
         }
-        let view = views[k].clone();
-        let cfg_k = market_cfg.clone();
-        let stop_k = stop.clone();
-        let wakers_k = wakers.clone();
-        // The shard's writer thread: owns its region for its whole life.
-        // Intentionally a raw thread, not the bench pool — it outlives any
-        // scope and is joined through the ServerHandle. lint: allow(thread-spawn)
-        shard_threads.push(std::thread::spawn(move || {
-            let outcome = run_shard(
-                shard_market,
-                shard_profile,
-                shard_active,
-                seq,
-                &rx,
-                &view,
-                &cfg_k,
-                &ctx,
-            );
-            // This shard is done (drain or disconnect): stop the
-            // acceptor, poke it out of `accept()` with a throwaway
-            // connection, and wake every I/O thread so it observes the
-            // flag and flushes out. Idempotent across shards.
-            stop_k.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            for c in &wakers_k {
-                c.wake();
-            }
-            outcome
-        }));
-    }
-    // The boot copies of the senders are dropped here: at one shard the
-    // writer's receiver disconnects once the I/O threads exit (legacy
-    // teardown); at several the peers hold each other's senders and the
-    // io_live counter signals teardown instead.
-    drop(txs);
+    });
 
     let mut io = Vec::with_capacity(io_count);
     for shared in &io_shared {
         let shared = shared.clone();
-        let io_live_k = io_live.clone();
+        let io_live = shards.io_live.clone();
         // One poll loop per I/O thread, joined through the ServerHandle.
         // lint: allow(thread-spawn)
         io.push(std::thread::spawn(move || {
             run_io(&shared);
-            // Signal the shard threads: one fewer I/O-side sender. At
-            // zero the shards self-drain even though their peers still
-            // hold senders (disconnection can never fire at > 1 shard).
-            io_live_k.fetch_sub(1, Ordering::AcqRel);
+            // Signal the shard threads: one fewer I/O-side sender. At zero
+            // every writer self-drains.
+            io_live.fetch_sub(1, Ordering::AcqRel);
         }));
     }
 
@@ -526,10 +248,10 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
     if let Some((admin_l, bound)) = admin_listener {
         admin_addr = Some(bound);
         let shared = Arc::new(crate::admin::AdminShared {
-            views: views.clone(),
-            router: router.clone(),
-            gauges: gauges.clone(),
-            coord: coord.clone(),
+            views: shards.views.clone(),
+            router: shards.router.clone(),
+            gauges: shards.gauges.clone(),
+            coord: shards.coord.clone(),
             stop: stop.clone(),
             cloudlets: m,
             providers: n,
@@ -547,7 +269,7 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
     Ok(ServerHandle {
         addr,
         admin_addr,
-        shards: shard_threads,
+        shards,
         acceptor,
         io,
         admin,

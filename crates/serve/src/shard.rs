@@ -1,6 +1,7 @@
-//! Shard plumbing for the partitioned market: provider→shard routing,
-//! coordinated multi-shard snapshot/restore/drain state, per-shard
-//! gauges, and the manifest codec.
+//! Shard plumbing for the partitioned market: the `ShardSet` every
+//! caller boots its writers through, provider→shard routing, coordinated
+//! multi-shard snapshot/restore/drain state, per-shard gauges, and the
+//! manifest codec.
 //!
 //! The market is partitioned by *topology region*: each shard owns a
 //! disjoint set of cloudlets (a spatial cluster from
@@ -38,11 +39,18 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
+use mec_core::model::Market;
+use mec_core::{load_snapshot, GameState, MarketSnapshot, Placement, Profile, ProviderId};
 use mec_obs::json;
 
-use crate::chan::lock_ok;
+use crate::chan::{self, lock_ok, OneReceiver, Receiver, Sender};
+use crate::demand::DemandTracker;
+use crate::market::{publish_probe, Command, MarketOutcome, Shard, ShardCtx};
+use crate::proto::Response;
+use crate::view::{MarketView, SharedView};
 
 /// Sentinel for "no drain epoch assigned yet" (see [`Coordinator`]).
 const NO_EPOCH: u64 = u64::MAX;
@@ -212,7 +220,7 @@ impl Coordinator {
 
     /// Installs a new region map and returns the new version. The caller
     /// must have validated `map` (length = cloudlets, every shard
-    /// `0..self.shards` non-empty) — see `server::region_map`.
+    /// `0..self.shards` non-empty) — see `region_map`.
     pub fn swap_region_map(&self, map: Vec<usize>) -> u64 {
         *lock_ok(&self.region_of) = std::sync::Arc::new(map);
         self.region_version.fetch_add(1, Ordering::AcqRel) + 1
@@ -394,6 +402,359 @@ pub fn contiguous_regions(cloudlets: usize, shards: usize) -> Vec<usize> {
         "need 1..=cloudlets shards"
     );
     (0..cloudlets).map(|c| c * shards / cloudlets).collect()
+}
+
+/// Validates a caller-supplied region map (or derives the contiguous
+/// fallback): every cloudlet mapped, every shard non-empty.
+pub(crate) fn region_map(
+    regions: Option<&Vec<usize>>,
+    cloudlets: usize,
+    shards: usize,
+) -> std::io::Result<Vec<usize>> {
+    let Some(r) = regions else {
+        return Ok(contiguous_regions(cloudlets, shards));
+    };
+    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+    if r.len() != cloudlets {
+        return Err(bad(format!(
+            "region map covers {} cloudlets, market has {cloudlets}",
+            r.len()
+        )));
+    }
+    for k in 0..shards {
+        if !r.contains(&k) {
+            return Err(bad(format!(
+                "region map leaves shard {k} without cloudlets"
+            )));
+        }
+    }
+    if let Some(&r_max) = r.iter().max() {
+        if r_max >= shards {
+            return Err(bad(format!(
+                "region map names shard {r_max}, daemon has {shards}"
+            )));
+        }
+    }
+    Ok(r.clone())
+}
+
+/// Boot state recovered from disk (or a fresh market): the merged global
+/// market, placements, admission mask, the seq of each restored slice,
+/// the epoch to seed the snapshot coordinator with, and any per-provider
+/// ownership claims a sharded snapshot set recorded.
+pub(crate) struct BootState {
+    pub(crate) market: Market,
+    profile: Profile,
+    active: Vec<bool>,
+    /// Seq of each slice of a restored set, in shard order; one entry for
+    /// a fresh boot or a whole-market file.
+    seqs: Vec<u64>,
+    epoch0: u64,
+    claim: Vec<Option<usize>>,
+}
+
+impl BootState {
+    /// A fresh all-remote boot from `market`.
+    pub(crate) fn fresh(market: Market) -> BootState {
+        let n = market.provider_count();
+        BootState::whole(market, Profile::all_remote(n), vec![false; n], 0)
+    }
+
+    fn whole(market: Market, profile: Profile, active: Vec<bool>, seq: u64) -> BootState {
+        let n = market.provider_count();
+        BootState {
+            market,
+            profile,
+            active,
+            seqs: vec![seq],
+            epoch0: 0,
+            claim: vec![None; n],
+        }
+    }
+
+    /// Restores boot state from `path` if a snapshot exists there: either
+    /// a sharded manifest (merge every slice of the newest consistent set)
+    /// or a whole-market file. No snapshot means a fresh all-remote boot
+    /// from the caller's market.
+    pub(crate) fn load(market: Market, path: Option<&Path>) -> std::io::Result<BootState> {
+        let Some(path) = path.filter(|p| p.exists()) else {
+            return Ok(BootState::fresh(market));
+        };
+        let text = std::fs::read_to_string(path)?;
+        let Some(manifest) = parse_manifest(&text) else {
+            // Whole-market snapshot: the file *is* the market state.
+            let snap = load_snapshot(path).map_err(|e| restore_err(path, &e))?;
+            return Ok(BootState::whole(
+                snap.market,
+                snap.profile,
+                snap.active,
+                snap.seq,
+            ));
+        };
+        let mut slices = Vec::with_capacity(manifest.shards);
+        for k in 0..manifest.shards {
+            let slice_path = shard_snapshot_path(path, manifest.epoch, k);
+            slices.push(load_snapshot(&slice_path).map_err(|e| restore_err(&slice_path, &e))?);
+        }
+        Ok(BootState::merge_slices(slices, manifest.epoch))
+    }
+
+    /// Merges the slices of one coordinated snapshot set into a global
+    /// boot state. Each slice is authoritative for the providers its
+    /// ownership mask claims: their placement, admission flag, and demand
+    /// vector come from the owning slice (each shard's market copy tracks
+    /// `update`s only for its own providers). Claim conflicts — possible
+    /// when a crash lands between a join-forward's ownership transfer and
+    /// the peer's slice write — resolve in favor of an *active* claim: the
+    /// claimant actually holding the provider in its game state is
+    /// unique, because migrations are quiesced while slices are written.
+    fn merge_slices(slices: Vec<MarketSnapshot>, epoch: u64) -> BootState {
+        let mut slices = slices.into_iter();
+        // The manifest loader rejects empty snapshot sets before this call.
+        // lint: allow(panics)
+        let first = slices.next().expect("manifest guarantees >= 1 shard");
+        let n = first.market.provider_count();
+        let mut out = BootState {
+            seqs: Vec::new(),
+            epoch0: epoch,
+            ..BootState::fresh(first.market.clone())
+        };
+        let mut fold = |k: usize, snap: &MarketSnapshot| {
+            out.seqs.push(snap.seq);
+            let Some(meta) = snap.shard.as_ref() else {
+                return;
+            };
+            for p in 0..n {
+                if !meta.owned.get(p).copied().unwrap_or(false) {
+                    continue;
+                }
+                if out.claim[p].is_some() && (out.active[p] || !snap.active[p]) {
+                    // Keep an active claim; an inactive double-claim is a
+                    // converged Remote/inactive copy on both sides.
+                    continue;
+                }
+                out.claim[p] = Some(k);
+                out.active[p] = snap.active[p];
+                out.profile
+                    .set(ProviderId(p), snap.profile.placement(ProviderId(p)));
+                let spec = snap.market.provider(ProviderId(p));
+                out.market.set_provider_demand(
+                    ProviderId(p),
+                    spec.compute_demand,
+                    spec.bandwidth_demand,
+                );
+            }
+        };
+        fold(0, &first);
+        for (k, snap) in slices.enumerate() {
+            fold(k + 1, &snap);
+        }
+        out
+    }
+}
+
+fn restore_err(path: &Path, e: &dyn std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("restoring {}: {e}", path.display()),
+    )
+}
+
+/// One booted set of shard writers and everything they share with the
+/// I/O side: the command queues, the router, the published views, the
+/// gauges, the coordinator and the I/O-liveness counter. The daemon, the
+/// drain bench and the trace replay all boot their writers here.
+///
+/// Every shard's first view is published before [`ShardSet::boot`]
+/// returns, so a reader never sees a pre-boot view. The writers start
+/// only on [`ShardSet::start`], so a caller can preload their queues
+/// first.
+pub(crate) struct ShardSet {
+    /// Command queue of each shard.
+    pub(crate) txs: Vec<Sender<Command>>,
+    /// Published view of each shard.
+    pub(crate) views: Vec<Arc<SharedView>>,
+    /// Provider→shard ownership map.
+    pub(crate) router: Arc<Router>,
+    /// Per-shard depth/write/migration gauges.
+    pub(crate) gauges: Arc<ShardGauges>,
+    /// Region map, epochs and drain barriers.
+    pub(crate) coord: Arc<Coordinator>,
+    /// Live I/O-side senders; every writer drains once it reaches zero.
+    pub(crate) io_live: Arc<AtomicUsize>,
+    /// Writers not yet started, each with its queue.
+    idle: Vec<(Shard, Receiver<Command>)>,
+    /// Started writer threads.
+    running: Vec<JoinHandle<MarketOutcome>>,
+}
+
+impl ShardSet {
+    /// Boots `shards` writers (clamped to the cloudlet count) over
+    /// `boot`. `regions` is the cloudlet→shard map (`None` derives a
+    /// contiguous split); `io_senders` counts the I/O-side senders whose
+    /// exit drains the set (an in-process driver counts as one until it
+    /// calls [`ShardSet::shutdown`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an invalid region map as `InvalidInput`.
+    pub(crate) fn boot(
+        boot: BootState,
+        shards: usize,
+        regions: Option<&Vec<usize>>,
+        queue_cap: usize,
+        snapshot_path: Option<PathBuf>,
+        demand: Arc<DemandTracker>,
+        io_senders: usize,
+    ) -> std::io::Result<ShardSet> {
+        let BootState {
+            market,
+            profile,
+            active,
+            seqs,
+            epoch0,
+            claim,
+        } = boot;
+        let n = market.provider_count();
+        let m = market.cloudlet_count();
+        let shards = shards.clamp(1, m.max(1));
+        let region_of = region_map(regions, m, shards)?;
+        let router = Arc::new(Router::new(n, shards));
+        for (p, &claimed) in claim.iter().enumerate() {
+            // Restored/derived ownership: a cached provider belongs to its
+            // cloudlet's region (capacity is accounted there); a remote
+            // one keeps its snapshot claim when still valid, else its home
+            // shard.
+            let owner = match profile.placement(ProviderId(p)) {
+                Placement::Cloudlet(c) => region_of[c.index()],
+                Placement::Remote => claimed.filter(|&k| k < shards).unwrap_or(p % shards),
+            };
+            router.set_owner(p, owner);
+        }
+        let views: Vec<Arc<SharedView>> = (0..shards)
+            .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
+            .collect();
+        let gauges = Arc::new(ShardGauges::new(shards));
+        let coord = Arc::new(Coordinator::new(shards, region_of.clone(), epoch0));
+        let io_live = Arc::new(AtomicUsize::new(io_senders));
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| chan::bounded(queue_cap)).unzip();
+        let newest = seqs.iter().copied().max().unwrap_or(0);
+        let mut idle = Vec::with_capacity(shards);
+        for (k, rx) in rxs.into_iter().enumerate() {
+            // This shard's slice of the boot state: owned providers carry
+            // their restored placement and admission flag, everyone else
+            // is Remote/inactive (their owner's slice carries them).
+            let mut shard_profile = Profile::all_remote(n);
+            let mut shard_active = vec![false; n];
+            for p in (0..n).filter(|&p| router.owner(p) == k) {
+                shard_active[p] = active[p];
+                shard_profile.set(ProviderId(p), profile.placement(ProviderId(p)));
+            }
+            // A set restored at this shard count resumes each shard at its
+            // own slice's seq, as a live restore does; a whole-market file
+            // or a re-partitioned set starts every shard at the newest.
+            let seq = if seqs.len() == shards {
+                seqs[k]
+            } else {
+                newest
+            };
+            let ctx = ShardCtx {
+                index: k,
+                shards,
+                mine: region_of.iter().map(|&r| r == k).collect(),
+                router: router.clone(),
+                peers: txs.clone(),
+                views: views.clone(),
+                coord: coord.clone(),
+                gauges: gauges.clone(),
+                io_live: io_live.clone(),
+                demand: demand.clone(),
+                snapshot_path: snapshot_path.clone(),
+                publish_probe: publish_probe(k, shards),
+            };
+            let state = GameState::owned(market.clone(), shard_profile);
+            let shard = Shard::new(state, shard_active, seq, ctx);
+            shard.publish();
+            idle.push((shard, rx));
+        }
+        Ok(ShardSet {
+            txs,
+            views,
+            router,
+            gauges,
+            coord,
+            io_live,
+            idle,
+            running: Vec::new(),
+        })
+    }
+
+    /// Starts one writer thread per shard; each runs `on_exit` on its own
+    /// thread once it has drained.
+    pub(crate) fn start(&mut self, on_exit: impl Fn() + Clone + Send + 'static) {
+        for (shard, rx) in self.idle.drain(..) {
+            let on_exit = on_exit.clone();
+            // The shard's writer thread: owns its region for its whole
+            // life. Intentionally a raw thread, not the bench pool — it
+            // outlives any scope and is joined through `join`.
+            // lint: allow(thread-spawn)
+            self.running.push(std::thread::spawn(move || {
+                let outcome = shard.run(&rx);
+                on_exit();
+                outcome
+            }));
+        }
+    }
+
+    /// Drains the set on behalf of an in-process driver: one `DrainAll`
+    /// member per queue, after which the driver no longer counts as an
+    /// I/O sender. The returned slot receives the `draining` reply.
+    pub(crate) fn shutdown(&self) -> OneReceiver<Response> {
+        let (tx, rx) = chan::oneshot();
+        let op = Arc::new(DrainOp::new(self.txs.len(), tx.into()));
+        for q in &self.txs {
+            // A writer that already exited answers nothing; its dropped
+            // share releases the reply slot instead.
+            let _ = q.send(Command::DrainAll { op: op.clone() });
+        }
+        self.io_live.fetch_sub(1, Ordering::AcqRel);
+        rx
+    }
+
+    /// Waits for every writer and folds their outcomes into one. Counters
+    /// sum, equilibrium ANDs, violations concatenate; a provider's
+    /// placement and admission flag come from whichever shard holds it
+    /// active (unique after a drain — migrations are quiesced before
+    /// shards finish).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a writer thread's panic, and panics if the set was never
+    /// started.
+    pub(crate) fn join(self) -> MarketOutcome {
+        let mut outcomes = self
+            .running
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        // lint: allow(panics) — joining a set that never started is a bug.
+        let mut merged = outcomes.next().expect("shard set was started");
+        for o in outcomes {
+            merged.seq += o.seq;
+            merged.epochs += o.epochs;
+            merged.moves += o.moves;
+            merged.equilibrium &= o.equilibrium;
+            merged.violations.extend(o.violations);
+            for p in 0..o.active.len() {
+                if o.active[p] {
+                    merged.active[p] = true;
+                    merged
+                        .profile
+                        .set(ProviderId(p), o.profile.placement(ProviderId(p)));
+                }
+            }
+        }
+        merged
+    }
 }
 
 /// Path of shard `k`'s slice in the epoch-`epoch` snapshot set.

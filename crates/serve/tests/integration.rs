@@ -532,3 +532,132 @@ fn concurrent_clients_admit_exactly_to_capacity() {
     assert!(outcome.equilibrium);
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
 }
+
+/// Boots a `shards`-shard daemon persisting to `snapshot`.
+fn boot_shards(
+    market: Market,
+    snapshot: &std::path::Path,
+    shards: usize,
+) -> (ServerHandle, Client) {
+    let cfg = ServerConfig {
+        snapshot_path: Some(snapshot.to_path_buf()),
+        shards,
+        ..ServerConfig::default()
+    };
+    let handle = serve(market, &cfg).expect("boot");
+    let client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    (handle, client)
+}
+
+#[test]
+fn restored_daemon_serves_its_snapshot_from_the_first_read() {
+    // A restored daemon must publish every shard's restored view before
+    // it accepts: a `stats` sent the moment `serve` returns reads the
+    // snapshot's state, never an empty pre-boot view.
+    for shards in [1, 2] {
+        let dir = std::env::temp_dir().join(format!(
+            "mec-serve-it-{}-{}-{shards}",
+            std::process::id(),
+            line!()
+        ));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let snap = dir.join("market.snap");
+
+        // Fill both cloudlets, wait for equilibrium, and drain: the drain
+        // writes the snapshot every later boot restores.
+        let (handle, mut client) = boot_shards(two_slot_market(4), &snap, shards);
+        for p in 0..4 {
+            assert!(matches!(
+                client.join(p).expect("join"),
+                Response::Admitted { .. }
+            ));
+        }
+        let want = loop {
+            let stats = client.stats().expect("stats");
+            if stats.equilibrium {
+                break stats;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        drain(handle, &mut client);
+
+        for round in 0..5 {
+            let (handle, mut client) = boot_shards(two_slot_market(4), &snap, shards);
+            let got = client.stats().expect("stats");
+            assert_eq!(got.seq, want.seq, "{shards} shards, boot {round}: seq");
+            assert_eq!(got.active, 4, "{shards} shards, boot {round}: active");
+            assert_eq!(got.cached, 4, "{shards} shards, boot {round}: cached");
+            drain(handle, &mut client);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn sharded_boot_resumes_each_shard_at_its_slice_seq() {
+    // Two shards over the two-cloudlet market: even providers home to
+    // shard 0 (cloudlet 0), odd ones to shard 1 (cloudlet 1). Shard 0
+    // settles two extra writes, so the slices carry different seqs; both
+    // cloudlets end full, so no maintenance move or migration can change
+    // a seq afterwards.
+    let dir = std::env::temp_dir().join(format!("mec-serve-it-{}-{}", std::process::id(), line!()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let snap = dir.join("market.snap");
+    let (handle, mut client) = boot_shards(two_slot_market(4), &snap, 2);
+    for p in [0, 2] {
+        assert!(matches!(
+            client.join(p).expect("join"),
+            Response::Admitted { .. }
+        ));
+    }
+    assert_eq!(client.leave(2).expect("leave"), Response::Left);
+    for p in [2, 1, 3] {
+        assert!(matches!(
+            client.join(p).expect("join"),
+            Response::Admitted { .. }
+        ));
+    }
+    let epoch = match client.snapshot().expect("snapshot") {
+        Response::Snapshotted { seq } => seq,
+        other => panic!("expected snapshot ack, got {other:?}"),
+    };
+    let slice_paths: Vec<_> = (0..2)
+        .map(|k| mec_serve::shard::shard_snapshot_path(&snap, epoch, k))
+        .collect();
+    let slice_seqs: Vec<u64> = slice_paths
+        .iter()
+        .map(|p| mec_core::load_snapshot(p).expect("slice parses").seq)
+        .collect();
+    assert_ne!(slice_seqs[0], slice_seqs[1], "slices must differ in seq");
+
+    // A live restore resumes each shard at its own slice's seq.
+    assert!(matches!(
+        client.restore().expect("restore"),
+        Response::Restored { .. }
+    ));
+    let live = client.stats().expect("stats");
+    assert_eq!(live.seq, slice_seqs.iter().sum::<u64>());
+
+    // Booting from the same set must agree with the live restore. Stash
+    // the set first: the drain writes a newer one and collects this one.
+    let manifest_bytes = std::fs::read(&snap).expect("manifest bytes");
+    let slice_bytes: Vec<_> = slice_paths
+        .iter()
+        .map(|p| std::fs::read(p).expect("slice bytes"))
+        .collect();
+    drain(handle, &mut client);
+    std::fs::write(&snap, &manifest_bytes).expect("rewind manifest");
+    for (p, bytes) in slice_paths.iter().zip(&slice_bytes) {
+        std::fs::write(p, bytes).expect("rewind slice");
+    }
+    let (handle, mut client) = boot_shards(two_slot_market(4), &snap, 2);
+    let booted = client.stats().expect("stats");
+    assert_eq!(booted.seq, live.seq, "boot and live restore disagree");
+    let per_shard: Vec<u64> = booted.shards.iter().map(|s| s.seq).collect();
+    assert_eq!(per_shard, slice_seqs);
+    drain(handle, &mut client);
+    let _ = std::fs::remove_dir_all(&dir);
+}

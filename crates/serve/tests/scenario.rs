@@ -12,7 +12,7 @@
 
 use mec_core::model::{CloudletSpec, Market, ProviderSpec};
 use mec_scenario::{standard_traces, Trace};
-use mec_serve::{run_scenario, ScenarioConfig};
+use mec_serve::run_scenario;
 
 /// Cloudlet 0 expensive (high congestion coefficients), cloudlet 1
 /// cheap; each fits exactly two of the identical providers.
@@ -37,7 +37,7 @@ fn flash_crowd_trace_triggers_observed_recache() {
                 2 2 2 2 2 0\n\
                 2 2 2 2 2 0\n";
     let trace = Trace::parse_schedule(text).expect("schedule parses");
-    let report = run_scenario(two_tier_market(3), &trace, &ScenarioConfig::default());
+    let report = run_scenario(two_tier_market(3), &trace);
 
     assert_eq!(report.label, "flash_burst");
     assert_eq!(report.requests, trace.total_requests());
@@ -66,11 +66,7 @@ fn generated_flash_trace_replays_with_high_hit_rate() {
     for _ in 0..6 {
         b = b.provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0));
     }
-    let report = run_scenario(
-        b.uniform_update_cost(0.2).build(),
-        &trace,
-        &ScenarioConfig::default(),
-    );
+    let report = run_scenario(b.uniform_update_cost(0.2).build(), &trace);
     assert!(!trace.flash_targets.is_empty(), "flash trace names targets");
     assert!(
         report.hit_rate() > 0.6,

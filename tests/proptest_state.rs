@@ -63,16 +63,35 @@ fn apply_script(state: &mut GameState<'_>, script: &[(usize, usize)]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// After any apply_move sequence the maintained congestion, loads and
-    /// residuals equal a from-scratch recomputation from the profile.
+    /// After any mix of apply_move and in-place demand changes on a state
+    /// that owns its market, the maintained congestion, loads and
+    /// residuals equal a from-scratch recomputation on the updated market.
     #[test]
     fn state_matches_recompute_after_any_move_sequence(
         r in rand_market(),
-        script in proptest::collection::vec((0usize..64, 0usize..8), 0..40),
+        script in proptest::collection::vec(
+            (0usize..64, 0usize..8, proptest::bool::ANY, 0.0..5.0f64, 0.0..20.0f64),
+            0..40,
+        ),
     ) {
-        let market = build(&r);
-        let mut state = GameState::all_remote(&market);
-        apply_script(&mut state, &script);
+        let initial = build(&r);
+        let n = initial.provider_count();
+        let mut state = GameState::owned(initial, Profile::all_remote(n));
+        for &(lp, cp, change_demand, compute, bandwidth) in &script {
+            if change_demand {
+                state.set_provider_demand(ProviderId(lp % n), compute, bandwidth);
+            } else {
+                apply_script(&mut state, &[(lp, cp)]);
+            }
+        }
+        let market = state.market().clone();
+        let fresh = GameState::new(&market, state.profile().clone());
+        prop_assert_eq!(state.congestion_counts(), fresh.congestion_counts());
+        for i in market.cloudlets() {
+            let (got, want) = (state.load(i), fresh.load(i));
+            prop_assert!((got.0 - want.0).abs() <= 1e-9 && (got.1 - want.1).abs() <= 1e-9,
+                "load mismatch at {}: {:?} vs {:?}", i, got, want);
+        }
         prop_assert!(state.agrees_with_recompute(1e-9));
 
         let profile = state.profile().clone();
