@@ -93,12 +93,21 @@ pub fn bind_admin(addr: &str) -> std::io::Result<(TcpListener, SocketAddr)> {
     Ok((listener, local))
 }
 
-/// Spawns the admin thread: a sequential accept loop that polls the
-/// daemon stop flag between accepts.
-pub fn spawn_admin(listener: TcpListener, shared: Arc<AdminShared>) -> JoinHandle<()> {
+/// Spawns the admin thread, named `admin`: a sequential accept loop that
+/// polls the daemon stop flag between accepts.
+///
+/// # Errors
+///
+/// Returns a failed thread spawn.
+pub fn spawn_admin(
+    listener: TcpListener,
+    shared: Arc<AdminShared>,
+) -> std::io::Result<JoinHandle<()>> {
     // One long-lived service thread joined through the ServerHandle,
     // like the acceptor. lint: allow(thread-spawn)
-    std::thread::spawn(move || admin_loop(&listener, &shared))
+    std::thread::Builder::new()
+        .name("admin".to_string())
+        .spawn(move || admin_loop(&listener, &shared))
 }
 
 fn admin_loop(listener: &TcpListener, shared: &AdminShared) {

@@ -7,16 +7,18 @@
 //! loop: the I/O threads [`DemandTracker::note`] every query at
 //! answer time (one relaxed atomic increment), and each writer folds the
 //! accumulated counts into per-provider EWMAs at the start of every
-//! maintenance quantum, then scans providers **hottest first**.
+//! maintenance quantum, then re-checks its *candidates* — the providers
+//! the quantum's dirt says could have an improving move — **hottest
+//! first**.
 //!
 //! The scan order is the only thing demand influences. Best responses
 //! stay exact (Eq. 3 against the true residuals), so every placement the
 //! dynamics settle on is still a Nash equilibrium of the caching game —
 //! demand just picks *which* equilibrium the bounded quanta reach first,
 //! biasing scarce cloudlet capacity toward the services that are
-//! actually being asked for. When no demand has been observed the order
-//! degrades to the legacy round-robin rotation, so demand-free
-//! deployments behave exactly as before.
+//! actually being asked for. When no candidate has been observed the
+//! order degrades to a round-robin rotation from the writer's cursor,
+//! so demand-free deployments are scanned fairly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,33 +74,35 @@ impl DemandTracker {
     }
 
     /// Drains and returns the count accumulated for `provider` since the
-    /// last take. Zero for out-of-range ids.
+    /// last take. Zero for out-of-range ids. A zero counter is only read:
+    /// the swap (a locked write) is paid only when there is a count to
+    /// drain.
     #[inline]
     pub fn take(&self, provider: usize) -> u64 {
-        self.counts
-            .get(provider)
-            .map_or(0, |c| c.swap(0, Ordering::Relaxed))
+        self.counts.get(provider).map_or(0, |c| {
+            if c.load(Ordering::Relaxed) == 0 {
+                0
+            } else {
+                c.swap(0, Ordering::Relaxed)
+            }
+        })
     }
 }
 
-/// The provider scan order for one maintenance quantum over `n`
-/// providers: hottest first by EWMA (ties broken by index, so the order
-/// is total and deterministic), or — when nothing has been observed at
-/// all — the legacy round-robin rotation starting at `cursor`.
-pub fn demand_order(n: usize, ewma: &[f64], cursor: usize) -> Vec<usize> {
-    let any_demand = ewma.iter().take(n).any(|&e| e > 0.0);
-    if any_demand {
-        let mut order: Vec<usize> = (0..n).collect();
+/// Sorts `order` — a maintenance pass's candidate providers, in
+/// ascending id order — into its scan order: hottest first by EWMA (ties
+/// broken by id, so the order is total and deterministic), or, when no
+/// candidate has been observed at all, the round-robin rotation that
+/// starts at the first candidate at or after `cursor`. Passing every id
+/// `0..n` gives the full-sweep order.
+pub fn demand_order(order: &mut [usize], ewma: &[f64], cursor: usize) {
+    let heat = |p: usize| ewma.get(p).copied().unwrap_or(0.0);
+    if order.iter().any(|&p| heat(p) > 0.0) {
         // Descending by EWMA; missing entries sort as cold.
-        order.sort_by(|&a, &b| {
-            let ea = ewma.get(a).copied().unwrap_or(0.0);
-            let eb = ewma.get(b).copied().unwrap_or(0.0);
-            eb.total_cmp(&ea).then(a.cmp(&b))
-        });
-        order
+        order.sort_by(|&a, &b| heat(b).total_cmp(&heat(a)).then(a.cmp(&b)));
     } else {
-        let start = if n == 0 { 0 } else { cursor % n };
-        (start..n).chain(0..start).collect()
+        let start = order.partition_point(|&p| p < cursor);
+        order.rotate_left(start);
     }
 }
 
@@ -128,25 +132,41 @@ mod tests {
         assert_eq!(t.take(0), 0);
     }
 
+    fn order(n: usize, ewma: &[f64], cursor: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        demand_order(&mut order, ewma, cursor);
+        order
+    }
+
     #[test]
     fn order_without_demand_is_cursor_rotation() {
-        assert_eq!(demand_order(4, &[0.0; 4], 0), vec![0, 1, 2, 3]);
-        assert_eq!(demand_order(4, &[0.0; 4], 2), vec![2, 3, 0, 1]);
-        assert_eq!(demand_order(4, &[0.0; 4], 6), vec![2, 3, 0, 1]);
-        assert!(demand_order(0, &[], 3).is_empty());
+        assert_eq!(order(4, &[0.0; 4], 0), vec![0, 1, 2, 3]);
+        assert_eq!(order(4, &[0.0; 4], 2), vec![2, 3, 0, 1]);
+        // A cursor past every candidate wraps to the first.
+        assert_eq!(order(4, &[0.0; 4], 6), vec![0, 1, 2, 3]);
+        assert!(order(0, &[], 3).is_empty());
+        // A candidate subset rotates at the first id at or after the
+        // cursor.
+        let mut subset = vec![0, 2, 3];
+        demand_order(&mut subset, &[0.0; 4], 1);
+        assert_eq!(subset, vec![2, 3, 0]);
     }
 
     #[test]
     fn order_with_demand_is_hottest_first() {
         let ewma = [0.5, 4.0, 0.0, 4.0];
         // Ties (1 vs 3) break by index; cold providers trail.
-        assert_eq!(demand_order(4, &ewma, 2), vec![1, 3, 0, 2]);
+        assert_eq!(order(4, &ewma, 2), vec![1, 3, 0, 2]);
+        // Only the candidates' heat counts: a cold subset rotates.
+        let mut cold = vec![0, 2];
+        demand_order(&mut cold, &[0.0, 4.0, 0.0], 1);
+        assert_eq!(cold, vec![2, 0]);
     }
 
     #[test]
     fn order_tolerates_short_ewma_slice() {
         // A rebuilt book may briefly carry fewer entries than providers.
-        assert_eq!(demand_order(3, &[2.0], 0), vec![0, 1, 2]);
+        assert_eq!(order(3, &[2.0], 0), vec![0, 1, 2]);
     }
 
     #[test]

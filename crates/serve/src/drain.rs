@@ -181,7 +181,7 @@ pub fn drain_bench(
     set.shutdown();
 
     let started = Instant::now();
-    set.start(|| {});
+    set.start(|| {})?;
     let gauges = set.gauges.clone();
     let outcome = set.join();
     Ok(DrainReport {

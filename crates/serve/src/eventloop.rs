@@ -26,15 +26,17 @@
 //! covering the write, so read-your-writes holds even within a pipeline.
 //!
 //! Wakeups (new connections from the acceptor, completed commands from
-//! the market thread) arrive through a [`Waker`] — a self-connected UDP
-//! socket whose fd sits in the poll set, `std`-only and cheap: the wake
-//! side is one `send`, deduplicated by an atomic flag so a batch of
-//! completions costs one syscall, not one per reply.
+//! the market thread) arrive through a [`Waker`] — a nonblocking Unix
+//! socket pair whose read end sits in the poll set, `std`-only and cheap
+//! (no trip through the IP stack): the wake side is one one-byte
+//! `write`, deduplicated by an atomic flag so a batch of completions
+//! costs one syscall, not one per reply.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -69,45 +71,44 @@ const BACKLOG_PAUSE: usize = 1024;
 /// Read chunk size per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A `std`-only poll-set wakeup: a UDP socket connected to itself. The
-/// waking side `send`s a byte; the polling side keeps the fd in its poll
-/// set with `POLLIN` and drains it on wake.
+/// A `std`-only poll-set wakeup: a nonblocking Unix socket pair. The
+/// waking side writes one byte to `tx`; the polling side keeps `rx` in
+/// its poll set with `POLLIN` and drains it on wake.
 #[derive(Debug)]
 pub struct Waker {
-    sock: UdpSocket,
+    tx: UnixStream,
+    rx: UnixStream,
 }
 
 impl Waker {
-    /// Creates the socket pair-of-one on an ephemeral loopback port.
+    /// Creates the connected pair, both ends nonblocking.
     ///
     /// # Errors
     ///
-    /// Propagates bind/connect/setsockopt failures.
+    /// Propagates socketpair/fcntl failures.
     pub fn new() -> std::io::Result<Waker> {
-        let sock = UdpSocket::bind(("127.0.0.1", 0))?;
-        sock.connect(sock.local_addr()?)?;
-        sock.set_nonblocking(true)?;
-        Ok(Waker { sock })
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker { tx, rx })
     }
 
     /// Makes the owning poll loop's next `poll` return immediately.
     pub fn wake(&self) {
         // A full socket buffer means wakes are already pending — the
         // loop will run regardless, so the error is ignorable.
-        let _ = self.sock.send(&[1]);
+        let _ = (&self.tx).write(&[1]);
     }
 
-    /// Consumes all pending wake bytes (polling side).
+    /// Consumes all pending wake bytes (polling side): reads until a
+    /// short read, which leaves the buffer empty.
     fn drain(&self) {
         let mut buf = [0u8; 64];
-        // Nonblocking UDP socket: recv returns WouldBlock when empty,
-        // never parks the thread.
-        // lint: allow(io-blocking)
-        while self.sock.recv(&mut buf).is_ok() {}
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 
     fn fd(&self) -> std::os::fd::RawFd {
-        self.sock.as_raw_fd()
+        self.rx.as_raw_fd()
     }
 }
 
@@ -127,7 +128,7 @@ impl Completions {
     ///
     /// # Errors
     ///
-    /// Propagates waker-socket creation failures.
+    /// Propagates waker-socket-pair creation failures.
     pub fn new() -> std::io::Result<Completions> {
         Ok(Completions {
             queue: Mutex::new(Vec::new()),
@@ -760,14 +761,14 @@ mod tests {
 /// *before* draining the queue. If it cleared afterwards, a producer
 /// could push between the drain and the clear, observe the still-armed
 /// flag, skip its wake — and then the clear lands: item queued, flag
-/// down, no datagram in flight. The consumer, which only drains when the
+/// down, no wake byte in flight. The consumer, which only drains when the
 /// waker fires, would never pick it up.
 #[cfg(all(test, feature = "loom-model"))]
 mod loom_model_tests {
     use super::*;
 
     /// Every completion pushed concurrently is delivered to a consumer
-    /// that drains ONLY on a waker datagram — no wake is ever lost.
+    /// that drains ONLY on a wake byte — no wake is ever lost.
     #[test]
     fn no_lost_wake_under_perturbed_schedules() {
         loom::model(|| {
@@ -786,7 +787,7 @@ mod loom_model_tests {
                 .collect();
 
             // The consumer plays the I/O loop: it touches the mailbox
-            // only after observing a wake datagram, exactly like `poll`
+            // only after observing a wake byte, exactly like `poll`
             // reporting the waker fd readable.
             let mut got = 0u64;
             let mut out = Vec::new();
@@ -797,7 +798,7 @@ mod loom_model_tests {
                     "lost wake: {got}/{PRODUCERS} delivered, queue stuck with no datagram"
                 );
                 let mut buf = [0u8; 8];
-                if mail.waker.sock.recv(&mut buf).is_ok() {
+                if matches!((&mail.waker.rx).read(&mut buf), Ok(n) if n > 0) {
                     mail.waker.drain();
                     mail.drain_into(&mut out);
                     got += out.len() as u64;

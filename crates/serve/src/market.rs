@@ -16,16 +16,28 @@
 //! client holding a reply can immediately observe its write through
 //! `query`/`stats` — whichever thread answers the read.
 //!
-//! Whenever a drain comes back empty and the active players are not yet
-//! at equilibrium, the writer spends the gap on one *maintenance
-//! quantum*: a bounded best-response sweep applying at most
-//! [`EPOCH_MOVES`] improving moves (Lemma 3 dynamics). Quanta interleave
-//! with queue drains, so maintenance is preemptible — a request burst
-//! waits for at most one quantum, never a full convergence run — while
-//! the exact-potential argument still guarantees the dynamics terminate
-//! once the queue goes quiet. At equilibrium with an empty queue the
-//! writer sleeps in idle ticks, waking only to rebalance across shards
-//! and to notice that the I/O side has gone.
+//! Every state change — a join, leave, update or eviction, a migration's
+//! grant, commit or abort, a reservation drop, a maintenance move, a
+//! restore — goes through one move/admission/demand/release path that
+//! records its *dirt*: the cloudlets whose congestion rose, the cloudlets
+//! that freed room, the providers whose own demand or admission changed
+//! (`Dirt`). The follower game is an affine congestion game (Lemma 3),
+//! so only providers the dirt touches can have gained an improving move;
+//! a clean record is the equilibrium the writer publishes.
+//!
+//! Maintenance runs in bounded *quanta*: passes of best responses over
+//! just those candidates, applying at most [`EPOCH_MOVES`] improving
+//! moves (Lemma 3 dynamics), each pass re-checking only what the previous
+//! pass's moves disturbed. A batch that empties the queue runs its
+//! quantum before it publishes, so one publish covers the write and the
+//! maintenance it triggered; behind a deeper queue, maintenance waits
+//! for the next empty drain. Quanta interleave with queue drains, so
+//! maintenance is preemptible — a request burst waits for at most one
+//! quantum, never a full convergence run — while the exact-potential
+//! argument still guarantees the dynamics terminate once the queue goes
+//! quiet. At equilibrium with an empty queue the writer sleeps in idle
+//! ticks, waking only to rebalance across shards and to notice that the
+//! I/O side has gone.
 //!
 //! Because the state owns its market, commands that change the market
 //! itself apply in place: a demand update moves one provider's load in
@@ -377,15 +389,138 @@ struct Outgoing {
     cancelled: bool,
 }
 
+/// A set of indices below a fixed bound: a membership mask plus the
+/// members in insertion order, so clearing and iterating cost the
+/// members, not the bound.
+struct Marks {
+    mask: Vec<bool>,
+    list: Vec<usize>,
+}
+
+impl Marks {
+    fn new(bound: usize) -> Marks {
+        Marks {
+            mask: vec![false; bound],
+            list: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, k: usize) {
+        if let Some(slot) = self.mask.get_mut(k) {
+            if !*slot {
+                *slot = true;
+                self.list.push(k);
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.list.is_empty()
+    }
+}
+
+/// What changed since the last maintenance pass that found no improving
+/// move: the writer's record of which providers could have one now.
+///
+/// The follower game is an affine congestion game (Lemma 3): a provider's
+/// cost depends only on the congestion at its own cloudlet, and its
+/// options only on the congestion and free space at the others. So a
+/// provider that had no improving move can gain one only if its own
+/// cloudlet's congestion rose, if some cloudlet's congestion or load fell
+/// (a leave, a move away, a demand shrink, a released reservation), or if
+/// its own demand or admission changed. Every other change only raises
+/// prices or shrinks free space, and a granted reservation only shrinks
+/// free space, so neither marks anything.
+struct Dirt {
+    /// Everything is suspect: boot and restore.
+    all: bool,
+    /// Cloudlets whose congestion rose: their occupants may want to
+    /// leave.
+    rose: Marks,
+    /// Cloudlets whose congestion or load fell, or whose reservations
+    /// were released: anyone may want to move in.
+    fell: Marks,
+    /// Providers whose own demand or admission changed.
+    providers: Marks,
+}
+
+impl Dirt {
+    /// Nothing dirty, over `m` cloudlets and `n` providers.
+    fn clean(m: usize, n: usize) -> Dirt {
+        Dirt {
+            all: false,
+            rose: Marks::new(m),
+            fell: Marks::new(m),
+            providers: Marks::new(n),
+        }
+    }
+
+    fn is_clean(&self) -> bool {
+        !self.all && self.rose.is_empty() && self.fell.is_empty() && self.providers.is_empty()
+    }
+}
+
+/// The active providers grouped by placement — one bucket per cloudlet,
+/// the last for the remote cloud — so a maintenance pass visits the
+/// providers its dirt names instead of scanning every id.
+struct Members {
+    buckets: Vec<Vec<usize>>,
+}
+
+impl Members {
+    fn new(state: &GameState<'_>, active: &[bool]) -> Members {
+        let mut members = Members {
+            buckets: vec![Vec::new(); state.market().cloudlet_count() + 1],
+        };
+        for p in (0..active.len()).filter(|&p| active[p]) {
+            members.insert(p, state.placement(ProviderId(p)));
+        }
+        members
+    }
+
+    fn bucket(&mut self, at: Placement) -> &mut Vec<usize> {
+        let k = match at {
+            Placement::Cloudlet(c) => c.index(),
+            Placement::Remote => self.buckets.len() - 1,
+        };
+        &mut self.buckets[k]
+    }
+
+    fn insert(&mut self, p: usize, at: Placement) {
+        self.bucket(at).push(p);
+    }
+
+    fn remove(&mut self, p: usize, at: Placement) {
+        let bucket = self.bucket(at);
+        if let Some(k) = bucket.iter().position(|&q| q == p) {
+            bucket.swap_remove(k);
+        }
+    }
+
+    /// The active providers cached at cloudlet `c`.
+    fn at(&self, c: usize) -> &[usize] {
+        &self.buckets[c]
+    }
+
+    fn all(&self) -> impl Iterator<Item = usize> + '_ {
+        self.buckets.iter().flatten().copied()
+    }
+}
+
 /// The writer's mutable book-keeping beside its game state.
 struct Book {
     active: Vec<bool>,
     seq: u64,
     epochs: u64,
     moves: u64,
-    equilibrium: bool,
+    /// What changed since the last pass that found no improving move;
+    /// clean means the active owned providers are at equilibrium.
+    dirt: Dirt,
+    /// The active providers by placement.
+    members: Members,
     /// Round-robin scan position for maintenance quanta (the fallback
-    /// order when no demand has been observed).
+    /// order when no demand has been observed): one past the provider
+    /// that made the last improving move.
     cursor: usize,
     /// Per-provider request-rate EWMAs ([`DEMAND_EWMA_ALPHA`]), folded
     /// from the shared [`DemandTracker`] at every quantum start. Drives
@@ -415,6 +550,8 @@ struct Book {
     parked_preps: Vec<Arc<CoordOp>>,
     /// Idle housekeeping ticks (throttles rebalance scans).
     ticks: u64,
+    /// The view the last publish replaced.
+    replaced: Option<Arc<MarketView>>,
 }
 
 /// One shard's writer: the game state over its market copy, its
@@ -436,6 +573,11 @@ impl Shard {
         ctx: ShardCtx,
     ) -> Shard {
         let n = active.len();
+        let dirt = Dirt {
+            all: true,
+            ..Dirt::clean(state.market().cloudlet_count(), n)
+        };
+        let members = Members::new(&state, &active);
         Shard {
             state,
             book: Book {
@@ -443,7 +585,8 @@ impl Shard {
                 seq,
                 epochs: 0,
                 moves: 0,
-                equilibrium: false,
+                dirt,
+                members,
                 cursor: 0,
                 demand_ewma: vec![0.0; n],
                 acks: Vec::new(),
@@ -455,6 +598,7 @@ impl Shard {
                 paused: false,
                 parked_preps: Vec::new(),
                 ticks: 0,
+                replaced: None,
             },
             ctx,
         }
@@ -471,13 +615,10 @@ impl Shard {
             // Poll nonblockingly while maintenance is pending; at
             // equilibrium wake every idle tick to rebalance and to notice
             // the I/O side has gone (the queue itself never disconnects).
-            let timeout = if self.book.equilibrium {
-                IDLE_TICK
-            } else {
-                Duration::ZERO
-            };
+            let settled = self.book.dirt.is_clean();
+            let timeout = if settled { IDLE_TICK } else { Duration::ZERO };
             let Ok((taken, depth)) = rx.recv_batch(&mut batch, BATCH_MAX, Some(timeout)) else {
-                if self.book.equilibrium {
+                if settled {
                     self.maybe_rebalance();
                 } else {
                     self.run_quantum(EPOCH_MOVES);
@@ -495,6 +636,12 @@ impl Shard {
             let mut cmds = batch.drain(..);
             let drain = cmds.by_ref().find_map(|cmd| self.step(cmd));
             let rest: Vec<Command> = cmds.collect();
+            // A batch that emptied the queue folds its maintenance quantum
+            // into its one publish; behind a deeper queue, maintenance
+            // waits until the queue empties.
+            if drain.is_none() && taken == depth && !self.book.dirt.is_clean() {
+                self.run_quantum(EPOCH_MOVES);
+            }
             self.settle_batch();
             if let Some(op) = drain {
                 if op.ack() {
@@ -703,13 +850,73 @@ impl Shard {
     /// Rewinds the shard to a loaded snapshot (or slice): state, admission
     /// mask and seq are replaced in place; the demand EWMAs carry over.
     fn restore(&mut self, snap: MarketSnapshot) {
+        self.release(None);
         self.state = GameState::owned(snap.market, snap.profile);
         self.book.active = snap.active;
+        self.book.members = Members::new(&self.state, &self.book.active);
         self.book.seq = snap.seq;
-        self.book.equilibrium = false;
+        self.book.dirt.all = true;
         self.book.cursor = 0;
-        self.book.reserved.clear();
         self.book.tombstones.clear();
+    }
+
+    /// Moves `l` to `to`. Every placement change takes this path, which
+    /// records the congestion it moved as dirt.
+    fn relocate(&mut self, l: ProviderId, to: Placement) {
+        let from = self.state.apply_move(l, to);
+        if from != to {
+            if self.book.active[l.index()] {
+                self.book.members.remove(l.index(), from);
+                self.book.members.insert(l.index(), to);
+            }
+            if let Placement::Cloudlet(a) = from {
+                self.book.dirt.fell.insert(a.index());
+            }
+            if let Placement::Cloudlet(b) = to {
+                self.book.dirt.rose.insert(b.index());
+            }
+        }
+    }
+
+    /// Sets `provider`'s admission flag, marking the provider dirty.
+    fn set_active(&mut self, provider: usize, on: bool) {
+        if self.book.active[provider] != on {
+            let at = self.state.placement(ProviderId(provider));
+            if on {
+                self.book.members.insert(provider, at);
+            } else {
+                self.book.members.remove(provider, at);
+            }
+        }
+        self.book.active[provider] = on;
+        self.book.dirt.providers.insert(provider);
+    }
+
+    /// Replaces `l`'s demand vector in place, marking the provider dirty.
+    /// Eq. 3 prices congestion, not load, so a demand change moves no
+    /// other provider's cost; only a shrink, which frees room at the
+    /// provider's cloudlet, also marks that cloudlet.
+    fn set_demand(&mut self, l: ProviderId, compute: f64, bandwidth: f64) {
+        let spec = self.state.market().provider(l);
+        let shrank = compute < spec.compute_demand || bandwidth < spec.bandwidth_demand;
+        self.state.set_provider_demand(l, compute, bandwidth);
+        self.book.dirt.providers.insert(l.index());
+        if let (true, Placement::Cloudlet(c)) = (shrank, self.state.placement(l)) {
+            self.book.dirt.fell.insert(c.index());
+        }
+    }
+
+    /// Drops the reservations held for `provider` (every reservation with
+    /// `None`), marking the cloudlets they free.
+    fn release(&mut self, provider: Option<usize>) {
+        let Book { reserved, dirt, .. } = &mut self.book;
+        reserved.retain(|r| {
+            let keep = provider.is_some_and(|p| r.provider != p);
+            if !keep {
+                dirt.fell.insert(r.cloudlet);
+            }
+            keep
+        });
     }
 
     /// Adopts the authoritative demands a cross-shard handoff carries,
@@ -720,9 +927,8 @@ impl Shard {
         if spec.compute_demand.to_bits() != compute.to_bits()
             || spec.bandwidth_demand.to_bits() != bandwidth.to_bits()
         {
-            self.state.set_provider_demand(l, compute, bandwidth);
+            self.set_demand(l, compute, bandwidth);
             self.book.seq += 1;
-            self.book.equilibrium = false;
         }
     }
 
@@ -819,10 +1025,9 @@ impl Shard {
             let l = ProviderId(provider);
             let spec = self.state.market().provider(l);
             let (compute, bandwidth) = (spec.compute_demand, spec.bandwidth_demand);
-            self.state.apply_move(l, Placement::Remote);
-            self.book.active[provider] = false;
+            self.relocate(l, Placement::Remote);
+            self.set_active(provider, false);
             self.book.seq += 1;
-            self.book.equilibrium = false;
             self.ctx.router.set_owner(provider, out.target);
             mec_obs::counter_add("serve.shard.migrate", 1);
             self.ctx.gauges.add_migrations(out.target, 1);
@@ -845,7 +1050,7 @@ impl Shard {
     /// reservation, then either honour a leave that overtook the handoff
     /// or sync the provider's demands and place it.
     fn commit(&mut self, provider: usize, cloudlet: usize, compute: f64, bandwidth: f64) {
-        self.book.reserved.retain(|r| r.provider != provider);
+        self.release(Some(provider));
         if let Some(ix) = self.book.tombstones.iter().position(|p| *p == provider) {
             // The client left while the handoff was in flight; we own an
             // inactive remote provider.
@@ -859,7 +1064,7 @@ impl Shard {
 
     /// Cancels a granted reservation.
     fn abort(&mut self, provider: usize) {
-        self.book.reserved.retain(|r| r.provider != provider);
+        self.release(Some(provider));
         self.book.tombstones.retain(|p| *p != provider);
     }
 
@@ -878,10 +1083,9 @@ impl Shard {
         } else {
             Placement::Remote
         };
-        self.state.apply_move(l, placement);
-        self.book.active[provider] = true;
+        self.relocate(l, placement);
+        self.set_active(provider, true);
         self.book.seq += 1;
-        self.book.equilibrium = false;
     }
 
     /// Acks a prepare; the last shard to ack fans the apply out to
@@ -1154,10 +1358,9 @@ impl Shard {
         };
         match chosen {
             Some(i) => {
-                self.state.apply_move(l, Placement::Cloudlet(i));
-                self.book.active[provider] = true;
+                self.relocate(l, Placement::Cloudlet(i));
+                self.set_active(provider, true);
                 self.book.seq += 1;
-                self.book.equilibrium = false;
                 mec_obs::counter_add("serve.join.admitted", 1);
                 Some((
                     reply,
@@ -1198,7 +1401,7 @@ impl Shard {
             // client's leave overtook it): honor the leave by tombstoning
             // the handoff.
             if self.book.reserved.iter().any(|r| r.provider == provider) {
-                self.book.reserved.retain(|r| r.provider != provider);
+                self.release(Some(provider));
                 if !self.book.tombstones.contains(&provider) {
                     self.book.tombstones.push(provider);
                 }
@@ -1207,11 +1410,9 @@ impl Shard {
             }
             return error(&format!("provider {provider} is not joined"));
         }
-        self.state
-            .apply_move(ProviderId(provider), Placement::Remote);
-        self.book.active[provider] = false;
+        self.relocate(ProviderId(provider), Placement::Remote);
+        self.set_active(provider, false);
         self.book.seq += 1;
-        self.book.equilibrium = false;
         mec_obs::counter_add("serve.leave", 1);
         Response::Left
     }
@@ -1233,14 +1434,13 @@ impl Shard {
             ));
         }
         let l = ProviderId(provider);
-        self.state.set_provider_demand(l, compute, bandwidth);
+        self.set_demand(l, compute, bandwidth);
         self.book.seq += 1;
-        self.book.equilibrium = false;
         let mut evicted = false;
         if let Placement::Cloudlet(i) = self.state.placement(l) {
             let (a, b) = self.state.residual(i);
             if a < -1e-9 || b < -1e-9 {
-                self.state.apply_move(l, Placement::Remote);
+                self.relocate(l, Placement::Remote);
                 self.book.seq += 1;
                 evicted = true;
             }
@@ -1292,53 +1492,109 @@ impl Shard {
         }
     }
 
-    /// One bounded maintenance quantum: scan the providers **hottest
-    /// first** (by the demand EWMAs just folded from the I/O side;
-    /// round-robin from the saved cursor when no demand has ever been
-    /// observed), applying best responses of *active* providers until
-    /// `max_moves` improvements land or a full quiet sweep proves the
-    /// active players are at equilibrium. Demand biases only the order —
-    /// every move is still an exact best response, so the fixed points
-    /// stay Nash equilibria; under a bounded quantum the hot services
-    /// simply get first claim on scarce capacity. Bounding the moves is
-    /// what makes maintenance preemptible — the serving loop re-checks
-    /// the queue after every quantum, so a request burst waits for one
+    /// The active owned providers that `dirt` says could have an improving
+    /// move, in ascending id order (see [`Dirt`]): everyone after boot or
+    /// restore; the dirty providers; the occupants of a cloudlet whose
+    /// congestion rose; and anyone who fits a cloudlet that freed room at
+    /// a cost no higher than its own plus [`IMPROVEMENT_TOL`] —
+    /// deliberately loose, so near-ties still get a full best response.
+    fn candidates(&self, dirt: &Dirt) -> Vec<usize> {
+        let members = &self.book.members;
+        let mut out: Vec<usize> = if dirt.all {
+            members.all().collect()
+        } else {
+            let mut out: Vec<usize> = dirt
+                .providers
+                .list
+                .iter()
+                .copied()
+                .filter(|&p| self.book.active[p])
+                .collect();
+            for &c in &dirt.rose.list {
+                out.extend_from_slice(members.at(c));
+            }
+            // Each fallen cloudlet of this region, with its free space and
+            // the congestion a newcomer would see.
+            let open: Vec<(CloudletId, (f64, f64), usize)> = dirt
+                .fell
+                .list
+                .iter()
+                .filter(|&&c| self.ctx.owns_cloudlet(c))
+                .map(|&c| {
+                    let i = CloudletId(c);
+                    (i, self.free_at(i), self.state.congestion(i) + 1)
+                })
+                .collect();
+            if !open.is_empty() {
+                let market = self.state.market();
+                out.extend(members.all().filter(|&p| {
+                    let l = ProviderId(p);
+                    let at = self.state.placement(l);
+                    let current = self.state.provider_cost(l);
+                    open.iter().any(|&(i, free, congestion)| {
+                        at != Placement::Cloudlet(i)
+                            && market.fits(l, free)
+                            && market.caching_cost(l, i, congestion) <= current + IMPROVEMENT_TOL
+                    })
+                }));
+            }
+            out
+        };
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&p| self.ctx.owns(p));
+        out
+    }
+
+    /// One bounded maintenance quantum: passes of best responses over the
+    /// dirt's candidates, **hottest first** (by the demand EWMAs just
+    /// folded from the I/O side; round-robin from the saved cursor when
+    /// no candidate has been observed), until a pass applies no move —
+    /// the dirt is then clean and the active players are at equilibrium
+    /// — or `max_moves` moves land. Each pass takes the dirt its
+    /// predecessor's moves left. Demand biases only the order — every
+    /// move is still an exact best response, so the fixed points stay
+    /// Nash equilibria; under a bounded quantum the hot services simply
+    /// get first claim on scarce capacity. Bounding the moves is what
+    /// makes maintenance preemptible — the serving loop re-checks the
+    /// queue after every quantum, so a request burst waits for one
     /// quantum at most.
     fn run_quantum(&mut self, max_moves: usize) {
-        let n = self.state.len();
+        let (m, n) = (self.state.market().cloudlet_count(), self.state.len());
         self.book.epochs += 1;
         mec_obs::counter_add("serve.epoch", 1);
         self.fold_demand();
-        let order = demand_order(n, &self.book.demand_ewma, self.book.cursor);
-        let mut pos = 0usize;
         let mut applied = 0usize;
         let mut recached = 0u64;
-        let mut quiet_streak = 0usize;
-        while applied < max_moves && quiet_streak < n {
-            let l = ProviderId(order[pos % n]);
-            pos += 1;
-            if !self.book.active[l.index()] || !self.ctx.owns(l.index()) {
-                quiet_streak += 1;
-                continue;
-            }
-            let current = self.state.provider_cost(l);
-            match self.region_best_response(l) {
-                Some((p, cost))
-                    if p != self.state.placement(l) && cost < current - IMPROVEMENT_TOL =>
-                {
-                    self.state.apply_move(l, p);
-                    if matches!(p, Placement::Cloudlet(_)) {
-                        recached += 1;
+        while applied < max_moves && !self.book.dirt.is_clean() {
+            let pass = std::mem::replace(&mut self.book.dirt, Dirt::clean(m, n));
+            let mut order = self.candidates(&pass);
+            demand_order(&mut order, &self.book.demand_ewma, self.book.cursor);
+            for (k, &p) in order.iter().enumerate() {
+                if applied == max_moves {
+                    // Preempted: the candidates not yet checked stay dirty.
+                    for &q in &order[k..] {
+                        self.book.dirt.providers.insert(q);
                     }
-                    applied += 1;
-                    quiet_streak = 0;
+                    break;
                 }
-                _ => quiet_streak += 1,
+                let l = ProviderId(p);
+                let current = self.state.provider_cost(l);
+                match self.region_best_response(l) {
+                    Some((to, cost))
+                        if to != self.state.placement(l) && cost < current - IMPROVEMENT_TOL =>
+                    {
+                        self.relocate(l, to);
+                        if matches!(to, Placement::Cloudlet(_)) {
+                            recached += 1;
+                        }
+                        applied += 1;
+                        self.book.cursor = (p + 1) % n;
+                    }
+                    _ => {}
+                }
             }
         }
-        // Advance the fallback rotation exactly as the legacy per-step
-        // cursor bump did: one examined provider per iteration.
-        self.book.cursor = (self.book.cursor + pos) % n.max(1);
         mec_obs::record("serve.quantum.moves", applied as u64);
         if applied > 0 {
             self.book.moves += applied as u64;
@@ -1348,47 +1604,71 @@ impl Shard {
         if recached > 0 {
             mec_obs::counter_add("serve.recache", recached);
         }
-        // A full pass with no improving move is exactly the Nash condition
-        // restricted to the active players (Lemma 3 terminates the
-        // dynamics).
-        self.book.equilibrium = quiet_streak >= n;
     }
 
-    fn view(&self) -> MarketView {
+    /// This shard's view, built into `spare`'s buffers (a replaced view
+    /// no reader holds any more, or an empty one).
+    fn view(&self, spare: MarketView) -> MarketView {
         let (state, book) = (&self.state, &self.book);
         let market = state.market();
-        let placements: Vec<Placement> = market.providers().map(|l| state.placement(l)).collect();
-        let costs: Vec<f64> = market.providers().map(|l| state.provider_cost(l)).collect();
-        let social_cost = state.subset_cost(market.providers().filter(|l| book.active[l.index()]));
-        let congestion = state.congestion_counts().to_vec();
+        let MarketView {
+            mut placements,
+            mut costs,
+            mut active,
+            mut congestion,
+            mut residual,
+            mut demands,
+            mut demand_ewma,
+            ..
+        } = spare;
+        // One pass over the providers fills the three provider-length
+        // vectors, reading each provider's spec once.
+        placements.clear();
+        costs.clear();
+        demands.clear();
+        for l in market.providers() {
+            let spec = market.provider(l);
+            let at = state.placement(l);
+            placements.push(at);
+            // `GameState::provider_cost`, inlined to share the spec read.
+            costs.push(match at {
+                Placement::Remote => spec.remote_cost,
+                Placement::Cloudlet(c) => market.caching_cost(l, c, state.congestion(c)),
+            });
+            demands.push((spec.compute_demand, spec.bandwidth_demand));
+        }
+        let social_cost = costs
+            .iter()
+            .zip(&book.active)
+            .filter(|(_, &on)| on)
+            .map(|(&c, _)| c)
+            .sum();
+        active.clone_from(&book.active);
+        demand_ewma.clone_from(&book.demand_ewma);
+        congestion.clear();
+        congestion.extend_from_slice(state.congestion_counts());
         // Peers read the residuals to estimate migrations: show them the
         // free space net of already-granted reservations so they never
         // over-target.
-        let mut residual: Vec<(f64, f64)> = market.cloudlets().map(|i| state.residual(i)).collect();
+        residual.clear();
+        residual.extend(market.cloudlets().map(|i| state.residual(i)));
         for r in &book.reserved {
             residual[r.cloudlet].0 -= r.compute;
             residual[r.cloudlet].1 -= r.bandwidth;
         }
-        let demands: Vec<(f64, f64)> = market
-            .providers()
-            .map(|l| {
-                let spec = market.provider(l);
-                (spec.compute_demand, spec.bandwidth_demand)
-            })
-            .collect();
         MarketView {
             seq: book.seq,
             placements,
             costs,
-            active: book.active.clone(),
+            active,
             social_cost,
             congestion,
             residual,
             demands,
-            demand_ewma: book.demand_ewma.clone(),
+            demand_ewma,
             epochs: book.epochs,
             moves: book.moves,
-            equilibrium: book.equilibrium,
+            equilibrium: book.dirt.is_clean(),
         }
     }
 
@@ -1396,9 +1676,18 @@ impl Shard {
     /// the probes are armed (`enabled()` is `const`, so the timer folds
     /// away in no-op builds). Sharded daemons record per-shard probes
     /// (`serve.publish.s<k>.ns`); `obsreport` folds them back together.
-    pub(crate) fn publish(&self) {
+    /// The view replaced last time lends its buffers once no reader holds
+    /// it any more, which spares the allocator a round trip per vector.
+    pub(crate) fn publish(&mut self) {
         let t0 = mec_obs::enabled().then(Instant::now);
-        self.ctx.views[self.ctx.index].store(self.view());
+        let spare = self
+            .book
+            .replaced
+            .take()
+            .and_then(|old| Arc::try_unwrap(old).ok())
+            .unwrap_or_else(|| MarketView::empty(0));
+        let view = self.view(spare);
+        self.book.replaced = Some(self.ctx.views[self.ctx.index].store(view));
         if let Some(t0) = t0 {
             mec_obs::record(self.ctx.publish_probe, t0.elapsed().as_nanos() as u64);
         }
@@ -1450,8 +1739,9 @@ impl Shard {
             self.drain_cmd(cmd);
         }
         // Any reservation left now belongs to a handoff that died with its
-        // source; drop them so the final equilibrium is unconstrained.
-        self.book.reserved.clear();
+        // source; drop them (re-opening maintenance at the cloudlets they
+        // held) so the final equilibrium is unconstrained.
+        self.release(None);
         self.finish()
     }
 
@@ -1505,7 +1795,7 @@ impl Shard {
         // backstop against a cost-model bug turning the drain into a hot
         // loop.
         let mut guard = 0usize;
-        while !self.book.equilibrium && guard < 100_000 {
+        while !self.book.dirt.is_clean() && guard < 100_000 {
             self.run_quantum(usize::MAX);
             guard += 1;
         }
@@ -1521,7 +1811,7 @@ impl Shard {
             active: self.book.active,
             epochs: self.book.epochs,
             moves: self.book.moves,
-            equilibrium: self.book.equilibrium,
+            equilibrium: self.book.dirt.is_clean(),
             violations,
         }
     }
@@ -1596,7 +1886,7 @@ impl Shard {
     /// improving moves into them. Rebuild a sub-market of just the
     /// region's cloudlets, re-index the owned placements into it, and
     /// certify that.
-    #[cfg(feature = "verify")]
+    #[cfg(any(test, feature = "verify"))]
     fn certify_region_nash(&self) -> Vec<String> {
         let ctx = &self.ctx;
         let market = self.state.market();
@@ -1835,7 +2125,7 @@ mod tests {
             set.txs[0].send(cmd).map_err(|_| ()).unwrap();
         }
         let sd_rx = set.shutdown();
-        set.start(|| {});
+        set.start(|| {}).unwrap();
         let outcome = set.join();
         receivers.push(sd_rx.recv());
         (receivers, outcome)
@@ -1875,7 +2165,7 @@ mod tests {
         let (rejoin, rejoin_rx) = join(4);
         tx.send(rejoin).map_err(|_| ()).unwrap();
         let sd_rx = set.shutdown();
-        set.start(|| {});
+        set.start(|| {}).unwrap();
         let outcome = set.join();
 
         let admitted = replies
@@ -1942,7 +2232,7 @@ mod tests {
                 }
             }
             let sd_rx = set.shutdown();
-            set.start(|| {});
+            set.start(|| {}).unwrap();
             let outcome = set.join();
             assert_eq!(sd_rx.recv(), Some(Response::Draining));
             assert!(outcome.equilibrium);
@@ -2069,5 +2359,456 @@ mod tests {
         assert!(!outcome.active[0]);
         assert!(outcome.active[1]);
         assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+    }
+
+    /// Releasing a migration reservation frees room, so it must re-open
+    /// maintenance. Cloudlet 0 is cheap with room for one provider;
+    /// cloudlet 1 is expensive with room for many. Provider 1's
+    /// reservation holds cloudlet 0, so provider 0 joins cloudlet 1 and
+    /// the writer settles there. Each input then frees the reservation a
+    /// different way — an abort, a leave whose commit lands on the
+    /// tombstone, or the drain's drop of leftover reservations — and the
+    /// drained placement must be Nash: provider 0 moves to cloudlet 0.
+    #[test]
+    fn released_reservation_reopens_maintenance() {
+        fn market() -> Market {
+            Market::builder()
+                .cloudlet(CloudletSpec::new(2.0, 8.0, 0.1, 0.1))
+                .cloudlet(CloudletSpec::new(20.0, 80.0, 3.0, 3.0))
+                .provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0))
+                .provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0))
+                .uniform_update_cost(0.2)
+                .build()
+        }
+        let abort = || vec![Command::MigrateAbort { provider: 1 }];
+        let tombstoned_commit = || {
+            let (tx, _rx) = chan::oneshot();
+            vec![
+                Command::Leave {
+                    provider: 1,
+                    reply: tx.into(),
+                },
+                Command::MigrateCommit {
+                    provider: 1,
+                    cloudlet: 0,
+                    compute: 2.0,
+                    bandwidth: 8.0,
+                },
+            ]
+        };
+        let drain_drop = Vec::new;
+        let inputs: [(&str, &dyn Fn() -> Vec<Command>); 3] = [
+            ("abort", &abort),
+            ("tombstoned commit", &tombstoned_commit),
+            ("drain", &drain_drop),
+        ];
+        for (name, release) in inputs {
+            let mut set = one_shard(market(), 8, Arc::new(DemandTracker::disabled()));
+            let tx = set.txs[0].clone();
+            tx.send(Command::MigrateReserve {
+                provider: 1,
+                cloudlet: 0,
+                compute: 2.0,
+                bandwidth: 8.0,
+                from: 0,
+            })
+            .map_err(|_| ())
+            .unwrap();
+            let (j, jr) = join(0);
+            tx.send(j).map_err(|_| ()).unwrap();
+            set.start(|| {}).unwrap();
+            assert!(
+                matches!(jr.recv(), Some(Response::Admitted { cloudlet: 1, .. })),
+                "{name}: the reservation holds cloudlet 0"
+            );
+            let view = set.views[0].clone();
+            while !view.load().equilibrium {
+                std::thread::yield_now();
+            }
+            for cmd in release() {
+                tx.send(cmd).map_err(|_| ()).unwrap();
+            }
+            let sd = set.shutdown();
+            let outcome = set.join();
+            assert_eq!(sd.recv(), Some(Response::Draining));
+            let nash = mec_core::check_nash(
+                &market(),
+                &outcome.profile,
+                &outcome.active,
+                IMPROVEMENT_TOL,
+            );
+            assert!(nash.is_empty(), "{name}: {nash:?}");
+            assert_eq!(
+                outcome.profile.placement(ProviderId(0)),
+                Placement::Cloudlet(CloudletId(0)),
+                "{name}"
+            );
+        }
+    }
+
+    /// A shard set stepped by hand on the test thread: queued commands
+    /// are applied shard by shard until every queue is empty, so a run is
+    /// a pure function of its inputs.
+    struct Sim {
+        shards: Vec<(Shard, Receiver<Command>)>,
+        txs: Vec<Sender<Command>>,
+        router: Arc<Router>,
+        /// The booted market: each provider's demand to shrink back to.
+        base: Market,
+        /// A consistent capture of every shard and the ownership map.
+        saved: Option<(Vec<usize>, Vec<MarketSnapshot>)>,
+    }
+
+    impl Sim {
+        fn boot(market: Market, profile: Profile, active: Vec<bool>, shards: usize) -> Sim {
+            let base = market.clone();
+            let mut set = ShardSet::boot(
+                BootState::whole(market, profile, active, 0),
+                shards,
+                None,
+                4096,
+                None,
+                Arc::new(DemandTracker::disabled()),
+                1,
+            )
+            .unwrap();
+            Sim {
+                shards: set.take_idle(),
+                txs: set.txs.clone(),
+                router: set.router.clone(),
+                base,
+                saved: None,
+            }
+        }
+
+        fn send(&self, k: usize, cmd: Command) {
+            self.txs[k].send(cmd).map_err(|_| ()).unwrap();
+        }
+
+        /// The shard whose region holds cloudlet `c`.
+        fn region(&self, c: usize) -> usize {
+            self.shards
+                .iter()
+                .position(|(s, _)| s.ctx.owns_cloudlet(c))
+                .unwrap()
+        }
+
+        /// Provider `p`'s demand in its owner's market copy.
+        fn demand(&self, p: usize) -> (f64, f64) {
+            let shard = &self.shards[self.router.owner(p)].0;
+            let spec = shard.state.market().provider(ProviderId(p));
+            (spec.compute_demand, spec.bandwidth_demand)
+        }
+
+        /// Applies every queued command, shard by shard, until all queues
+        /// are empty.
+        fn pump(&mut self) {
+            loop {
+                let mut idle = true;
+                for (shard, rx) in &mut self.shards {
+                    for cmd in rx.try_drain() {
+                        idle = false;
+                        assert!(shard.step(cmd).is_none());
+                    }
+                    shard.settle_batch();
+                    shard.drain_outbound();
+                }
+                if idle {
+                    return;
+                }
+            }
+        }
+
+        /// One quantum of at most `max_moves` moves on every dirty shard;
+        /// each that comes out clean must be at equilibrium.
+        fn quantum(&mut self, max_moves: usize) {
+            for (shard, _) in &mut self.shards {
+                if !shard.book.dirt.is_clean() {
+                    shard.run_quantum(max_moves);
+                    if shard.book.dirt.is_clean() {
+                        assert_settled(shard);
+                    }
+                }
+                shard.settle_batch();
+            }
+        }
+
+        /// One random step: `(kind, provider, cloudlet, budget)`. The
+        /// budget picks the move bound of the quantum that follows; 0
+        /// skips it, so dirt piles up across steps.
+        fn apply(&mut self, (kind, p, c, budget): (u8, usize, usize, u8)) {
+            let (n, m) = (self.base.provider_count(), self.base.cloudlet_count());
+            let (p, c) = (p % n, c % m);
+            let owner = self.router.owner(p);
+            let (tx, _rx) = chan::oneshot();
+            let reply: Reply = tx.into();
+            match kind % 11 {
+                0 => self.send(
+                    owner,
+                    Command::Join {
+                        provider: p,
+                        cloudlet: None,
+                        reply,
+                    },
+                ),
+                1 => self.send(
+                    owner,
+                    Command::Join {
+                        provider: p,
+                        cloudlet: Some(c),
+                        reply,
+                    },
+                ),
+                2 => self.send(owner, Command::Leave { provider: p, reply }),
+                // Grow past every capacity (an eviction when cached), or
+                // by one unit (an eviction only when the cloudlet
+                // overflows) ...
+                3 | 4 => {
+                    let spec = self.base.provider(ProviderId(p));
+                    let grow = if kind % 11 == 3 { 100.0 } else { 1.0 };
+                    self.send(
+                        owner,
+                        Command::Update {
+                            provider: p,
+                            compute: spec.compute_demand + grow,
+                            bandwidth: spec.bandwidth_demand + 4.0 * grow,
+                            reply,
+                        },
+                    );
+                }
+                // ... and shrink back to the booted demand.
+                5 => {
+                    let spec = self.base.provider(ProviderId(p));
+                    let (compute, bandwidth) = (spec.compute_demand, spec.bandwidth_demand);
+                    self.send(
+                        owner,
+                        Command::Update {
+                            provider: p,
+                            compute,
+                            bandwidth,
+                            reply,
+                        },
+                    );
+                }
+                // Reserve room at `c` for `p`; the grant goes to a peer
+                // with no handoff in flight, which ignores it.
+                6 => {
+                    let k = self.region(c);
+                    let (compute, bandwidth) = self.demand(p);
+                    let from = (k + 1) % self.txs.len();
+                    self.send(
+                        k,
+                        Command::MigrateReserve {
+                            provider: p,
+                            cloudlet: c,
+                            compute,
+                            bandwidth,
+                            from,
+                        },
+                    );
+                }
+                7 => {
+                    for k in 0..self.txs.len() {
+                        self.send(k, Command::MigrateAbort { provider: p });
+                    }
+                }
+                // Land an inactive `p` at `c` as a finished handoff would:
+                // ownership moves first, then the commit.
+                8 => {
+                    if !self.shards[owner].0.book.active[p] {
+                        let k = self.region(c);
+                        let (compute, bandwidth) = self.demand(p);
+                        self.router.set_owner(p, k);
+                        self.send(
+                            k,
+                            Command::MigrateCommit {
+                                provider: p,
+                                cloudlet: c,
+                                compute,
+                                bandwidth,
+                            },
+                        );
+                    }
+                }
+                9 => {
+                    let owners = (0..n).map(|q| self.router.owner(q)).collect();
+                    let slices = self
+                        .shards
+                        .iter()
+                        .map(|(s, _)| MarketSnapshot {
+                            seq: s.book.seq,
+                            market: s.state.market().clone(),
+                            profile: s.state.profile().clone(),
+                            active: s.book.active.clone(),
+                            shard: None,
+                        })
+                        .collect();
+                    self.saved = Some((owners, slices));
+                }
+                _ => {
+                    if let Some((owners, slices)) = self.saved.clone() {
+                        for (q, &k) in owners.iter().enumerate() {
+                            self.router.set_owner(q, k);
+                        }
+                        for ((shard, _), snap) in self.shards.iter_mut().zip(slices) {
+                            shard.restore(snap);
+                        }
+                    }
+                }
+            }
+            self.pump();
+            for (shard, _) in &self.shards {
+                assert_members(shard);
+                assert_view(shard);
+            }
+            match budget % 4 {
+                0 => {}
+                1 => self.quantum(1),
+                2 => self.quantum(2),
+                _ => self.quantum(EPOCH_MOVES),
+            }
+        }
+
+        /// Drains every shard as the daemon does (leftover reservations
+        /// dropped, quanta to equilibrium) and certifies what is left.
+        fn finish(mut self) {
+            let sharded = self.shards.len() > 1;
+            for (shard, _) in &mut self.shards {
+                shard.release(None);
+                shard.run_quantum(usize::MAX);
+                assert!(shard.book.dirt.is_clean());
+                assert_settled(shard);
+                let market = shard.state.market();
+                let capacity = mec_core::check_capacity(market, shard.state.profile());
+                assert!(capacity.is_empty(), "{capacity:?}");
+                let nash: Vec<String> = if sharded {
+                    shard.certify_region_nash()
+                } else {
+                    mec_core::check_nash(
+                        market,
+                        shard.state.profile(),
+                        &shard.book.active,
+                        IMPROVEMENT_TOL,
+                    )
+                    .into_iter()
+                    .map(|v| v.to_string())
+                    .collect()
+                };
+                assert!(nash.is_empty(), "{nash:?}");
+            }
+        }
+    }
+
+    /// The placement index holds exactly the active providers, each in
+    /// the bucket of its placement.
+    fn assert_members(shard: &Shard) {
+        let mut indexed: Vec<usize> = shard.book.members.all().collect();
+        indexed.sort_unstable();
+        let active: Vec<usize> = (0..shard.state.len())
+            .filter(|&p| shard.book.active[p])
+            .collect();
+        assert_eq!(indexed, active);
+        for c in 0..shard.state.market().cloudlet_count() {
+            for &p in shard.book.members.at(c) {
+                assert_eq!(
+                    shard.state.placement(ProviderId(p)),
+                    Placement::Cloudlet(CloudletId(c))
+                );
+            }
+        }
+    }
+
+    /// The published view, built into a replaced view's buffers, matches
+    /// a fresh build; its costs are each provider's `provider_cost` and
+    /// its social cost their sum over the active providers, bit for bit.
+    fn assert_view(shard: &Shard) {
+        let view = shard.view(MarketView::empty(0));
+        let published = shard.ctx.views[shard.ctx.index].load();
+        assert_eq!(format!("{published:?}"), format!("{view:?}"));
+        let state = &shard.state;
+        for l in state.market().providers() {
+            assert_eq!(
+                view.costs[l.index()].to_bits(),
+                state.provider_cost(l).to_bits()
+            );
+        }
+        let active = (0..state.len())
+            .filter(|&p| shard.book.active[p])
+            .map(ProviderId);
+        assert_eq!(
+            view.social_cost.to_bits(),
+            state.subset_cost(active).to_bits()
+        );
+    }
+
+    /// A full best-response sweep over every active owned provider finds
+    /// no improving move.
+    fn assert_settled(shard: &Shard) {
+        let improving: Vec<usize> = (0..shard.state.len())
+            .filter(|&p| shard.book.active[p] && shard.ctx.owns(p))
+            .filter(|&p| {
+                let l = ProviderId(p);
+                let current = shard.state.provider_cost(l);
+                matches!(
+                    shard.region_best_response(l),
+                    Some((to, cost)) if to != shard.state.placement(l) && cost < current - IMPROVEMENT_TOL
+                )
+            })
+            .collect();
+        assert!(
+            improving.is_empty(),
+            "shard {} reports equilibrium, but providers {improving:?} can improve",
+            shard.ctx.index
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Differential check of the dirt rules: on small tight markets at
+        /// one and two shards, random joins (pinned and not), leaves,
+        /// evicting updates and their undoing, reservations and aborts,
+        /// landed handoffs, and restores, with quanta of 1, 2 or
+        /// [`EPOCH_MOVES`] moves between them. Every quantum that leaves
+        /// the dirt clean must survive a full best-response sweep, and the
+        /// drained shards must be capacity-feasible and (region-)Nash.
+        #[test]
+        fn clean_dirt_is_always_an_equilibrium(
+            shards in 1usize..3,
+            cloudlets in proptest::collection::vec((1u8..4, 1u8..10), 2..5),
+            providers in proptest::collection::vec((1u8..3, 0u8..6, 2u8..12, 0u8..7), 3..9),
+            ops in proptest::collection::vec((0u8..11, 0usize..16, 0usize..8, 0u8..4), 1..60),
+        ) {
+            let mut b = Market::builder();
+            for &(slots, price) in &cloudlets {
+                let (slots, half) = (f64::from(slots), f64::from(price) / 2.0);
+                b = b.cloudlet(CloudletSpec::new(2.0 * slots, 8.0 * slots, half, half));
+            }
+            for &(units, inst, remote, _) in &providers {
+                let units = f64::from(units);
+                b = b.provider(ProviderSpec::new(units, 4.0 * units, f64::from(inst) / 2.0, f64::from(remote)));
+            }
+            let market = b.uniform_update_cost(0.2).build();
+            // Boot from an arbitrary feasible profile, so the boot itself
+            // must be maintained: `init` picks a cloudlet (cached when it
+            // fits), active at the remote cloud, or inactive.
+            let m = market.cloudlet_count();
+            let mut state = GameState::all_remote(&market);
+            let mut active = vec![false; providers.len()];
+            for (p, &(_, _, _, init)) in providers.iter().enumerate() {
+                let pick = usize::from(init) % (m + 2);
+                active[p] = pick <= m;
+                let l = ProviderId(p);
+                if pick < m && market.fits(l, state.residual(CloudletId(pick))) {
+                    state.apply_move(l, Placement::Cloudlet(CloudletId(pick)));
+                }
+            }
+            let profile = state.into_profile();
+            let mut sim = Sim::boot(market, profile, active, shards);
+            for op in ops {
+                sim.apply(op);
+            }
+            sim.finish();
+        }
     }
 }

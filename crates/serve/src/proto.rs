@@ -105,7 +105,8 @@ pub struct StatsReport {
     pub epochs: u64,
     /// Improving moves applied by those epochs.
     pub moves: u64,
-    /// `true` if the last full scan found no improving move.
+    /// `true` if no provider has gained an improving move since the last
+    /// maintenance pass that found none (ANDed across shards).
     pub equilibrium: bool,
     /// Per-shard breakdown (empty on a single-shard daemon, whose wire
     /// encoding is then byte-identical to the pre-sharding protocol).

@@ -121,7 +121,9 @@ pub fn run_scenario(market: Market, trace: &Trace) -> ScenarioReport {
     .expect("one-shard boot has no region map to reject");
     let tx = set.txs[0].clone();
     let view = set.views[0].clone();
-    set.start(|| {});
+    set.start(|| {})
+        // lint: allow(panics) — a replay without its writer thread has nothing to score.
+        .expect("starting the replay's writer thread");
 
     let mut report = ScenarioReport {
         label: trace.label.clone(),

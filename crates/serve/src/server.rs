@@ -28,6 +28,9 @@
 //! `snapshot`/`restore` act on one whole-market file; with `shards > 1`
 //! they fan out as coordinated two-phase ops (see [`crate::shard`]) over
 //! per-shard slice sets behind a manifest.
+//!
+//! Every daemon thread is named by its role — `shard-<k>`, `io-<k>`,
+//! `acceptor`, `admin` — so per-thread CPU can be read apart.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -163,8 +166,9 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Propagates bind errors, waker-socket errors, invalid region maps, and
-/// snapshot-restore I/O or corruption errors.
+/// Propagates bind errors, waker-socket errors, invalid region maps,
+/// snapshot-restore I/O or corruption errors, and failed thread spawns
+/// (the threads already started are then told to exit).
 pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     let boot = BootState::load(market, cfg.snapshot_path.as_deref())?;
     let n = boot.market.provider_count();
@@ -217,6 +221,7 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
 
     let wakers: Vec<Arc<Completions>> = io_shared.iter().map(|s| s.completions.clone()).collect();
     let stop_w = stop.clone();
+    let wakers_w = wakers.clone();
     shards.start(move || {
         // This shard is done (drained): stop the acceptor, poke it out of
         // `accept()` with a throwaway connection, and wake every I/O
@@ -224,23 +229,38 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         // across shards.
         stop_w.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
+        for c in &wakers_w {
+            c.wake();
+        }
+    })?;
+    // A spawn that fails from here on stops what already runs: the stop
+    // flag and a wake end the started I/O threads (and the admin thread),
+    // and the I/O threads never started are counted out of the writers'
+    // senders, so every writer drains.
+    let abandon = |e: std::io::Error, unstarted: usize| {
+        stop.store(true, Ordering::SeqCst);
         for c in &wakers {
             c.wake();
         }
-    });
+        shards.io_live.fetch_sub(unstarted, Ordering::AcqRel);
+        e
+    };
 
     let mut io = Vec::with_capacity(io_count);
-    for shared in &io_shared {
+    for (k, shared) in io_shared.iter().enumerate() {
         let shared = shared.clone();
         let io_live = shards.io_live.clone();
         // One poll loop per I/O thread, joined through the ServerHandle.
         // lint: allow(thread-spawn)
-        io.push(std::thread::spawn(move || {
-            run_io(&shared);
-            // Signal the shard threads: one fewer I/O-side sender. At zero
-            // every writer self-drains.
-            io_live.fetch_sub(1, Ordering::AcqRel);
-        }));
+        let spawned = std::thread::Builder::new()
+            .name(format!("io-{k}"))
+            .spawn(move || {
+                run_io(&shared);
+                // Signal the shard threads: one fewer I/O-side sender. At
+                // zero every writer self-drains.
+                io_live.fetch_sub(1, Ordering::AcqRel);
+            });
+        io.push(spawned.map_err(|e| abandon(e, io_count - k))?);
     }
 
     let mut admin_addr = None;
@@ -256,15 +276,19 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             cloudlets: m,
             providers: n,
         });
-        admin = Some(crate::admin::spawn_admin(admin_l, shared));
+        admin = Some(crate::admin::spawn_admin(admin_l, shared).map_err(|e| abandon(e, 0))?);
     }
 
     let max_connections = cfg.max_connections;
+    let stop_a = stop.clone();
     // Acceptor: owns the listener; exits when the stop flag flips.
     // lint: allow(thread-spawn)
-    let acceptor = std::thread::spawn(move || {
-        accept_loop(&listener, &io_shared, &stop, &live, max_connections);
-    });
+    let acceptor = std::thread::Builder::new()
+        .name("acceptor".to_string())
+        .spawn(move || {
+            accept_loop(&listener, &io_shared, &stop_a, &live, max_connections);
+        })
+        .map_err(|e| abandon(e, 0))?;
 
     Ok(ServerHandle {
         addr,

@@ -460,7 +460,13 @@ impl BootState {
         BootState::whole(market, Profile::all_remote(n), vec![false; n], 0)
     }
 
-    fn whole(market: Market, profile: Profile, active: Vec<bool>, seq: u64) -> BootState {
+    /// A boot from one whole-market state.
+    pub(crate) fn whole(
+        market: Market,
+        profile: Profile,
+        active: Vec<bool>,
+        seq: u64,
+    ) -> BootState {
         let n = market.provider_count();
         BootState {
             market,
@@ -673,7 +679,7 @@ impl ShardSet {
                 publish_probe: publish_probe(k, shards),
             };
             let state = GameState::owned(market.clone(), shard_profile);
-            let shard = Shard::new(state, shard_active, seq, ctx);
+            let mut shard = Shard::new(state, shard_active, seq, ctx);
             shard.publish();
             idle.push((shard, rx));
         }
@@ -689,21 +695,47 @@ impl ShardSet {
         })
     }
 
-    /// Starts one writer thread per shard; each runs `on_exit` on its own
-    /// thread once it has drained.
-    pub(crate) fn start(&mut self, on_exit: impl Fn() + Clone + Send + 'static) {
-        for (shard, rx) in self.idle.drain(..) {
+    /// Starts one writer thread per shard, named `shard-<k>`; each runs
+    /// `on_exit` on its own thread once it has drained.
+    ///
+    /// # Errors
+    ///
+    /// Returns a failed thread spawn. The writers already started then
+    /// drain themselves at their next idle tick, as if the I/O side had
+    /// gone.
+    pub(crate) fn start(
+        &mut self,
+        on_exit: impl Fn() + Clone + Send + 'static,
+    ) -> std::io::Result<()> {
+        for (k, (shard, rx)) in self.idle.drain(..).enumerate() {
             let on_exit = on_exit.clone();
             // The shard's writer thread: owns its region for its whole
             // life. Intentionally a raw thread, not the bench pool — it
             // outlives any scope and is joined through `join`.
             // lint: allow(thread-spawn)
-            self.running.push(std::thread::spawn(move || {
-                let outcome = shard.run(&rx);
-                on_exit();
-                outcome
-            }));
+            let spawned = std::thread::Builder::new()
+                .name(format!("shard-{k}"))
+                .spawn(move || {
+                    let outcome = shard.run(&rx);
+                    on_exit();
+                    outcome
+                });
+            match spawned {
+                Ok(handle) => self.running.push(handle),
+                Err(e) => {
+                    self.io_live.store(0, Ordering::Release);
+                    return Err(e);
+                }
+            }
         }
+        Ok(())
+    }
+
+    /// The booted writers with their queues, for a test that steps them
+    /// by hand instead of starting them.
+    #[cfg(test)]
+    pub(crate) fn take_idle(&mut self) -> Vec<(Shard, Receiver<Command>)> {
+        std::mem::take(&mut self.idle)
     }
 
     /// Drains the set on behalf of an in-process driver: one `DrainAll`

@@ -1,10 +1,11 @@
 //! Immutable market snapshots for reader threads.
 //!
 //! The market thread is the only writer; readers (connection threads
-//! answering `query`/`stats`) never touch it. After every applied command
-//! or maintenance epoch the market thread publishes a fresh
-//! [`MarketView`] into a [`SharedView`] — a hand-rolled arc-swap built
-//! from `Mutex<Arc<_>>`. Readers take the lock only long enough to clone
+//! answering `query`/`stats`) never touch it. The market thread publishes
+//! a fresh [`MarketView`] into a [`SharedView`] — a hand-rolled arc-swap
+//! built from `Mutex<Arc<_>>` — once per drained batch (including the
+//! maintenance quantum a batch that empties the queue runs before it
+//! publishes) and once per quantum run in an idle gap. Readers take the lock only long enough to clone
 //! the `Arc` (two reference-count bumps), then answer any number of
 //! requests from the immutable snapshot without contending with the
 //! writer.
@@ -49,7 +50,9 @@ pub struct MarketView {
     pub epochs: u64,
     /// Improving moves applied by those epochs.
     pub moves: u64,
-    /// `true` if the most recent full sweep found no improving move.
+    /// `true` when nothing has changed since the last maintenance pass
+    /// that found no improving move: the publishing shard's active
+    /// providers are at equilibrium.
     pub equilibrium: bool,
 }
 
@@ -112,9 +115,15 @@ impl SharedView {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Publishes a new view (writer side).
-    pub fn store(&self, view: MarketView) {
-        *self.inner.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(view);
+    /// Publishes a new view (writer side) and hands back the one it
+    /// replaced, so the writer can drop it — or reuse its buffers — outside
+    /// the lock.
+    pub fn store(&self, view: MarketView) -> Arc<MarketView> {
+        let view = Arc::new(view);
+        std::mem::replace(
+            &mut *self.inner.lock().unwrap_or_else(|e| e.into_inner()),
+            view,
+        )
     }
 }
 

@@ -456,6 +456,24 @@ pub fn b(x: Option<u32>) -> u32 {
     },
     Fixture {
         rule: "thread-spawn",
+        title: "a named std::thread::Builder spawn fires",
+        files: &[(
+            "crates/serve/src/x.rs",
+            "fn f() {\n    let h = std::thread::Builder::new().name(\"io-0\".into()).spawn(|| {});\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "thread-spawn",
+        title: "a marked std::thread::Builder spawn is exempt",
+        files: &[(
+            "crates/serve/src/server.rs",
+            "fn f() {\n    // Daemon thread, joined via the handle.\n    // lint: allow(thread-spawn)\n    let h = std::thread::Builder::new().name(\"io-0\".into()).spawn(|| {});\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "thread-spawn",
         title: "the bench pool home and marked daemon threads are exempt",
         files: &[
             (

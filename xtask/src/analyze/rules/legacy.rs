@@ -22,7 +22,7 @@
 //!   `assert_eq!`/`assert_ne!` with a top-level float-literal operand,
 //!   anywhere in first-party code (`crates/num` stays the one blessed
 //!   home for exact float comparison).
-//! * `thread-spawn` — no `thread::spawn` outside
+//! * `thread-spawn` — no `thread::spawn` or `thread::Builder` outside
 //!   `crates/bench/src/parallel.rs` (ad-hoc threads bypass the
 //!   bounded, panic-propagating pool) without a marker.
 
@@ -104,7 +104,7 @@ pub fn thread_spawn_in_file(f: &SrcFile) -> Vec<Finding> {
     for k in 3..f.sig.len() {
         let t = f.tok(k);
         if t.kind == Kind::Ident
-            && t.text(&f.text) == "spawn"
+            && matches!(t.text(&f.text), "spawn" | "Builder")
             && f.txt(k - 1) == ":"
             && f.txt(k - 2) == ":"
             && f.txt(k - 3) == "thread"

@@ -187,6 +187,20 @@ pub fn self_test() -> Result<(), String> {
             "fn f() {\n    let t = std::thread::spawn(move || 1); // lint: allow(thread-spawn)\n}\n",
             0,
         ),
+        (
+            "thread-spawn",
+            "crates/serve/src/shard.rs",
+            // A named thread through `thread::Builder` is a spawn too.
+            "fn f() {\n    let h = std::thread::Builder::new().name(\"shard-0\".into()).spawn(|| {});\n}\n",
+            1,
+        ),
+        (
+            "thread-spawn",
+            "crates/serve/src/shard.rs",
+            // ... and the marker above it suppresses, as for a plain spawn.
+            "fn f() {\n    // Writer thread, joined through the set.\n    // lint: allow(thread-spawn)\n    let h = std::thread::Builder::new().name(\"shard-0\".into()).spawn(|| {});\n}\n",
+            0,
+        ),
     ];
     for (k, &(rule, path, src, want)) in cases.iter().enumerate() {
         let found = lint_file(path, src);
