@@ -8,7 +8,6 @@ use std::hint::black_box;
 use mec_core::appro::{appro, ApproConfig, SlotPricing, SplitMode};
 use mec_core::game::MoveOrder;
 use mec_core::lcf::{lcf, LcfConfig, SelectionRule};
-use mec_gap::LpBackend;
 use mec_workload::{gtitm_scenario, Params, Scenario};
 
 fn scenario() -> Scenario {
@@ -35,7 +34,6 @@ fn bench_pricing(c: &mut Criterion) {
                     pricing: SlotPricing::Flat,
                     repair_capacity: true,
                     polish: false,
-                    lp_backend: LpBackend::Auto,
                 },
             )
             .unwrap()

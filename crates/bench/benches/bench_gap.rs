@@ -1,5 +1,6 @@
-//! Criterion benchmarks of the GAP substrate: LP relaxation (simplex) vs
-//! the transportation fast path, and the full Shmoys–Tardos pipeline.
+//! Criterion benchmarks of the GAP substrate: the LP relaxation (a
+//! transportation flow with its duals) and the full Shmoys–Tardos
+//! pipeline against the greedy heuristic.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -31,14 +32,9 @@ fn bench_relaxations(c: &mut Criterion) {
     for (items, bins) in [(20usize, 8usize), (40, 16), (80, 32)] {
         let inst = random_instance(items, bins, 7);
         g.bench_with_input(
-            BenchmarkId::new("simplex_lp", format!("{items}x{bins}")),
-            &inst,
-            |b, inst| b.iter(|| lp_relax::solve_lp(black_box(inst)).unwrap()),
-        );
-        g.bench_with_input(
             BenchmarkId::new("transportation", format!("{items}x{bins}")),
             &inst,
-            |b, inst| b.iter(|| lp_relax::solve_transportation(black_box(inst)).unwrap()),
+            |b, inst| b.iter(|| lp_relax::solve_relaxation(black_box(inst)).unwrap()),
         );
     }
     g.finish();

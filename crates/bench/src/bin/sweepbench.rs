@@ -12,12 +12,12 @@
 //!   plus one profile clone per round; the incremental path pays none).
 //!
 //! * **appro** (`sweepbench appro`) — the end-to-end `appro` pipeline over
-//!   a providers × cloudlets grid, one timing per LP backend (dense
-//!   tableau, sparse revised simplex, bipartite transportation fast
-//!   path), written to `BENCH_appro.json`. Backends are checked to agree
-//!   on the LP lower bound and the rounded assignment cost before anything
-//!   is timed. `--smoke` runs one tiny cell once per backend — the CI
-//!   bit-rot guard, valid in debug builds because it never writes.
+//!   a providers × cloudlets grid, written to `BENCH_appro.json`: per cell
+//!   the best wall clock of its reps, the LP lower bound and the rounded
+//!   assignment cost, each row stamped with its build profile, core count
+//!   and commit. Every rep must reproduce the first one's bound and cost.
+//!   `--smoke` runs one tiny cell once — the CI bit-rot guard, valid in
+//!   debug builds because it never writes.
 //!
 //! * **scenarios** (`sweepbench scenarios`) — no timing: replays the
 //!   standard dynamic-popularity traces (diurnal Zipf, flash crowd,
@@ -32,11 +32,11 @@
 //!   `BENCH_appro.json` as the canonical markdown performance table that
 //!   README.md embeds (kept in sync by `tests/readme_table.rs`).
 //!
-//! Both timing modes verify their compared paths agree before timing, and
+//! Both timing modes check their results before recording a time, and
 //! both refuse to overwrite their checked-in artifact from a debug build.
 //!
-//! `--obs <path>` (either mode) streams mec-obs events — phase spans, LP
-//! pivot counts, per-round potential, move counters — to `<path>` as JSONL;
+//! `--obs <path>` (either mode) streams mec-obs events — phase spans,
+//! rounding slot counts, per-round potential, move counters — to `<path>` as JSONL;
 //! summarize with `obsreport <path>`. Requires building with `--features
 //! obs` (otherwise the flag warns and is ignored). Because the probes add
 //! overhead inside the timed loops, an `--obs` run also refuses to
@@ -50,7 +50,6 @@ use mec_core::appro::{appro, ApproConfig};
 use mec_core::game::{BestResponseDynamics, Convergence, MoveOrder};
 use mec_core::model::{CloudletSpec, Market, ProviderSpec};
 use mec_core::Profile;
-use mec_gap::LpBackend;
 use mec_workload::{gtitm_scenario, Params, Scenario};
 
 struct Measured {
@@ -174,11 +173,11 @@ fn appro_market(providers: usize, cloudlets: usize) -> Market {
     }
     // Continuous (hash-jittered) demands: discrete demand classes would let
     // equal-weight providers swap bins at tight capacity rows for free,
-    // creating families of optimal LP vertices separated by less than the
-    // solvers' pricing tolerance — and the backends would then round
-    // different vertices to different assignments. With no two providers
-    // sharing a weight, those swap directions are capacity-infeasible and
-    // the optimum is isolated.
+    // creating families of optimal LP vertices separated by less than a
+    // solver's tolerance — and which vertex a solver lands on, hence the
+    // recorded assignment cost, would depend on its tie-breaking. With no
+    // two providers sharing a weight, those swap directions are
+    // capacity-infeasible and the optimum is isolated.
     for k in 0..providers {
         b = b.provider(ProviderSpec::new(
             1.0 + 2.0 * pair_jitter(k, usize::MAX - 1),
@@ -189,8 +188,8 @@ fn appro_market(providers: usize, cloudlets: usize) -> Market {
     }
     // Per-pair update-cost jitter makes the LP optimum generically unique:
     // a separable cost (provider term + cloudlet term) admits equal-cost
-    // provider swaps between bins, and the backends then legitimately land
-    // on different optimal vertices that round to different assignments.
+    // provider swaps between bins, whose optimal vertices round to
+    // different assignments.
     // A *linear* jitter (a*l + b*i mod p) stays separable wherever the mod
     // doesn't wrap and leaves exact tie cycles, so the jitter must be a
     // hash: alternating sums over any swap cycle are then nonzero except
@@ -220,78 +219,71 @@ struct ApproCell {
     slots_per_cloudlet: usize,
     lp_lower_bound: f64,
     flat_cost: f64,
-    /// Per backend: (label, best seconds, reps).
-    timings: Vec<(&'static str, f64, usize)>,
+    /// Best wall clock over `reps` timed runs.
+    seconds: f64,
+    reps: usize,
 }
 
-/// Times `appro` under each backend on one grid cell. Before timing,
-/// asserts all backends agree on the LP lower bound and rounded-assignment
-/// cost (equal-cost ties allowed — the costs must match, the placements
-/// need not).
-fn measure_appro(providers: usize, cloudlets: usize, reps: usize, dense_reps: usize) -> ApproCell {
+/// Times `appro` on one grid cell. Every timed rep must reproduce the
+/// untimed first run's LP lower bound and rounded-assignment cost.
+fn measure_appro(providers: usize, cloudlets: usize, reps: usize) -> ApproCell {
     let market = appro_market(providers, cloudlets);
-    // MergedSlots + Flat + repair, no polish: the LP dominates the
-    // pipeline, which is what the backends differ on.
-    let config = |backend| ApproConfig::paper_flat().with_lp_backend(backend);
-
-    let backends = [
-        ("transportation", LpBackend::Transportation, reps),
-        ("revised", LpBackend::Revised, reps),
-        ("dense", LpBackend::Dense, dense_reps),
-    ];
-
-    // Agreement check (also warms up): every backend must reproduce the
-    // same relaxation optimum and assignment cost.
-    let reference = appro(&market, &config(LpBackend::Transportation)).expect("appro failed");
-    let mut timings = Vec::new();
-    for (label, backend, cell_reps) in backends {
-        let mut best = f64::INFINITY;
-        for _ in 0..cell_reps {
-            let start = Instant::now();
-            let sol = appro(&market, &config(backend)).expect("appro failed");
-            best = best.min(start.elapsed().as_secs_f64());
-            assert!(
-                (sol.lp_lower_bound - reference.lp_lower_bound).abs()
-                    < 1e-6 * (1.0 + reference.lp_lower_bound.abs()),
-                "{label}: LP bound {} diverges from {}",
-                sol.lp_lower_bound,
-                reference.lp_lower_bound
-            );
-            assert!(
-                (sol.flat_cost - reference.flat_cost).abs()
-                    < 1e-6 * (1.0 + reference.flat_cost.abs()),
-                "{label}: assignment cost {} diverges from {} (not an equal-cost tie)",
-                sol.flat_cost,
-                reference.flat_cost
-            );
-        }
-        eprintln!(
-            "  providers {providers:5} cloudlets {cloudlets:3} {label:>14}: {best:.4}s (min of {cell_reps})"
+    // MergedSlots + Flat + repair, no polish: the GAP solve dominates the
+    // pipeline.
+    let config = ApproConfig::paper_flat();
+    let reference = appro(&market, &config).expect("appro failed");
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let sol = appro(&market, &config).expect("appro failed");
+        best = best.min(start.elapsed().as_secs_f64());
+        assert!(
+            sol.lp_lower_bound.to_bits() == reference.lp_lower_bound.to_bits()
+                && sol.flat_cost.to_bits() == reference.flat_cost.to_bits(),
+            "appro is not deterministic: bound {} / cost {} vs {} / {}",
+            sol.lp_lower_bound,
+            sol.flat_cost,
+            reference.lp_lower_bound,
+            reference.flat_cost
         );
-        timings.push((label, best, cell_reps));
     }
-
+    eprintln!("  providers {providers:5} cloudlets {cloudlets:3}: {best:.4}s (min of {reps})");
     ApproCell {
         providers,
         cloudlets,
         slots_per_cloudlet: ((providers * 4) / (5 * cloudlets)).max(2),
         lp_lower_bound: reference.lp_lower_bound,
         flat_cost: reference.flat_cost,
-        timings,
+        seconds: best,
+        reps,
     }
 }
 
-fn appro_json_row(c: &ApproCell) -> String {
-    let secs = |label: &str| {
-        c.timings
-            .iter()
-            .find(|(l, _, _)| *l == label)
-            .map(|&(_, s, r)| (s, r))
-            .expect("backend timed")
+/// The checked-out commit, read from `.git` in the working directory
+/// (`unknown` outside a checkout).
+fn git_commit() -> String {
+    let read = |path: &str| std::fs::read_to_string(path).ok();
+    let Some(head) = read(".git/HEAD") else {
+        return "unknown".into();
     };
-    let (dense_s, dense_r) = secs("dense");
-    let (revised_s, revised_r) = secs("revised");
-    let (transportation_s, transportation_r) = secs("transportation");
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Some(id) = read(&format!(".git/{reference}")) {
+        return id.trim().to_string();
+    }
+    read(".git/packed-refs")
+        .and_then(|packed| {
+            packed
+                .lines()
+                .find(|l| l.ends_with(&format!(" {reference}")))
+                .and_then(|l| l.split_whitespace().next().map(str::to_string))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+fn appro_json_row(c: &ApproCell, provenance: &str) -> String {
     format!(
         concat!(
             "    {{\n",
@@ -300,15 +292,9 @@ fn appro_json_row(c: &ApproCell) -> String {
             "      \"slots_per_cloudlet\": {},\n",
             "      \"lp_lower_bound\": {:.6},\n",
             "      \"assignment_flat_cost\": {:.6},\n",
-            "      \"dense_seconds\": {:.6},\n",
-            "      \"dense_reps\": {},\n",
-            "      \"revised_seconds\": {:.6},\n",
-            "      \"revised_reps\": {},\n",
-            "      \"transportation_seconds\": {:.6},\n",
-            "      \"transportation_reps\": {},\n",
-            "      \"speedup_revised_vs_dense\": {:.2},\n",
-            "      \"speedup_transportation_vs_dense\": {:.2},\n",
-            "      \"assignment_costs_match\": true\n",
+            "      \"seconds\": {:.6},\n",
+            "      \"reps\": {},\n",
+            "{}\n",
             "    }}"
         ),
         c.providers,
@@ -316,20 +302,14 @@ fn appro_json_row(c: &ApproCell) -> String {
         c.slots_per_cloudlet,
         c.lp_lower_bound,
         c.flat_cost,
-        dense_s,
-        dense_r,
-        revised_s,
-        revised_r,
-        transportation_s,
-        transportation_r,
-        dense_s / revised_s,
-        dense_s / transportation_s,
+        c.seconds,
+        c.reps,
+        provenance,
     )
 }
 
 fn run_appro_sweep(quick: bool, smoke: bool) {
-    // (providers, cloudlets): the headline cell is 1000 × 80 (ISSUE 3
-    // acceptance: ≥ 5× end-to-end speedup over the dense tableau there).
+    // (providers, cloudlets); the largest cell is the headline.
     let grid: &[(usize, usize)] = if smoke {
         &[(30, 5)]
     } else if quick {
@@ -338,38 +318,33 @@ fn run_appro_sweep(quick: bool, smoke: bool) {
         &[(100, 10), (300, 30), (1000, 80)]
     };
     let reps = if smoke { 1 } else { 5 };
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let provenance = format!(
+        "      \"profile\": \"{profile}\",\n      \"cores\": {},\n      \"commit\": \"{}\"",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        git_commit(),
+    );
 
-    let mut rows = Vec::new();
-    for &(providers, cloudlets) in grid {
-        // The dense tableau at the headline cell runs minutes per solve;
-        // one measured rep is honest (recorded per cell in the JSON) and
-        // keeps regeneration tractable. Fast backends always get min-of-5.
-        let dense_reps = if providers * cloudlets > 10_000 {
-            1
-        } else {
-            reps
-        };
-        rows.push(measure_appro(providers, cloudlets, reps, dense_reps));
-    }
-
-    let body: Vec<String> = rows.iter().map(appro_json_row).collect();
+    let body: Vec<String> = grid
+        .iter()
+        .map(|&(providers, cloudlets)| {
+            appro_json_row(&measure_appro(providers, cloudlets, reps), &provenance)
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n",
             "  \"benchmark\": \"appro_pipeline_sweep\",\n",
             "  \"config\": \"merged_slots, flat pricing, repair on, polish off\",\n",
-            "  \"build\": \"{}\",\n",
-            "  \"note\": \"end-to-end appro() wall clock per LP backend; min of the recorded ",
-            "reps per cell; all backends verified to agree on the LP bound and the rounded ",
-            "assignment cost before timing\",\n",
+            "  \"note\": \"end-to-end appro() wall clock, min of the recorded reps per cell; ",
+            "every rep reproduced the LP bound and the rounded assignment cost\",\n",
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        },
         body.join(",\n"),
     );
     // Like BENCH_dynamics.json: the checked-in artifact is release-only,

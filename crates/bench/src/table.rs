@@ -109,23 +109,21 @@ impl fmt::Display for Table {
     }
 }
 
-/// One grid cell of the Appro LP-backend sweep (`BENCH_appro.json`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One grid cell of the Appro pipeline sweep (`BENCH_appro.json`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApproPerfRow {
     /// Provider count of the cell.
     pub providers: u64,
     /// Cloudlet count of the cell.
     pub cloudlets: u64,
-    /// End-to-end `appro` wall clock, dense tableau backend.
-    pub dense_seconds: f64,
-    /// End-to-end `appro` wall clock, sparse revised simplex backend.
-    pub revised_seconds: f64,
-    /// End-to-end `appro` wall clock, transportation fast path.
-    pub transportation_seconds: f64,
-    /// `dense_seconds / revised_seconds` as recorded by the sweep.
-    pub speedup_revised: f64,
-    /// `dense_seconds / transportation_seconds` as recorded by the sweep.
-    pub speedup_transportation: f64,
+    /// End-to-end `appro` wall clock, best of the cell's reps.
+    pub seconds: f64,
+    /// Build profile the row was measured on (`release` or `debug`).
+    pub profile: String,
+    /// Cores available to the measuring process.
+    pub cores: u64,
+    /// Commit the row was measured on.
+    pub commit: String,
 }
 
 /// Extracts the per-cell timings from the pretty-printed
@@ -139,7 +137,7 @@ pub struct ApproPerfRow {
 /// let json = include_str!("../../../BENCH_appro.json");
 /// let rows = mec_bench::table::parse_appro_bench(json);
 /// assert_eq!(rows.len(), 3);
-/// assert!(rows.iter().all(|r| r.speedup_revised > 1.0));
+/// assert!(rows.iter().all(|r| r.seconds > 0.0 && r.profile == "release"));
 /// ```
 pub fn parse_appro_bench(json: &str) -> Vec<ApproPerfRow> {
     let mut rows: Vec<ApproPerfRow> = Vec::new();
@@ -154,11 +152,10 @@ pub fn parse_appro_bench(json: &str) -> Vec<ApproPerfRow> {
             rows.push(ApproPerfRow {
                 providers: value.parse().unwrap_or(0),
                 cloudlets: 0,
-                dense_seconds: 0.0,
-                revised_seconds: 0.0,
-                transportation_seconds: 0.0,
-                speedup_revised: 0.0,
-                speedup_transportation: 0.0,
+                seconds: 0.0,
+                profile: String::new(),
+                cores: 0,
+                commit: String::new(),
             });
             continue;
         }
@@ -167,17 +164,10 @@ pub fn parse_appro_bench(json: &str) -> Vec<ApproPerfRow> {
         };
         match key {
             "cloudlets" => row.cloudlets = value.parse().unwrap_or(0),
-            "dense_seconds" => row.dense_seconds = value.parse().unwrap_or(0.0),
-            "revised_seconds" => row.revised_seconds = value.parse().unwrap_or(0.0),
-            "transportation_seconds" => {
-                row.transportation_seconds = value.parse().unwrap_or(0.0);
-            }
-            "speedup_revised_vs_dense" => {
-                row.speedup_revised = value.parse().unwrap_or(0.0);
-            }
-            "speedup_transportation_vs_dense" => {
-                row.speedup_transportation = value.parse().unwrap_or(0.0);
-            }
+            "seconds" => row.seconds = value.parse().unwrap_or(0.0),
+            "profile" => row.profile = value.trim_matches('"').to_string(),
+            "cores" => row.cores = value.parse().unwrap_or(0),
+            "commit" => row.commit = value.trim_matches('"').to_string(),
             _ => {}
         }
     }
@@ -204,14 +194,7 @@ fn fmt_secs(v: f64) -> String {
 /// (a test in `tests/` asserts they stay in sync). Print it with
 /// `cargo run -p mec-bench --bin sweepbench -- table`.
 pub fn appro_perf_markdown(rows: &[ApproPerfRow]) -> String {
-    const HEADERS: [&str; 6] = [
-        "providers × cloudlets",
-        "dense tableau",
-        "revised simplex",
-        "transportation",
-        "speedup (revised)",
-        "speedup (transp.)",
-    ];
+    const HEADERS: [&str; 2] = ["providers × cloudlets", "appro() wall clock"];
     let widths: Vec<usize> = HEADERS.iter().map(|h| h.chars().count()).collect();
     let mut out = String::new();
     out.push('|');
@@ -237,11 +220,7 @@ pub fn appro_perf_markdown(rows: &[ApproPerfRow]) -> String {
     for r in rows {
         let cells = [
             format!("{} × {}", r.providers, r.cloudlets),
-            fmt_secs(r.dense_seconds),
-            fmt_secs(r.revised_seconds),
-            fmt_secs(r.transportation_seconds),
-            format!("{:.1}×", r.speedup_revised),
-            format!("{:.1}×", r.speedup_transportation),
+            fmt_secs(r.seconds),
         ];
         out.push('|');
         for (cell, w) in cells.iter().zip(&widths) {
@@ -299,11 +278,12 @@ mod tests {
     {
       "providers": 100,
       "cloudlets": 10,
-      "dense_seconds": 0.059784,
-      "revised_seconds": 0.009505,
-      "transportation_seconds": 0.008674,
-      "speedup_revised_vs_dense": 6.29,
-      "speedup_transportation_vs_dense": 6.89
+      "lp_lower_bound": 248.840770,
+      "seconds": 0.008674,
+      "reps": 5,
+      "profile": "release",
+      "cores": 2,
+      "commit": "664f8f2"
     }
   ]
 }"#;
@@ -311,37 +291,35 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].providers, 100);
         assert_eq!(rows[0].cloudlets, 10);
-        assert!((rows[0].dense_seconds - 0.059784).abs() < 1e-12);
-        assert!((rows[0].speedup_transportation - 6.89).abs() < 1e-12);
+        assert!((rows[0].seconds - 0.008674).abs() < 1e-12);
+        assert_eq!(rows[0].profile, "release");
+        assert_eq!(rows[0].cores, 2);
+        assert_eq!(rows[0].commit, "664f8f2");
     }
 
     #[test]
     fn markdown_formats_cells_by_magnitude() {
-        let row = ApproPerfRow {
-            providers: 1000,
+        let row = |providers, seconds| ApproPerfRow {
+            providers,
             cloudlets: 80,
-            dense_seconds: 3800.360624,
-            revised_seconds: 23.172053,
-            transportation_seconds: 5.403851,
-            speedup_revised: 164.01,
-            speedup_transportation: 703.27,
+            seconds,
+            profile: "release".into(),
+            cores: 2,
+            commit: String::new(),
         };
-        let md = appro_perf_markdown(&[row]);
-        let mut lines = md.lines();
-        let header = lines.next().unwrap();
-        let sep = lines.next().unwrap();
-        let body = lines.next().unwrap();
-        assert_eq!(header.chars().count(), sep.chars().count());
-        assert_eq!(header.chars().count(), body.chars().count());
-        for cell in [
-            "1000 × 80",
-            "3800 s",
-            "23.2 s",
-            "5.40 s",
-            "164.0×",
-            "703.3×",
+        let md = appro_perf_markdown(&[row(100, 0.008674), row(1000, 23.172053)]);
+        let lines: Vec<&str> = md.lines().collect();
+        assert_eq!(lines.len(), 4);
+        for line in &lines[1..] {
+            assert_eq!(line.chars().count(), lines[0].chars().count());
+        }
+        for (line, cells) in [
+            (lines[2], ["100 × 80", "0.009 s"]),
+            (lines[3], ["1000 × 80", "23.2 s"]),
         ] {
-            assert!(body.contains(cell), "missing `{cell}` in `{body}`");
+            for cell in cells {
+                assert!(line.contains(cell), "missing `{cell}` in `{line}`");
+            }
         }
     }
 }

@@ -27,23 +27,11 @@ fn readme_perf_table_matches_bench_artifact() {
 }
 
 #[test]
-fn artifact_rows_are_internally_consistent() {
+fn artifact_rows_carry_their_provenance() {
     for r in parse_appro_bench(BENCH_APPRO) {
-        let recomputed = r.dense_seconds / r.revised_seconds;
         assert!(
-            (recomputed - r.speedup_revised).abs() / r.speedup_revised < 0.01,
-            "recorded revised speedup {} disagrees with timings ({recomputed:.2}) \
-             at {} × {}",
-            r.speedup_revised,
-            r.providers,
-            r.cloudlets
-        );
-        let recomputed = r.dense_seconds / r.transportation_seconds;
-        assert!(
-            (recomputed - r.speedup_transportation).abs() / r.speedup_transportation < 0.01,
-            "recorded transportation speedup {} disagrees with timings ({recomputed:.2}) \
-             at {} × {}",
-            r.speedup_transportation,
+            r.seconds > 0.0 && r.profile == "release" && r.cores > 0 && !r.commit.is_empty(),
+            "row {} × {} lacks a release timing or its provenance: {r:?}",
             r.providers,
             r.cloudlets
         );

@@ -36,7 +36,7 @@
 //! Marginal pricing always uses per-slot bins (slot identity carries the
 //! price).
 
-use mec_gap::{shmoys_tardos, GapInstance, LpBackend, FORBIDDEN};
+use mec_gap::{lp_relax, shmoys_tardos, GapInstance, FORBIDDEN};
 use mec_topology::CloudletId;
 
 use crate::error::CoreError;
@@ -83,11 +83,6 @@ pub struct ApproConfig {
     /// close to the social optimum as single-provider moves allow. Enabled
     /// by default; disable to study the raw Shmoys–Tardos output.
     pub polish: bool,
-    /// Which relaxation backend solves the GAP LP ([`LpBackend::Auto`]
-    /// by default: the transportation fast path — Appro's instances always
-    /// qualify — with the revised simplex as the general fallback). Forcing
-    /// `Revised` or `Dense` is the benchmarking/differential-testing hook.
-    pub lp_backend: LpBackend,
 }
 
 impl ApproConfig {
@@ -98,7 +93,6 @@ impl ApproConfig {
             pricing: SlotPricing::MarginalCongestion,
             repair_capacity: true,
             polish: true,
-            lp_backend: LpBackend::Auto,
         }
     }
 
@@ -109,14 +103,7 @@ impl ApproConfig {
             pricing: SlotPricing::Flat,
             repair_capacity: true,
             polish: false,
-            lp_backend: LpBackend::Auto,
         }
-    }
-
-    /// This configuration with the given relaxation backend.
-    pub fn with_lp_backend(mut self, backend: LpBackend) -> Self {
-        self.lp_backend = backend;
-        self
     }
 }
 
@@ -187,7 +174,9 @@ pub fn approximation_ratio_bound(market: &Market) -> f64 {
 /// the flat GAP relaxation: the marginal social-cost saving per additional
 /// virtual-cloudlet slot. Zero for cloudlets whose capacity is slack —
 /// the infrastructure provider's signal for *where* expanding a cloudlet
-/// is worth money.
+/// is worth money. The prices are the relaxation's optimal duals, read
+/// off the transportation solver that also serves [`appro`]
+/// ([`mec_gap::lp_relax`]).
 ///
 /// # Errors
 ///
@@ -237,7 +226,7 @@ pub fn cloudlet_capacity_values(market: &Market) -> Result<Vec<f64>, CoreError> 
         inst.set_capacity(bins - 1, total_weight + 1.0);
     }
 
-    let prices = mec_gap::lp_relax::capacity_shadow_prices(&inst)?;
+    let prices = lp_relax::solve_relaxation(&inst)?.capacity_prices;
     let mut out = vec![0.0; market.cloudlet_count()];
     for (bi, &i) in bin_cloudlet.iter().enumerate() {
         out[i.index()] = prices[bi];
@@ -253,7 +242,6 @@ pub fn cloudlet_capacity_values(market: &Market) -> Result<Vec<f64>, CoreError> 
 ///   not stay remote.
 /// * [`CoreError::Infeasible`] — total demand exceeds what the virtual
 ///   cloudlets plus remote options can hold.
-/// * [`CoreError::Gap`] — numerical failure in the GAP substrate.
 ///
 /// # Examples
 ///
@@ -402,7 +390,7 @@ pub fn appro(market: &Market, config: &ApproConfig) -> Result<ApproSolution, Cor
 
     let st = {
         let _span = mec_obs::span("appro.gap_solve");
-        shmoys_tardos::solve_with(&inst, config.lp_backend)?
+        shmoys_tardos::solve(&inst)?
     };
 
     // Merge virtual cloudlets back to physical cloudlets (Algorithm 1 step 4).
@@ -555,7 +543,6 @@ mod tests {
                 pricing: SlotPricing::Flat,
                 repair_capacity: false,
                 polish: false,
-                lp_backend: LpBackend::Auto,
             },
         )
         .unwrap();
@@ -573,47 +560,11 @@ mod tests {
                 pricing: SlotPricing::Flat,
                 repair_capacity: true,
                 polish: false,
-                lp_backend: LpBackend::Auto,
             },
         )
         .unwrap();
         // Same LP bound (the relaxations are equivalent up to slot symmetry).
         assert!((merged.lp_lower_bound - per_slot.lp_lower_bound).abs() < 1e-6);
-    }
-
-    #[test]
-    fn lp_backends_agree() {
-        // Every backend solves the same relaxation to optimality, so the
-        // LP bound is identical and the rounded assignments can differ only
-        // by equal-cost ties. Both pricings: flat over merged bins, and the
-        // default marginal pricing over per-slot bins (what `lcf` runs), on
-        // a market whose providers outnumber its slots.
-        let m = market(40, 5);
-        for config in [ApproConfig::paper_flat(), ApproConfig::new()] {
-            let auto = appro(&m, &config).unwrap();
-            for backend in [
-                LpBackend::Transportation,
-                LpBackend::Revised,
-                LpBackend::Dense,
-            ] {
-                let sol = appro(&m, &config.clone().with_lp_backend(backend)).unwrap();
-                assert!(
-                    (sol.lp_lower_bound - auto.lp_lower_bound).abs() < 1e-6,
-                    "{:?} {backend:?}: bound {} vs auto {}",
-                    config.pricing,
-                    sol.lp_lower_bound,
-                    auto.lp_lower_bound
-                );
-                assert!(
-                    (sol.flat_cost - auto.flat_cost).abs() < 1e-6,
-                    "{:?} {backend:?}: flat cost {} vs auto {}",
-                    config.pricing,
-                    sol.flat_cost,
-                    auto.flat_cost
-                );
-                assert!(sol.profile.is_feasible(&m));
-            }
-        }
     }
 
     #[test]

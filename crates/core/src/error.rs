@@ -19,8 +19,6 @@ pub enum CacheError {
     },
     /// The market as a whole cannot host every provider.
     Infeasible,
-    /// The GAP substrate failed.
-    Gap(GapError),
     /// A churn arrival named a provider that is already active.
     AlreadyActive {
         /// The doubly-arriving provider.
@@ -44,7 +42,6 @@ impl std::fmt::Display for CacheError {
                 write!(f, "provider {provider} has no feasible placement")
             }
             CacheError::Infeasible => write!(f, "market cannot host every provider"),
-            CacheError::Gap(e) => write!(f, "GAP substrate failed: {e}"),
             CacheError::AlreadyActive { provider } => {
                 write!(f, "churn arrival: {provider} is already active")
             }
@@ -55,14 +52,7 @@ impl std::fmt::Display for CacheError {
     }
 }
 
-impl std::error::Error for CacheError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CacheError::Gap(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for CacheError {}
 
 impl From<GapError> for CacheError {
     fn from(e: GapError) -> Self {
@@ -71,7 +61,6 @@ impl From<GapError> for CacheError {
                 provider: ProviderId(item),
             },
             GapError::Infeasible => CacheError::Infeasible,
-            other => CacheError::Gap(other),
         }
     }
 }

@@ -250,6 +250,7 @@ fn encode_with(
 /// malformed line.
 pub fn parse_snapshot(text: &str) -> Result<MarketSnapshot, SnapshotError> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let present = lines.clone().count();
     let header = json::parse_object(lines.next().ok_or_else(|| corrupt("empty file"))?)?;
     if json::get_str(&header, "type")? != "mec-snapshot" {
         return Err(corrupt("first record is not a mec-snapshot header"));
@@ -267,6 +268,19 @@ pub fn parse_snapshot(text: &str) -> Result<MarketSnapshot, SnapshotError> {
         return Err(corrupt(
             "snapshot must cover at least one cloudlet and provider",
         ));
+    }
+    // Bound the header's counts by the file before allocating for them:
+    // a cloudlet takes one record and a provider three, after the header.
+    // The end marker is not counted, so a file that lost only its end
+    // marker is reported as truncated below.
+    let needed = n
+        .checked_mul(3)
+        .and_then(|r| r.checked_add(m))
+        .and_then(|r| r.checked_add(1));
+    if needed.is_none_or(|needed| needed > present) {
+        return Err(corrupt(format!(
+            "header claims {m} cloudlets and {n} providers, file has {present} records"
+        )));
     }
 
     let mut cloudlets: Vec<Option<CloudletSpec>> = vec![None; m];
@@ -627,6 +641,33 @@ mod tests {
             parse_snapshot(&text),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn header_counts_beyond_the_file_are_rejected_before_allocating() {
+        // The file holds 2 cloudlets and 3 providers (13 records). A
+        // header claiming more than that must be refused before the
+        // parser allocates for the claim: 2^62 would abort on capacity
+        // overflow, and (2, 4) needs 15 records besides the end marker.
+        let text = encode_snapshot(3, &market(), &profile(), &[true, true, false]);
+        let body = &text[text.find('\n').unwrap()..];
+        for (m, n) in [
+            (1usize << 62, 3usize),
+            (2, 1 << 62),
+            (usize::MAX, usize::MAX),
+            (2, 4),
+        ] {
+            let forged = format!(
+                "{{\"type\":\"mec-snapshot\",\"version\":1,\"seq\":3,\
+                 \"cloudlets\":{m},\"providers\":{n}}}{body}"
+            );
+            match parse_snapshot(&forged) {
+                Err(SnapshotError::Corrupt(msg)) => {
+                    assert!(msg.contains("file has 13 records"), "{m} x {n}: {msg}")
+                }
+                other => panic!("{m} x {n}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! ([`crate::appro::appro`], [`crate::lcf::lcf`], the best-response
 //! dynamics, [`crate::local_search::social_local_search`]) self-certify
 //! their outputs and panic with a full report on any violation. The
-//! lower layers do the same: `mec-gap/verify` certifies Shmoys–Tardos
-//! assignments, `mec-lp/verify` certifies every simplex solve.
+//! GAP layer underneath does the same: `mec-gap/verify` certifies every
+//! relaxation with its duals (`mec_gap::check_relaxation`) and every
+//! Shmoys–Tardos assignment.
 
 use mec_topology::CloudletId;
 
@@ -105,8 +106,6 @@ pub enum Violation {
     },
     /// A violation reported by the GAP layer (`mec-gap`).
     Gap(mec_gap::GapViolation),
-    /// A violation reported by the LP layer (`mec-lp`).
-    Lp(mec_lp::LpViolation),
 }
 
 impl std::fmt::Display for Violation {
@@ -163,7 +162,6 @@ impl std::fmt::Display for Violation {
                 "{provider} can deviate {from} -> {to}, cutting cost {current_cost} -> {deviation_cost}"
             ),
             Violation::Gap(v) => write!(f, "gap: {v}"),
-            Violation::Lp(v) => write!(f, "lp: {v}"),
         }
     }
 }
@@ -171,12 +169,6 @@ impl std::fmt::Display for Violation {
 impl From<mec_gap::GapViolation> for Violation {
     fn from(v: mec_gap::GapViolation) -> Self {
         Violation::Gap(v)
-    }
-}
-
-impl From<mec_lp::LpViolation> for Violation {
-    fn from(v: mec_lp::LpViolation) -> Self {
-        Violation::Lp(v)
     }
 }
 
@@ -678,12 +670,6 @@ mod tests {
     fn lower_layer_violations_wrap() {
         let g: Violation = mec_gap::GapViolation::BinOutOfRange { item: 1, bin: 9 }.into();
         assert!(g.to_string().starts_with("gap:"));
-        let l: Violation = mec_lp::LpViolation::NegativeVariable {
-            index: 0,
-            value: -1.0,
-        }
-        .into();
-        assert!(l.to_string().starts_with("lp:"));
     }
 
     #[test]

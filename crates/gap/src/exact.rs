@@ -80,7 +80,7 @@ pub fn solve(inst: &GapInstance) -> Result<Assignment, GapError> {
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             for j in bins {
-                let w = self.inst.weight(item, j);
+                let w = self.inst.weight(item);
                 if w <= self.remaining[j] + 1e-12 {
                     self.remaining[j] -= w;
                     self.current[item] = j;

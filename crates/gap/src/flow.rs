@@ -18,6 +18,17 @@
 //! `dist[u] + rc(u, v)`. Forward arcs are uncapacitated (a source's own
 //! supply bounds them), and a bin's reverse arcs exist only for the arcs
 //! that carry flow into it.
+//!
+//! The final potentials are returned with the flow: they are an optimal
+//! dual solution of the transportation LP, which is how the relaxation
+//! reads its capacity prices ([`crate::lp_relax`]). Every forward arc keeps
+//! a non-negative reduced cost, and an arc carrying flow has reduced
+//! cost 0. The sink's potential never falls behind a bin's once that bin
+//! carries load: the augmentation that first loads a bin leaves its sink
+//! arc tight, and afterwards the sink is raised by `dist[t]` while no bin
+//! is raised by more. A bin with room left keeps its sink arc's reduced
+//! cost `pi[bin] - pi[t]` non-negative. So a bin that is neither empty nor
+//! full sits exactly at the sink's potential.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -64,6 +75,11 @@ pub struct TransportFlow {
     pub cost: f64,
     /// Flow on every arc, in the order the arcs were added.
     pub flow: Vec<f64>,
+    /// Final node potentials: items `0..n` in the order they were added,
+    /// then bins `n..n + m`, then the sink at `n + m`. For every arc
+    /// `i → j` of per-unit cost `c`, `c + potential[i] - potential[n + j]`
+    /// is non-negative, and zero when the arc carries flow.
+    pub potential: Vec<f64>,
 }
 
 #[derive(Debug, PartialEq)]
@@ -261,6 +277,7 @@ impl Transportation {
             routed,
             cost: total_cost,
             flow,
+            potential: pi,
         }
     }
 }
@@ -282,6 +299,51 @@ mod tests {
         assert_approx_eq!(r.cost, 3.0, 1e-12);
         assert_approx_eq!(r.flow[0], 1.0, 1e-12);
         assert_approx_eq!(r.flow[3], 1.0, 1e-12);
+    }
+
+    #[test]
+    fn potentials_price_every_arc() {
+        // Bin 0 (capacity 1) is contended, bin 1 (capacity 1) fills,
+        // bin 2 (capacity 3) keeps room.
+        let mut t = Transportation::new(vec![1.0, 1.0, 3.0]);
+        t.add_item(1.0, [(0, 1.0), (1, 2.0), (2, 6.0)]);
+        t.add_item(1.5, [(0, 1.0), (1, 4.0), (2, 5.0)]);
+        t.add_item(1.0, [(1, 1.0), (2, 2.0)]);
+        let r = t.solve();
+        assert_approx_eq!(r.routed, 3.5, 1e-12);
+        let (n, sink) = (3, 6);
+        let pi = &r.potential;
+        let mut load = [0.0; 3];
+        for (a, (item, bin, cost)) in [
+            (0, 0, 1.0),
+            (0, 1, 2.0),
+            (0, 2, 6.0),
+            (1, 0, 1.0),
+            (1, 1, 4.0),
+            (1, 2, 5.0),
+            (2, 1, 1.0),
+            (2, 2, 2.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let rc = cost + pi[item] - pi[n + bin];
+            assert!(rc > -1e-12, "arc {a}: reduced cost {rc}");
+            if r.flow[a] > 1e-12 {
+                assert_approx_eq!(rc, 0.0, 1e-12);
+            }
+            load[bin] += r.flow[a];
+        }
+        for (bin, cap) in [1.0, 1.0, 3.0].into_iter().enumerate() {
+            let slack = pi[n + bin] - pi[sink];
+            if load[bin] < cap - 1e-12 {
+                assert!(slack > -1e-12, "bin {bin} with room below the sink");
+            }
+            if load[bin] > 1e-12 {
+                assert!(slack < 1e-12, "loaded bin {bin} above the sink");
+            }
+        }
+        assert!(pi[sink] - pi[n] > 1e-9, "the contended bin is priced");
     }
 
     #[test]

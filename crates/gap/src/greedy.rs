@@ -60,7 +60,7 @@ pub fn solve(inst: &GapInstance) -> Result<Assignment, GapError> {
         #[allow(clippy::needless_range_loop)] // j is a bin id
         for j in 0..m {
             if inst.cost(i, j).is_finite()
-                && inst.weight(i, j) <= remaining[j] + 1e-12
+                && inst.weight(i) <= remaining[j] + 1e-12
                 && best.is_none_or(|b| inst.cost(i, j) < inst.cost(i, b))
             {
                 best = Some(j);
@@ -70,7 +70,7 @@ pub fn solve(inst: &GapInstance) -> Result<Assignment, GapError> {
             return Err(GapError::Infeasible);
         };
         of[i] = j;
-        remaining[j] -= inst.weight(i, j);
+        remaining[j] -= inst.weight(i);
     }
     Ok(Assignment::new(of))
 }

@@ -1,10 +1,13 @@
 //! Generalized Assignment Problem instances and assignments.
 //!
 //! A GAP instance has `n` items and `m` knapsacks (bins). Assigning item `i`
-//! to bin `j` costs `cost(i, j)` and consumes `weight(i, j)` of bin `j`'s
+//! to bin `j` costs `cost(i, j)` and consumes `weight(i)` of bin `j`'s
 //! capacity. The goal is a minimum-cost assignment of every item to exactly
 //! one bin, respecting capacities. The paper reduces its service-caching
-//! problem to GAP by treating virtual cloudlets as bins (Section III-B).
+//! problem to GAP by treating virtual cloudlets as bins (Section III-B);
+//! a service then weighs the same in every bin, which is why an item has
+//! one weight rather than one per bin. That is also what makes the LP
+//! relaxation a transportation problem ([`crate::lp_relax`]).
 
 use std::fmt;
 
@@ -31,6 +34,7 @@ pub struct GapInstance {
     items: usize,
     bins: usize,
     cost: Vec<f64>,
+    /// One weight per item: the same in every bin.
     weight: Vec<f64>,
     capacity: Vec<f64>,
 }
@@ -48,7 +52,7 @@ impl GapInstance {
             items,
             bins,
             cost: vec![0.0; items * bins],
-            weight: vec![0.0; items * bins],
+            weight: vec![0.0; items],
             capacity: vec![0.0; bins],
         }
     }
@@ -69,10 +73,10 @@ impl GapInstance {
         self.cost[item * self.bins + bin]
     }
 
-    /// Weight `item` puts on `bin`.
+    /// Weight `item` puts on whichever bin it is assigned to.
     #[inline]
-    pub fn weight(&self, item: usize, bin: usize) -> f64 {
-        self.weight[item * self.bins + bin]
+    pub fn weight(&self, item: usize) -> f64 {
+        self.weight[item]
     }
 
     /// Capacity of `bin`.
@@ -96,35 +100,32 @@ impl GapInstance {
         self
     }
 
-    /// Sets the weight of `item` in `bin`.
+    /// Sets every item's weight to `w` (items of equal size).
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range indices or a non-finite / negative weight.
-    pub fn set_weight(&mut self, item: usize, bin: usize, weight: f64) -> &mut Self {
-        assert!(item < self.items && bin < self.bins, "index out of range");
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "weight must be finite and >= 0, got {weight}"
-        );
-        self.weight[item * self.bins + bin] = weight;
-        self
-    }
-
-    /// Sets every (item, bin) weight to `w` (bin-independent items of equal size).
+    /// Panics on a non-finite or negative weight.
     pub fn set_uniform_weights(&mut self, w: f64) -> &mut Self {
-        assert!(w.is_finite() && w >= 0.0);
+        assert!(
+            w.is_finite() && w >= 0.0,
+            "weight must be finite and >= 0, got {w}"
+        );
         self.weight.fill(w);
         self
     }
 
-    /// Sets the weight of `item` to `w` in every bin (bin-independent weight).
+    /// Sets the weight of `item` to `w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range index or a non-finite / negative weight.
     pub fn set_item_weight(&mut self, item: usize, w: f64) -> &mut Self {
         assert!(item < self.items, "index out of range");
-        assert!(w.is_finite() && w >= 0.0);
-        for bin in 0..self.bins {
-            self.weight[item * self.bins + bin] = w;
-        }
+        assert!(
+            w.is_finite() && w >= 0.0,
+            "weight must be finite and >= 0, got {w}"
+        );
+        self.weight[item] = w;
         self
     }
 
@@ -140,60 +141,13 @@ impl GapInstance {
         self
     }
 
-    /// Returns `true` if item weights do not depend on the bin
-    /// (the transportation special case used by the paper's reduction).
-    pub fn has_bin_independent_weights(&self) -> bool {
-        (0..self.items).all(|i| {
-            let w0 = self.weight(i, 0);
-            (1..self.bins).all(|j| (self.weight(i, j) - w0).abs() < 1e-12)
-        })
-    }
-
     /// Returns whether `(item, bin)` is an admissible pair: the cost is not
     /// [`FORBIDDEN`] and the item fits the bin on its own. This is the
-    /// single admissibility predicate shared by every relaxation path.
+    /// single admissibility predicate shared by the relaxation, the
+    /// rounding and the certifiers.
     #[inline]
     pub fn is_allowed(&self, item: usize, bin: usize) -> bool {
-        self.cost(item, bin).is_finite() && self.weight(item, bin) <= self.capacity(bin) + 1e-12
-    }
-
-    /// Returns `true` if every item's weight is identical across all of its
-    /// *admissible* bins (see [`GapInstance::is_allowed`]).
-    ///
-    /// This is a strict superset of [`has_bin_independent_weights`]: pairs
-    /// ruled out by [`FORBIDDEN`] costs or per-bin fit may carry arbitrary
-    /// weights without affecting the relaxation, which only ever routes
-    /// flow over admissible arcs. It is exactly the class of instances the
-    /// paper's virtual-cloudlet reduction produces — uniform per-item slot
-    /// demand with per-item forbidden arcs — and the trigger for the
-    /// transportation fast path.
-    ///
-    /// [`has_bin_independent_weights`]: GapInstance::has_bin_independent_weights
-    pub fn has_uniform_allowed_weights(&self) -> bool {
-        (0..self.items).all(|i| {
-            let mut first = None;
-            (0..self.bins)
-                .filter(|&j| self.is_allowed(i, j))
-                .all(|j| match first {
-                    None => {
-                        first = Some(self.weight(i, j));
-                        true
-                    }
-                    Some(w) => (self.weight(i, j) - w).abs() < 1e-12,
-                })
-        })
-    }
-
-    /// A simple lower bound: every item at its cheapest allowed bin,
-    /// capacities ignored.
-    pub fn relaxed_lower_bound(&self) -> f64 {
-        (0..self.items)
-            .map(|i| {
-                (0..self.bins)
-                    .map(|j| self.cost(i, j))
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .sum()
+        self.cost(item, bin).is_finite() && self.weight(item) <= self.capacity(bin) + 1e-12
     }
 }
 
@@ -253,7 +207,7 @@ impl Assignment {
         assert_eq!(self.of.len(), inst.items(), "assignment/instance mismatch");
         let mut loads = vec![0.0; inst.bins()];
         for (i, j) in self.iter() {
-            loads[j] += inst.weight(i, j);
+            loads[j] += inst.weight(i);
         }
         loads
     }
@@ -308,7 +262,7 @@ mod tests {
         assert_eq!(inst.items(), 3);
         assert_eq!(inst.bins(), 2);
         assert_approx_eq!(inst.cost(0, 1), 4.0, 0.0);
-        assert_approx_eq!(inst.weight(2, 0), 1.0, 0.0);
+        assert_approx_eq!(inst.weight(2), 1.0, 0.0);
         assert_approx_eq!(inst.capacity(1), 2.0, 1e-12);
     }
 
@@ -330,26 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn bin_independent_weight_detection() {
-        let mut inst = small();
-        assert!(inst.has_bin_independent_weights());
-        inst.set_weight(0, 1, 2.0);
-        assert!(!inst.has_bin_independent_weights());
-    }
-
-    #[test]
-    fn relaxed_lower_bound_sums_row_minima() {
-        let inst = small();
-        assert_approx_eq!(inst.relaxed_lower_bound(), 1.0 + 1.0 + 2.0, 0.0);
-    }
-
-    #[test]
     fn item_weight_setter() {
         let mut inst = small();
         inst.set_item_weight(1, 5.0);
-        assert_approx_eq!(inst.weight(1, 0), 5.0, 0.0);
-        assert_approx_eq!(inst.weight(1, 1), 5.0, 0.0);
-        assert_approx_eq!(inst.weight(0, 0), 1.0, 0.0);
+        assert_approx_eq!(inst.weight(1), 5.0, 0.0);
+        assert_approx_eq!(inst.weight(0), 1.0, 0.0);
     }
 
     #[test]

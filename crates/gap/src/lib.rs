@@ -3,15 +3,18 @@
 //! The paper's `Appro` algorithm reduces service caching to GAP and invokes
 //! the Shmoys–Tardos approximation \[34\]. This crate implements:
 //!
-//! * [`instance`] — GAP instances and assignments,
+//! * [`instance`] — GAP instances (one weight per item, the same in every
+//!   bin) and assignments,
 //! * [`flow`] — the bipartite transportation solver (successive shortest
-//!   paths from one item at a time) behind the relaxation's fast path and
-//!   the rounding's matching,
-//! * [`lp_relax`] — the LP relaxation (general simplex path — revised or
-//!   dense — plus a transportation fast path for per-item uniform weights
-//!   over admissible bins; select via [`LpBackend`]),
+//!   paths from one item at a time) behind both the relaxation and the
+//!   rounding's matching,
+//! * [`lp_relax`] — the LP relaxation, solved as a transportation problem,
+//!   with its optimal duals (capacity shadow prices) read off the flow's
+//!   final potentials,
 //! * [`shmoys_tardos`] — the LP rounding with its cost / augmented-capacity
 //!   guarantees,
+//! * [`verify`] — first-principles certificates for relaxations (duality)
+//!   and rounded assignments,
 //! * [`greedy`] — a regret heuristic (ablation baseline),
 //! * [`exact`] — branch-and-bound optimum for small instances (testing).
 //!
@@ -46,7 +49,7 @@ pub mod swap;
 pub mod verify;
 
 pub use instance::{Assignment, GapInstance, FORBIDDEN};
-pub use lp_relax::{capacity_shadow_prices, FractionalSolution, GapError, LpBackend};
+pub use lp_relax::{FractionalSolution, GapError};
 pub use shmoys_tardos::StSolution;
 pub use swap::{improve, SwapResult};
-pub use verify::{check_assignment, GapViolation};
+pub use verify::{check_assignment, check_relaxation, GapViolation};

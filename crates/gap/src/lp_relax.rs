@@ -6,45 +6,37 @@
 //! ```text
 //! minimize   Σ_ij c_ij x_ij
 //! subject to Σ_j x_ij = 1            for every item i
-//!            Σ_i w_ij x_ij ≤ CAP_j   for every bin j
-//!            x_ij ≥ 0, and x_ij = 0 whenever w_ij > CAP_j
+//!            Σ_i w_i x_ij ≤ CAP_j    for every bin j
+//!            x_ij ≥ 0, and x_ij = 0 whenever (i, j) is not admissible
 //! ```
 //!
-//! Three solution paths are provided, selected by [`LpBackend`]:
-//! * [`solve_lp`] — the general relaxation via the [`mec_lp`] simplex
-//!   (sparse revised by default, dense tableau as the reference oracle);
-//!   works for arbitrary bin-dependent weights.
-//! * [`solve_transportation`] — a transportation fast path
-//!   ([`crate::flow`]) for the *uniform-allowed-weight* case (`w_ij = w_i`
-//!   across every admissible bin,
-//!   [`GapInstance::has_uniform_allowed_weights`]), which is exactly the
-//!   class produced by the paper's virtual-cloudlet reduction — uniform
-//!   slot demand with per-item [`FORBIDDEN`] arcs. The relaxation is then
-//!   a transportation LP whose optimal vertex the flow computes.
+//! Every item weighs the same in every bin, so the substitution
+//! `y_ij = w_i · x_ij` makes this a transportation problem: item `i`
+//! supplies `w_i` units, bin `j` absorbs at most `CAP_j`, and a unit of
+//! `y_ij` costs `c_ij / w_i`. [`solve_relaxation`] solves it with
+//! [`crate::flow::Transportation`] and reads an optimal dual solution off
+//! the flow's final potentials (`π`, with the sink at `π_t`):
 //!
-//! [`FORBIDDEN`]: crate::instance::FORBIDDEN
-
-use mec_lp::{LpBuilder, LpError, Relation, SolverBackend};
+//! ```text
+//! maximize   Σ_i u_i − Σ_j CAP_j p_j
+//! subject to c_ij − u_i + w_i p_j ≥ 0   for every admissible (i, j)
+//!            p_j ≥ 0
+//!
+//! u_i = w_i (π_t − π_i)        (u_i = min_j c_ij for a weightless item)
+//! p_j = max(0, π_t − π_bin j)
+//! ```
+//!
+//! Dual feasibility is the flow's non-negative reduced cost on every
+//! forward arc: `c_ij / w_i + π_i − π_j ≥ 0` gives
+//! `c_ij − u_i + w_i (π_t − π_j) ≥ 0`, and `p_j` is at least `π_t − π_j`.
+//! The duality gap is zero: arcs carrying flow are tight; a bin with room
+//! left has `π_j ≥ π_t`, so its price is 0; and a bin carrying load has
+//! `π_j ≤ π_t`, so the clamp only ever zeroes the price of an empty bin
+//! (see the [`crate::flow`] module docs). [`crate::verify::check_relaxation`]
+//! re-checks all of this from the raw instance data.
 
 use crate::flow::Transportation;
 use crate::instance::GapInstance;
-
-/// Which relaxation path [`solve_relaxation_with`] takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpBackend {
-    /// Dispatch automatically: the transportation fast path whenever
-    /// [`GapInstance::has_uniform_allowed_weights`] holds, the revised
-    /// simplex otherwise.
-    #[default]
-    Auto,
-    /// Force the transportation fast path (panics when the instance is
-    /// outside its applicability class).
-    Transportation,
-    /// Force the general LP on the sparse revised simplex.
-    Revised,
-    /// Force the general LP on the dense tableau (reference oracle).
-    Dense,
-}
 
 /// Errors produced while relaxing/rounding a GAP instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +50,6 @@ pub enum GapError {
     /// The relaxation itself is infeasible (total weight exceeds total
     /// capacity in every fractional split).
     Infeasible,
-    /// The underlying LP solver failed.
-    Lp(LpError),
 }
 
 impl std::fmt::Display for GapError {
@@ -69,30 +59,27 @@ impl std::fmt::Display for GapError {
                 write!(f, "item {item} fits in no bin")
             }
             GapError::Infeasible => write!(f, "GAP relaxation is infeasible"),
-            GapError::Lp(e) => write!(f, "LP solver failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for GapError {}
 
-impl From<LpError> for GapError {
-    fn from(e: LpError) -> Self {
-        match e {
-            LpError::Infeasible => GapError::Infeasible,
-            other => GapError::Lp(other),
-        }
-    }
-}
-
-/// A fractional solution of the GAP relaxation: sparse `(item, bin, frac)`
-/// triples with `Σ_j frac(i, j) = 1` per item.
+/// An optimal solution of the GAP relaxation together with an optimal
+/// dual: sparse `(item, bin, frac)` triples with `Σ_j frac(i, j) = 1` per
+/// item, one dual `u_i` per item and one capacity price `p_j` per bin.
 #[derive(Debug, Clone)]
 pub struct FractionalSolution {
     /// Sparse nonzero fractions.
     pub fractions: Vec<(usize, usize, f64)>,
     /// Objective value `Σ c_ij x_ij` (a lower bound on the integral optimum).
     pub objective: f64,
+    /// Dual `u_i` of every item's assignment row.
+    pub item_duals: Vec<f64>,
+    /// Shadow price `p_j ≥ 0` of every bin's capacity: the marginal
+    /// *reduction* of the optimal assignment cost per extra unit of
+    /// capacity (zero when the bin's capacity is slack).
+    pub capacity_prices: Vec<f64>,
 }
 
 impl FractionalSolution {
@@ -104,197 +91,64 @@ impl FractionalSolution {
         }
         out
     }
-
-    /// Checks `Σ_j x_ij ≈ 1` for every item in `0..items`.
-    pub fn covers_all_items(&self, items: usize) -> bool {
-        let mut sums = vec![0.0; items];
-        for &(i, _, f) in &self.fractions {
-            sums[i] += f;
-        }
-        sums.iter().all(|s| (s - 1.0).abs() < 1e-6)
-    }
 }
 
-/// Returns whether `(item, bin)` is an admissible pair.
-fn allowed(inst: &GapInstance, i: usize, j: usize) -> bool {
-    inst.is_allowed(i, j)
-}
-
-fn check_items_fit(inst: &GapInstance) -> Result<(), GapError> {
-    for i in 0..inst.items() {
-        if !(0..inst.bins()).any(|j| allowed(inst, i, j)) {
-            return Err(GapError::ItemDoesNotFit { item: i });
-        }
-    }
-    Ok(())
-}
-
-/// The assignment LP of `inst`, plus the variable and row layout needed to
-/// interpret its solution: one variable per admissible `(item, bin)` pair
-/// (in `pairs` order), item `Eq` rows first (one per item, in item order),
-/// then one `Le` capacity row per bin that admits any item (`bin_row[j]`
-/// maps a bin to its row index, `None` when the bin admits nothing).
+/// Solves the GAP relaxation and its dual (see the module docs).
 ///
-/// This is the **single** construction shared by [`solve_lp`] and
-/// [`capacity_shadow_prices`], so the row layout the duals are read from
-/// cannot drift out of sync with the LP being solved.
-struct AssignmentLp {
-    lp: LpBuilder,
-    pairs: Vec<(usize, usize)>,
-    bin_row: Vec<Option<usize>>,
-}
-
-fn build_assignment_lp(inst: &GapInstance) -> AssignmentLp {
-    let n = inst.items();
-    let m = inst.bins();
-    // Variable layout: dense over allowed pairs.
-    let mut var_of = vec![usize::MAX; n * m];
-    let mut pairs = Vec::new();
-    for i in 0..n {
-        for j in 0..m {
-            if allowed(inst, i, j) {
-                var_of[i * m + j] = pairs.len();
-                pairs.push((i, j));
-            }
-        }
-    }
-    let nv = pairs.len();
-    let mut lp = LpBuilder::new(nv);
-    let costs: Vec<f64> = pairs.iter().map(|&(i, j)| inst.cost(i, j)).collect();
-    lp.objective(&costs);
-    // Item rows.
-    for i in 0..n {
-        let mut row = vec![0.0; nv];
-        for j in 0..m {
-            let v = var_of[i * m + j];
-            if v != usize::MAX {
-                row[v] = 1.0;
-            }
-        }
-        lp.constraint(&row, Relation::Eq, 1.0);
-    }
-    // Bin rows.
-    let mut bin_row = vec![None; m];
-    for j in 0..m {
-        let mut row = vec![0.0; nv];
-        let mut any = false;
-        for i in 0..n {
-            let v = var_of[i * m + j];
-            if v != usize::MAX {
-                row[v] = inst.weight(i, j);
-                any = true;
-            }
-        }
-        if any {
-            bin_row[j] = Some(lp.constraint_count());
-            lp.constraint(&row, Relation::Le, inst.capacity(j));
-        }
-    }
-    AssignmentLp { lp, pairs, bin_row }
-}
-
-/// Solves the GAP relaxation with the default simplex backend (the sparse
-/// revised simplex).
+/// A weightless item is assigned integrally to its cheapest admissible
+/// bin up front; every other item becomes a source of the transportation
+/// flow. With the `verify` cargo feature enabled, the solution is
+/// certified by [`crate::verify::check_relaxation`] before it is returned.
 ///
 /// # Errors
 ///
 /// * [`GapError::ItemDoesNotFit`] — some item is inadmissible everywhere.
-/// * [`GapError::Infeasible`] — the relaxation has no solution.
-/// * [`GapError::Lp`] — numerical trouble in the simplex.
-pub fn solve_lp(inst: &GapInstance) -> Result<FractionalSolution, GapError> {
-    solve_lp_with(inst, SolverBackend::default())
-}
-
-/// Solves the GAP relaxation with an explicit [`mec_lp`] backend.
-///
-/// # Errors
-///
-/// Same as [`solve_lp`].
-pub fn solve_lp_with(
-    inst: &GapInstance,
-    backend: SolverBackend,
-) -> Result<FractionalSolution, GapError> {
-    check_items_fit(inst)?;
-    let built = build_assignment_lp(inst);
-    let sol = built.lp.solve_with(backend)?;
-    let mut fractions = Vec::new();
-    for (v, &(i, j)) in built.pairs.iter().enumerate() {
-        if sol.x[v] > 1e-9 {
-            fractions.push((i, j, sol.x[v].min(1.0)));
-        }
-    }
-    Ok(FractionalSolution {
-        fractions,
-        objective: sol.objective,
-    })
-}
-
-/// Solves the relaxation as a transportation problem ([`crate::flow`])
-/// when every item's weight is uniform across its admissible bins.
-///
-/// The substitution `y_ij = w_i · x_ij` turns the relaxation into a
-/// transportation problem: item `i` supplies `w_i` units, bin `j` absorbs at
-/// most `CAP_j`, and a unit of `y_ij` costs `c_ij / w_i`. Zero-weight items
-/// are assigned integrally to their cheapest admissible bin up front.
-/// `w_i` is read at the item's first admissible bin, so [`FORBIDDEN`] pairs
-/// (or bins the item does not fit) may carry arbitrary weights — this is
-/// the whole instance class Appro's virtual-cloudlet split produces.
-///
-/// [`FORBIDDEN`]: crate::instance::FORBIDDEN
-///
-/// # Errors
-///
-/// Same as [`solve_lp`]; additionally returns [`GapError::Infeasible`] if
-/// the flow cannot route the full supply.
-///
-/// # Panics
-///
-/// Panics if some item's weight differs between two of its admissible bins
-/// (checked via [`GapInstance::has_uniform_allowed_weights`]).
-pub fn solve_transportation(inst: &GapInstance) -> Result<FractionalSolution, GapError> {
-    assert!(
-        inst.has_uniform_allowed_weights(),
-        "transportation fast path requires per-item uniform weights over admissible bins"
-    );
-    check_items_fit(inst)?;
+/// * [`GapError::Infeasible`] — the flow cannot route the full supply.
+pub fn solve_relaxation(inst: &GapInstance) -> Result<FractionalSolution, GapError> {
     let n = inst.items();
     let m = inst.bins();
+    for i in 0..n {
+        if !(0..m).any(|j| inst.is_allowed(i, j)) {
+            return Err(GapError::ItemDoesNotFit { item: i });
+        }
+    }
     let mut fractions = Vec::new();
     let mut objective = 0.0;
+    let mut item_duals = vec![0.0; n];
 
     let mut net = Transportation::new((0..m).map(|j| inst.capacity(j)).collect());
-    // The instance item, bin and weight behind every arc, in arc order.
+    // The instance item behind every flow source, in source order, and the
+    // item, bin and weight behind every arc, in arc order.
+    let mut sources = Vec::new();
     let mut arc_pairs = Vec::new();
     let mut total_supply = 0.0;
 
-    for i in 0..n {
-        // The item's uniform weight, read at its first admissible bin
-        // (check_items_fit guarantees one exists).
-        let w = (0..m)
-            .find(|&j| allowed(inst, i, j))
-            .map(|j| inst.weight(i, j))
-            .expect("checked by check_items_fit");
+    for (i, dual) in item_duals.iter_mut().enumerate() {
+        let w = inst.weight(i);
+        let bins = (0..m).filter(|&j| inst.is_allowed(i, j));
         if w <= 1e-12 {
-            // Weightless item: integral assignment to its cheapest bin.
-            let best = (0..m)
-                .filter(|&j| allowed(inst, i, j))
+            // Weightless item: integral assignment to its cheapest bin,
+            // which is also its dual.
+            let best = bins
                 .min_by(|&a, &b| {
                     inst.cost(i, a)
                         .partial_cmp(&inst.cost(i, b))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
-                .expect("checked by check_items_fit");
+                .expect("checked above: every item has an admissible bin");
             fractions.push((i, best, 1.0));
             objective += inst.cost(i, best);
+            *dual = inst.cost(i, best);
             continue;
         }
         total_supply += w;
-        let bins = (0..m).filter(|&j| allowed(inst, i, j));
+        sources.push(i);
         arc_pairs.extend(bins.clone().map(|j| (i, j, w)));
         net.add_item(w, bins.map(|j| (j, inst.cost(i, j) / w)));
     }
 
-    if total_supply > 0.0 {
+    let mut capacity_prices = vec![0.0; m];
+    if !sources.is_empty() {
         let res = net.solve();
         if res.routed + 1e-6 < total_supply {
             return Err(GapError::Infeasible);
@@ -305,80 +159,42 @@ pub fn solve_transportation(inst: &GapInstance) -> Result<FractionalSolution, Ga
                 fractions.push((i, j, (y / w).min(1.0)));
             }
         }
+        let pi = &res.potential;
+        let sink = pi[sources.len() + m];
+        for (k, &i) in sources.iter().enumerate() {
+            item_duals[i] = inst.weight(i) * (sink - pi[k]);
+        }
+        for (j, p) in capacity_prices.iter_mut().enumerate() {
+            *p = (sink - pi[sources.len() + j]).max(0.0);
+        }
     }
 
-    Ok(FractionalSolution {
+    let sol = FractionalSolution {
         fractions,
         objective,
-    })
-}
-
-/// Solves the relaxation with the best available method: the transportation
-/// fast path when every item's weight is uniform over its admissible bins,
-/// the general LP (revised simplex) otherwise.
-///
-/// # Errors
-///
-/// See [`solve_lp`].
-pub fn solve_relaxation(inst: &GapInstance) -> Result<FractionalSolution, GapError> {
-    solve_relaxation_with(inst, LpBackend::Auto)
-}
-
-/// Solves the relaxation through an explicit [`LpBackend`].
-///
-/// # Errors
-///
-/// See [`solve_lp`].
-///
-/// # Panics
-///
-/// [`LpBackend::Transportation`] panics when the instance is outside the
-/// fast path's applicability class (see [`solve_transportation`]).
-pub fn solve_relaxation_with(
-    inst: &GapInstance,
-    backend: LpBackend,
-) -> Result<FractionalSolution, GapError> {
-    match backend {
-        LpBackend::Auto => {
-            if inst.has_uniform_allowed_weights() {
-                solve_transportation(inst)
-            } else {
-                solve_lp_with(inst, SolverBackend::Revised)
-            }
-        }
-        LpBackend::Transportation => solve_transportation(inst),
-        LpBackend::Revised => solve_lp_with(inst, SolverBackend::Revised),
-        LpBackend::Dense => solve_lp_with(inst, SolverBackend::Dense),
+        item_duals,
+        capacity_prices,
+    };
+    #[cfg(feature = "verify")]
+    {
+        let violations = crate::verify::check_relaxation(inst, &sol, 1e-6);
+        assert!(
+            violations.is_empty(),
+            "GAP relaxation self-certification failed:\n{}",
+            violations
+                .iter()
+                .map(|v| format!("  - {v}"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
     }
-}
-
-/// Shadow price of every bin's capacity at the LP optimum: the marginal
-/// *reduction* of the optimal assignment cost per extra unit of capacity
-/// (non-negative; zero when the bin's capacity is slack).
-///
-/// Solves the general LP (the transportation fast path does not produce
-/// duals) and negates the `≤`-row duals of the capacity constraints.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lp`].
-pub fn capacity_shadow_prices(inst: &GapInstance) -> Result<Vec<f64>, GapError> {
-    check_items_fit(inst)?;
-    let built = build_assignment_lp(inst);
-    let sol = built.lp.solve()?;
-    Ok(built
-        .bin_row
-        .iter()
-        .map(|row| match row {
-            Some(r) => (-sol.duals[*r]).max(0.0),
-            None => 0.0,
-        })
-        .collect())
+    Ok(sol)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::{Assignment, FORBIDDEN};
 
     fn tight() -> GapInstance {
         // 2 items of weight 1, 2 bins of capacity 1; diagonal is cheap.
@@ -392,33 +208,21 @@ mod tests {
     }
 
     #[test]
-    fn lp_matches_known_optimum() {
-        let sol = solve_lp(&tight()).unwrap();
-        assert!((sol.objective - 2.0).abs() < 1e-6);
-        assert!(sol.covers_all_items(2));
-    }
-
-    #[test]
-    fn transportation_matches_lp() {
+    fn matches_known_optimum() {
         let inst = tight();
-        let a = solve_lp(&inst).unwrap();
-        let b = solve_transportation(&inst).unwrap();
-        assert!((a.objective - b.objective).abs() < 1e-6);
-        assert!(b.covers_all_items(2));
+        let sol = solve_relaxation(&inst).unwrap();
+        assert!((sol.objective - 2.0).abs() < 1e-6);
+        assert!(crate::verify::check_relaxation(&inst, &sol, 1e-9).is_empty());
     }
 
     #[test]
-    fn fractional_split_when_forced() {
-        // One bin with capacity 1, two items of weight 1: infeasible.
+    fn infeasible_when_capacity_is_short() {
+        // One bin with capacity 1, two items of weight 1.
         let mut inst = GapInstance::new(2, 1);
         inst.set_cost(0, 0, 1.0).set_cost(1, 0, 1.0);
         inst.set_uniform_weights(1.0);
         inst.set_capacity(0, 1.0);
-        assert_eq!(solve_lp(&inst).unwrap_err(), GapError::Infeasible);
-        assert_eq!(
-            solve_transportation(&inst).unwrap_err(),
-            GapError::Infeasible
-        );
+        assert_eq!(solve_relaxation(&inst).unwrap_err(), GapError::Infeasible);
     }
 
     #[test]
@@ -429,7 +233,7 @@ mod tests {
         inst.set_capacity(0, 1.0);
         inst.set_capacity(1, 1.0);
         assert_eq!(
-            solve_lp(&inst).unwrap_err(),
+            solve_relaxation(&inst).unwrap_err(),
             GapError::ItemDoesNotFit { item: 0 }
         );
     }
@@ -442,27 +246,28 @@ mod tests {
         inst.set_uniform_weights(0.0);
         inst.set_capacity(0, 0.0);
         inst.set_capacity(1, 0.0);
-        let sol = solve_transportation(&inst).unwrap();
+        let sol = solve_relaxation(&inst).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-9);
+        assert_eq!(sol.item_duals, vec![1.0, 1.0]);
+        assert_eq!(sol.capacity_prices, vec![0.0, 0.0]);
     }
 
     #[test]
-    fn fractional_when_capacity_forces_split() {
-        // 1 item weight 2; two bins capacity 1 each: x must split 0.5/0.5.
+    fn fits_whole_in_the_cheapest_bin() {
+        // 1 item of weight 2; both bins hold it, bin 0 is cheaper.
         let mut inst = GapInstance::new(1, 2);
         inst.set_cost(0, 0, 2.0).set_cost(0, 1, 4.0);
         inst.set_uniform_weights(2.0);
         inst.set_capacity(0, 2.0);
         inst.set_capacity(1, 2.0);
-        let sol = solve_transportation(&inst).unwrap();
-        // Fits entirely in bin 0 (cheapest).
+        let sol = solve_relaxation(&inst).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn respects_forbidden_pairs() {
         let mut inst = tight();
-        inst.set_cost(0, 0, crate::instance::FORBIDDEN);
+        inst.set_cost(0, 0, FORBIDDEN);
         let sol = solve_relaxation(&inst).unwrap();
         // Item 0 must go to bin 1, pushing item 1 to bin 0: cost 3 + 2.
         assert!((sol.objective - 5.0).abs() < 1e-6);
@@ -472,7 +277,6 @@ mod tests {
     fn relaxation_lower_bounds_any_integral_assignment() {
         let inst = tight();
         let sol = solve_relaxation(&inst).unwrap();
-        use crate::instance::Assignment;
         for assign in [vec![0, 1], vec![1, 0]] {
             let a = Assignment::new(assign);
             if a.is_capacity_feasible(&inst) {
@@ -487,7 +291,7 @@ mod tests {
         let mut inst = tight();
         inst.set_capacity(0, 100.0);
         inst.set_capacity(1, 100.0);
-        let prices = capacity_shadow_prices(&inst).unwrap();
+        let prices = solve_relaxation(&inst).unwrap().capacity_prices;
         assert!(prices.iter().all(|p| *p < 1e-9), "{prices:?}");
     }
 
@@ -501,33 +305,42 @@ mod tests {
         inst.set_uniform_weights(1.0);
         inst.set_capacity(0, 1.0);
         inst.set_capacity(1, 2.0);
-        let prices = capacity_shadow_prices(&inst).unwrap();
-        assert!(prices[0] > 1.0, "bin 0 price {:?}", prices);
+        let base = solve_relaxation(&inst).unwrap();
+        let prices = &base.capacity_prices;
+        assert!(prices[0] > 1.0, "bin 0 price {prices:?}");
         assert!(prices[1] < 1e-9, "bin 1 should be free, {prices:?}");
         // Marginal check: adding a unit of capacity to bin 0 reduces the
-        // optimum by (close to) its shadow price.
-        let base = solve_lp(&inst).unwrap().objective;
+        // optimum by its shadow price.
         let mut relaxed = inst.clone();
         relaxed.set_capacity(0, 2.0);
-        let better = solve_lp(&relaxed).unwrap().objective;
+        let better = solve_relaxation(&relaxed).unwrap().objective;
         assert!(
-            (base - better - prices[0]).abs() < 1e-6,
+            (base.objective - better - prices[0]).abs() < 1e-6,
             "price {} vs realized saving {}",
             prices[0],
-            base - better
+            base.objective - better
         );
     }
 
     #[test]
-    fn bin_dependent_weights_use_lp() {
+    fn duals_close_the_gap_on_a_split_item() {
+        // Bin 0 holds one and a half items. Item 0 saves more there, so it
+        // takes a whole slot and item 1 splits; bin 0's price is item 1's
+        // saving per unit, 2, and the dual objective equals the primal.
         let mut inst = GapInstance::new(2, 2);
-        inst.set_cost(0, 0, 1.0).set_cost(0, 1, 2.0);
-        inst.set_cost(1, 0, 2.0).set_cost(1, 1, 1.0);
-        inst.set_weight(0, 0, 1.0).set_weight(0, 1, 2.0);
-        inst.set_weight(1, 0, 2.0).set_weight(1, 1, 1.0);
-        inst.set_capacity(0, 2.0);
-        inst.set_capacity(1, 2.0);
+        inst.set_cost(0, 0, 2.0).set_cost(0, 1, 6.0);
+        inst.set_cost(1, 0, 1.0).set_cost(1, 1, 3.0);
+        inst.set_uniform_weights(1.0);
+        inst.set_capacity(0, 1.5).set_capacity(1, 5.0);
         let sol = solve_relaxation(&inst).unwrap();
-        assert!((sol.objective - 2.0).abs() < 1e-6);
+        assert!((sol.objective - 4.0).abs() < 1e-9, "{}", sol.objective);
+        assert!((sol.capacity_prices[0] - 2.0).abs() < 1e-9);
+        assert!(sol.capacity_prices[1].abs() < 1e-9);
+        let dual = sol.item_duals.iter().sum::<f64>()
+            - (0..2)
+                .map(|j| inst.capacity(j) * sol.capacity_prices[j])
+                .sum::<f64>();
+        assert!((dual - sol.objective).abs() < 1e-9, "dual {dual}");
+        assert!(crate::verify::check_relaxation(&inst, &sol, 1e-9).is_empty());
     }
 }

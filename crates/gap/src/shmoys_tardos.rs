@@ -20,24 +20,7 @@
 
 use crate::flow::Transportation;
 use crate::instance::{Assignment, GapInstance};
-use crate::lp_relax::{solve_relaxation_with, FractionalSolution, GapError, LpBackend};
-
-/// Fractional entries below which slot construction stays sequential:
-/// thread startup (~tens of µs) dwarfs the per-bin sort-and-pour work on
-/// small relaxations.
-const PAR_MIN_ENTRIES: usize = 1 << 14;
-
-/// Worker count for slot construction over `entries` fractional entries
-/// split across at most `bins` bins; `1` means "stay sequential".
-fn par_workers(entries: usize, bins: usize) -> usize {
-    if entries < PAR_MIN_ENTRIES || bins < 2 {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map_or(1, usize::from)
-        .min(16)
-        .min(bins)
-}
+use crate::lp_relax::{solve_relaxation, FractionalSolution, GapError};
 
 /// Result of [`solve`]: the rounded assignment plus the LP lower bound used
 /// to certify its quality.
@@ -51,34 +34,6 @@ pub struct StSolution {
     pub assignment_cost: f64,
 }
 
-/// Rounds a fractional solution to an integral assignment.
-///
-/// # Errors
-///
-/// Returns [`GapError::Infeasible`] if the matching cannot saturate every
-/// item (cannot happen for a valid fractional solution; guards against
-/// numerically corrupt inputs).
-///
-/// # Panics
-///
-/// Panics if `frac` references items/bins outside the instance.
-pub fn round(inst: &GapInstance, frac: &FractionalSolution) -> Result<Assignment, GapError> {
-    let workers = par_workers(frac.fractions.len(), inst.bins());
-    round_with(inst, frac, workers)
-}
-
-/// [`round`] with an explicit worker count for the slot-construction
-/// fan-out — test/bench hook for exercising the parallel path regardless
-/// of instance size.
-#[doc(hidden)]
-pub fn round_workers(
-    inst: &GapInstance,
-    frac: &FractionalSolution,
-    workers: usize,
-) -> Result<Assignment, GapError> {
-    round_with(inst, frac, workers)
-}
-
 #[derive(Debug)]
 struct SlotEdge {
     item: usize,
@@ -88,12 +43,10 @@ struct SlotEdge {
 /// Step 1 of the rounding for a single bin: sort its fractional entries by
 /// non-increasing weight (ties by item id for determinism) and pour them
 /// into `⌈Σ_i x_ij⌉` unit slots, recording each (item, slot) edge once.
-/// Pure per-bin work — the parallel fan-out runs it on disjoint bins and
-/// concatenates the outputs in bin order.
 fn bin_slots(inst: &GapInstance, j: usize, mut entries: Vec<(usize, f64)>) -> Vec<Vec<SlotEdge>> {
     entries.sort_by(|a, b| {
-        inst.weight(b.0, j)
-            .partial_cmp(&inst.weight(a.0, j))
+        inst.weight(b.0)
+            .partial_cmp(&inst.weight(a.0))
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.0.cmp(&b.0))
     });
@@ -124,58 +77,28 @@ fn bin_slots(inst: &GapInstance, j: usize, mut entries: Vec<(usize, f64)>) -> Ve
     out
 }
 
-fn round_with(
-    inst: &GapInstance,
-    frac: &FractionalSolution,
-    workers: usize,
-) -> Result<Assignment, GapError> {
+/// Rounds a fractional solution to an integral assignment.
+///
+/// # Errors
+///
+/// Returns [`GapError::Infeasible`] if the matching cannot saturate every
+/// item (cannot happen for a valid fractional solution; guards against
+/// numerically corrupt inputs).
+///
+/// # Panics
+///
+/// Panics if `frac` references items/bins outside the instance.
+pub fn round(inst: &GapInstance, frac: &FractionalSolution) -> Result<Assignment, GapError> {
     let _span = mec_obs::span("gap.round");
     let n = inst.items();
     let m = inst.bins();
 
-    // 1. Build slots per bin — independent per bin, so fan the bins out
-    //    across the bounded worker pool and stitch the outputs back
-    //    together in bin order (deterministic regardless of worker count).
-    let per_bin = frac.per_bin(m);
+    // 1. Build the slots of every bin, in bin order.
     let mut slot_edges: Vec<Vec<SlotEdge>> = Vec::new(); // per slot: candidate items
-    if workers <= 1 {
-        for (j, entries) in per_bin.into_iter().enumerate() {
-            if !entries.is_empty() {
-                slot_edges.extend(bin_slots(inst, j, entries));
-            }
+    for (j, entries) in frac.per_bin(m).into_iter().enumerate() {
+        if !entries.is_empty() {
+            slot_edges.extend(bin_slots(inst, j, entries));
         }
-    } else {
-        type BinJob = (usize, Vec<(usize, f64)>);
-        let jobs: Vec<BinJob> = per_bin
-            .into_iter()
-            .enumerate()
-            .filter(|(_, e)| !e.is_empty())
-            .collect();
-        let chunk = jobs.len().div_ceil(workers);
-        let chunks: Vec<&[BinJob]> = jobs.chunks(chunk.max(1)).collect();
-        let per_chunk: Vec<Vec<Vec<SlotEdge>>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    s.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .flat_map(|(j, entries)| bin_slots(inst, *j, entries.clone()))
-                            .collect::<Vec<Vec<SlotEdge>>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(panics) — a worker panic is already fatal;
-                // joining re-raises it on the caller rather than
-                // deadlocking the scope.
-                .map(|h| h.join().expect("slot construction worker panicked"))
-                .collect()
-        })
-        // lint: allow(panics) — propagate worker panics to the caller.
-        .expect("slot construction scope panicked");
-        slot_edges.extend(per_chunk.into_iter().flatten());
     }
 
     // 2. Min-cost perfect matching on the item side: every item supplies
@@ -214,8 +137,8 @@ fn round_with(
 ///
 /// # Errors
 ///
-/// Propagates [`GapError`] from the relaxation ([`solve_relaxation_with`])
-/// or the rounding ([`round`]).
+/// Propagates [`GapError`] from the relaxation ([`solve_relaxation`]) or
+/// the rounding ([`round`]).
 ///
 /// # Examples
 ///
@@ -232,26 +155,9 @@ fn round_with(
 /// assert!(sol.assignment_cost <= sol.lp_objective + 1e-6);
 /// ```
 pub fn solve(inst: &GapInstance) -> Result<StSolution, GapError> {
-    solve_with(inst, LpBackend::Auto)
-}
-
-/// [`solve`] with an explicit relaxation backend ([`LpBackend`]): dense
-/// tableau, revised simplex, or the transportation fast path. All backends
-/// produce the same LP optimum, so the rounded assignment differs between
-/// them only by equal-cost ties.
-///
-/// # Errors
-///
-/// Same as [`solve`].
-///
-/// # Panics
-///
-/// [`LpBackend::Transportation`] panics when the instance is outside the
-/// fast path's applicability class.
-pub fn solve_with(inst: &GapInstance, backend: LpBackend) -> Result<StSolution, GapError> {
     let frac = {
         let _span = mec_obs::span("gap.lp_relax");
-        solve_relaxation_with(inst, backend)?
+        solve_relaxation(inst)?
     };
     let assignment = round(inst, &frac)?;
     let assignment_cost = assignment.total_cost(inst);
@@ -276,12 +182,12 @@ pub fn solve_with(inst: &GapInstance, backend: LpBackend) -> Result<StSolution, 
 }
 
 /// The per-bin augmented-capacity bound the rounding guarantees:
-/// `load(j) ≤ CAP_j + max_i w_ij` over the items admissible in `j`
+/// `load(j) ≤ CAP_j + max_i w_i` over the items admissible in `j`
 /// ([`GapInstance::is_allowed`]).
 pub fn augmented_capacity(inst: &GapInstance, bin: usize) -> f64 {
     let max_w = (0..inst.items())
         .filter(|&i| inst.is_allowed(i, bin))
-        .map(|i| inst.weight(i, bin))
+        .map(|i| inst.weight(i))
         .fold(0.0, f64::max);
     inst.capacity(bin) + max_w
 }

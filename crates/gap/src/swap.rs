@@ -54,7 +54,7 @@ pub fn improve(inst: &GapInstance, assignment: &mut Assignment, max_moves: usize
                 if j == from || !inst.cost(i, j).is_finite() {
                     continue;
                 }
-                if loads[j] + inst.weight(i, j) > inst.capacity(j) + 1e-12 {
+                if loads[j] + inst.weight(i) > inst.capacity(j) + 1e-12 {
                     continue;
                 }
                 let delta = inst.cost(i, j) - inst.cost(i, from);
@@ -74,8 +74,8 @@ pub fn improve(inst: &GapInstance, assignment: &mut Assignment, max_moves: usize
                 if !inst.cost(a, bb).is_finite() || !inst.cost(b, ba).is_finite() {
                     continue;
                 }
-                let la = loads[ba] - inst.weight(a, ba) + inst.weight(b, ba);
-                let lb = loads[bb] - inst.weight(b, bb) + inst.weight(a, bb);
+                let la = loads[ba] - inst.weight(a) + inst.weight(b);
+                let lb = loads[bb] - inst.weight(b) + inst.weight(a);
                 if la > inst.capacity(ba) + 1e-12 || lb > inst.capacity(bb) + 1e-12 {
                     continue;
                 }
@@ -91,15 +91,15 @@ pub fn improve(inst: &GapInstance, assignment: &mut Assignment, max_moves: usize
         match best_move {
             Some((false, i, j)) => {
                 let from = of[i];
-                loads[from] -= inst.weight(i, from);
-                loads[j] += inst.weight(i, j);
+                loads[from] -= inst.weight(i);
+                loads[j] += inst.weight(i);
                 of[i] = j;
                 shifts += 1;
             }
             Some((true, a, b)) => {
                 let (ba, bb) = (of[a], of[b]);
-                loads[ba] = loads[ba] - inst.weight(a, ba) + inst.weight(b, ba);
-                loads[bb] = loads[bb] - inst.weight(b, bb) + inst.weight(a, bb);
+                loads[ba] = loads[ba] - inst.weight(a) + inst.weight(b);
+                loads[bb] = loads[bb] - inst.weight(b) + inst.weight(a);
                 of.swap(a, b);
                 swaps += 1;
             }

@@ -4,12 +4,19 @@
 //! * the Shmoys–Tardos assignment costs no more than the LP optimum;
 //! * the LP optimum lower-bounds the exact integral optimum;
 //! * rounding never overflows a bin by more than the largest item weight;
-//! * the transportation fast path agrees with the general LP relaxation,
-//!   also on Appro-shaped instances (unit slots priced by marginal
-//!   congestion, a large remote bin some items may not use);
+//! * the transportation relaxation reaches the optimum of the general
+//!   assignment LP solved by the simplex oracle ([`oracle`]), also on
+//!   Appro-shaped instances (unit slots priced by marginal congestion, a
+//!   large remote bin some items may not use), and its potential-derived
+//!   duals pass the `verify::check_relaxation` certificate;
 //! * the `verify::check_assignment` certifier accepts every rounded output.
 
-use mec_gap::{check_assignment, exact, greedy, lp_relax, shmoys_tardos, GapInstance, FORBIDDEN};
+mod oracle;
+
+use mec_gap::{
+    check_assignment, check_relaxation, exact, greedy, lp_relax, shmoys_tardos, GapInstance,
+    FORBIDDEN,
+};
 use mec_lp::SolverBackend;
 use proptest::prelude::*;
 
@@ -87,10 +94,12 @@ proptest! {
     #[test]
     fn transportation_agrees_with_lp(r in rand_inst()) {
         let inst = build(&r);
-        let a = lp_relax::solve_lp(&inst).unwrap();
-        let b = lp_relax::solve_transportation(&inst).unwrap();
-        prop_assert!((a.objective - b.objective).abs() < 1e-5,
-            "LP {} vs transportation {}", a.objective, b.objective);
+        let lp = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
+        let tp = lp_relax::solve_relaxation(&inst).unwrap();
+        prop_assert!((lp - tp.objective).abs() < 1e-5,
+            "LP {} vs transportation {}", lp, tp.objective);
+        let violations = check_relaxation(&inst, &tp, 1e-9);
+        prop_assert!(violations.is_empty(), "certificate: {violations:?}");
     }
 
     #[test]
@@ -114,29 +123,20 @@ proptest! {
         prop_assert!(violations.is_empty(), "certifier rejected ST output: {violations:?}");
     }
 
-    #[test]
-    fn fractional_solution_covers_items(r in rand_inst()) {
-        let inst = build(&r);
-        let frac = lp_relax::solve_relaxation(&inst).unwrap();
-        prop_assert!(frac.covers_all_items(r.items));
-    }
-
     /// The dense tableau and the sparse revised simplex solve the same
     /// assignment LP; their optima must agree on every random relaxation.
     #[test]
     fn dense_and_revised_agree_on_relaxation(r in rand_inst()) {
         let inst = build(&r);
-        let dense = lp_relax::solve_lp_with(&inst, SolverBackend::Dense).unwrap();
-        let revised = lp_relax::solve_lp_with(&inst, SolverBackend::Revised).unwrap();
-        prop_assert!((dense.objective - revised.objective).abs()
-            < 1e-5 * (1.0 + dense.objective.abs()),
-            "dense {} vs revised {}", dense.objective, revised.objective);
+        let dense = oracle::lp_objective(&inst, SolverBackend::Dense).unwrap();
+        let revised = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
+        prop_assert!((dense - revised).abs() < 1e-5 * (1.0 + dense.abs()),
+            "dense {} vs revised {}", dense, revised);
     }
 
-    /// Widened fast-path applicability: uniform per-item weights with
-    /// FORBIDDEN arcs still qualify (`has_uniform_allowed_weights`), and
-    /// the transportation optimum matches the general LP there. Bin 0 is
-    /// never forbidden, so every item fits somewhere.
+    /// FORBIDDEN arcs leave the relaxation a transportation problem over
+    /// the admissible arcs, and its optimum matches the general LP there.
+    /// Bin 0 is never forbidden, so every item fits somewhere.
     #[test]
     fn transportation_agrees_with_forbidden_arcs(
         r in rand_inst(),
@@ -156,18 +156,18 @@ proptest! {
         for j in 0..r.bins {
             inst.set_capacity(j, total + 2.0);
         }
-        prop_assert!(inst.has_uniform_allowed_weights());
-        let a = lp_relax::solve_lp(&inst).unwrap();
-        let b = lp_relax::solve_transportation(&inst).unwrap();
-        prop_assert!((a.objective - b.objective).abs()
-            < 1e-5 * (1.0 + a.objective.abs()),
-            "LP {} vs transportation {}", a.objective, b.objective);
+        let lp = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
+        let tp = lp_relax::solve_relaxation(&inst).unwrap();
+        prop_assert!((lp - tp.objective).abs() < 1e-5 * (1.0 + lp.abs()),
+            "LP {} vs transportation {}", lp, tp.objective);
     }
 }
 
 /// An instance shaped like Appro's marginal-pricing reduction: cloudlets
 /// split into unit slots, slot `k` of cloudlet `c` priced
-/// `base_ic + p_c·(2k−1)`, plus one large remote bin.
+/// `base_ic + p_c·(2k−1)`, plus one large remote bin. In a third of the
+/// cases every item weighs the same, and any item may be weightless (a
+/// service with no demand), which the relaxation assigns outside the flow.
 #[derive(Debug, Clone)]
 struct ApproShaped {
     weights: Vec<f64>,
@@ -193,16 +193,33 @@ fn appro_shaped() -> impl Strategy<Value = ApproShaped> {
             vec(1.0..10.0f64, items * cloudlets),
             vec(5.0..40.0f64, items),
             vec(proptest::bool::ANY, items),
+            vec(0u8..10, items),
+            0u8..3,
         )
-            .prop_map(|(w, slots, price, base, remote, pinned)| ApproShaped {
-                // Weights in (0.05, 1].
-                weights: w.into_iter().map(|x| 1.0 - x).collect(),
-                slots,
-                price,
-                base,
-                remote,
-                pinned,
-            })
+            .prop_map(
+                |(w, slots, price, base, remote, pinned, weightless, uniform)| {
+                    // Weights in (0.05, 1], all equal to the first in the
+                    // uniform variant; about one item in ten weightless.
+                    let first = 1.0 - w[0];
+                    let weights = w
+                        .into_iter()
+                        .zip(weightless)
+                        .map(|(x, z)| match (z, uniform) {
+                            (0, _) => 0.0,
+                            (_, 0) => first,
+                            _ => 1.0 - x,
+                        })
+                        .collect();
+                    ApproShaped {
+                        weights,
+                        slots,
+                        price,
+                        base,
+                        remote,
+                        pinned,
+                    }
+                },
+            )
     })
 }
 
@@ -238,28 +255,22 @@ fn build_appro_shaped(r: &ApproShaped) -> GapInstance {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// On Appro-shaped instances — large enough for the multi-bin
     /// displacement chains of the real reductions — the transportation
-    /// solver reaches the revised simplex's optimum with a solution that
-    /// covers every item and respects every capacity.
+    /// solver reaches the revised simplex's optimum, and its solution with
+    /// the potential-derived duals passes the relaxation certificate:
+    /// every item covered, every capacity respected, the duals feasible
+    /// and the duality gap closed.
     #[test]
     fn transportation_agrees_on_appro_shaped(r in appro_shaped()) {
         let inst = build_appro_shaped(&r);
-        prop_assert!(inst.has_uniform_allowed_weights());
-        let lp = lp_relax::solve_lp_with(&inst, SolverBackend::Revised).unwrap();
-        let tp = lp_relax::solve_transportation(&inst).unwrap();
-        prop_assert!((lp.objective - tp.objective).abs() < 1e-6 * (1.0 + lp.objective.abs()),
-            "revised {} vs transportation {}", lp.objective, tp.objective);
-        prop_assert!(tp.covers_all_items(inst.items()));
-        let mut load = vec![0.0; inst.bins()];
-        for &(i, j, x) in &tp.fractions {
-            load[j] += inst.weight(i, j) * x;
-        }
-        for (j, l) in load.iter().enumerate() {
-            prop_assert!(*l <= inst.capacity(j) + 1e-9,
-                "bin {j} load {l} over capacity {}", inst.capacity(j));
-        }
+        let lp = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
+        let tp = lp_relax::solve_relaxation(&inst).unwrap();
+        prop_assert!((lp - tp.objective).abs() < 1e-6 * (1.0 + lp.abs()),
+            "revised {} vs transportation {}", lp, tp.objective);
+        let violations = check_relaxation(&inst, &tp, 1e-9);
+        prop_assert!(violations.is_empty(), "certificate: {violations:?}");
     }
 }

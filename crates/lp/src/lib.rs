@@ -2,15 +2,21 @@
 //!
 //! The Shmoys–Tardos approximation algorithm for the Generalized Assignment
 //! Problem (used by the paper's `Appro` algorithm) needs the optimal solution
-//! of an LP relaxation. No external solver is assumed; this crate implements
-//! two interchangeable deterministic backends with Bland's rule as an
-//! anti-cycling fallback (select via [`SolverBackend`]):
+//! of an LP relaxation. Appro's relaxation is a transportation problem, and
+//! `mec-gap` solves it, duals included, with a flow; this crate is the
+//! independent general LP solver that flow is tested against. It is a
+//! dev-dependency of `mec-gap` (the oracle of its relaxation proptests) and
+//! of `mec-bench` (a substrate bench), and no library or binary of the
+//! workspace links it. It implements two interchangeable deterministic
+//! backends with Bland's rule as an anti-cycling fallback (select via
+//! [`SolverBackend`]):
 //!
 //! * a **sparse revised simplex** ([`simplex::SolverBackend::Revised`], the
 //!   default) — column-wise sparse storage and product-form basis updates,
-//!   built for the large, very sparse assignment LPs Appro produces;
+//!   built for large, very sparse assignment LPs;
 //! * a **dense tableau** ([`simplex::SolverBackend::Dense`]) — the original
-//!   implementation, kept as a reference oracle for differential testing.
+//!   implementation, kept as the reference the revised simplex is
+//!   differential-tested against.
 //!
 //! The solver handles problems of the form
 //!

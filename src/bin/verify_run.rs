@@ -14,12 +14,15 @@
 //!
 //! The checkers run unconditionally here; compile with
 //! `--features verify` to additionally arm the in-algorithm
-//! self-certification hooks (including the GAP and LP layers underneath).
+//! self-certification hooks, including the GAP layer underneath: every
+//! relaxation Appro solves is certified optimal by its duals
+//! (`mec_gap::check_relaxation`) and every rounding by
+//! `mec_gap::check_assignment`.
 //!
-//! `--obs <path>` streams mec-obs events (Appro phase spans, LP pivot
-//! counters, dynamics move counts, per-round potential) to `<path>` as
-//! JSONL; summarize with `obsreport <path>`. Requires `--features obs`,
-//! otherwise the flag warns and is ignored.
+//! `--obs <path>` streams mec-obs events (Appro phase spans, GAP
+//! relaxation and rounding spans, dynamics move counts, per-round
+//! potential) to `<path>` as JSONL; summarize with `obsreport <path>`.
+//! Requires `--features obs`, otherwise the flag warns and is ignored.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +33,6 @@ use mec_core::verify::{
     check_capacity, check_congestion, check_cost_reconstruction, check_nash, Certificate,
 };
 use mec_core::{social_local_search, Market, Profile};
-use mec_gap::LpBackend;
 use mec_workload::{gtitm_scenario, Params};
 
 fn main() {
@@ -56,7 +58,6 @@ fn main() {
 
     let mut failed = false;
     failed |= !certify_appro(market);
-    failed |= !certify_appro_revised(market);
     failed |= !certify_lcf(market);
     failed |= !certify_dynamics(market);
     failed |= !certify_local_search(market);
@@ -127,38 +128,6 @@ fn certify_appro(market: &Market) -> bool {
         }
         Err(e) => {
             eprintln!("appro failed: {e}");
-            false
-        }
-    }
-}
-
-/// Replays `appro` with the relaxation forced through the sparse revised
-/// simplex (the default dispatch prefers the transportation fast path on
-/// Appro-shaped instances, so the general LP route would otherwise never
-/// run here) and certifies that output too. Under `--features verify` this
-/// additionally routes every revised-simplex solve through
-/// `mec_lp::verify::check_solution`.
-fn certify_appro_revised(market: &Market) -> bool {
-    let config = ApproConfig::default().with_lp_backend(LpBackend::Revised);
-    match appro(market, &config) {
-        Ok(sol) => {
-            let mut cert = Certificate::new("appro (revised simplex)");
-            cert.extend(check_capacity(market, &sol.profile))
-                .extend(check_congestion(
-                    market,
-                    &sol.profile,
-                    &sol.profile.congestion(market),
-                ))
-                .extend(check_cost_reconstruction(
-                    market,
-                    &sol.profile,
-                    sol.social_cost,
-                    1e-9,
-                ));
-            report(&cert)
-        }
-        Err(e) => {
-            eprintln!("appro (revised simplex) failed: {e}");
             false
         }
     }

@@ -10,7 +10,6 @@
 pub use mec_baselines as baselines;
 pub use mec_core as core;
 pub use mec_gap as gap;
-pub use mec_lp as lp;
 pub use mec_sim as sim;
 pub use mec_testbed as testbed;
 pub use mec_topology as topology;

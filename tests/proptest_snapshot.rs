@@ -1,9 +1,12 @@
 //! Snapshot round-trip property: `GameState` → snapshot text → restore
 //! must reproduce the original market, profile and active mask exactly,
-//! with congestion/loads/residuals recounted on the restored side.
+//! with congestion/loads/residuals recounted on the restored side. A
+//! snapshot file is input from outside the program, so seeded random
+//! mutations of a valid one must parse or fail with a `SnapshotError`,
+//! never panic.
 
 use mec_core::model::{CloudletSpec, Market, ProviderSpec};
-use mec_core::snapshot::{encode_snapshot, parse_snapshot};
+use mec_core::snapshot::{encode_snapshot, parse_snapshot, SnapshotError};
 use mec_core::state::GameState;
 use mec_core::{Placement, Profile, ProviderId};
 use mec_topology::CloudletId;
@@ -137,6 +140,96 @@ proptest! {
         if keep < lines.len() {
             let cut: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
             prop_assert!(parse_snapshot(&cut).is_err());
+        }
+    }
+}
+
+/// Applies one mutation to snapshot text: `kind` picks what, `at` and
+/// `to` pick where (taken modulo the text's size), `byte` what to write.
+fn mutate(text: &str, kind: u8, at: usize, to: usize, byte: u8) -> String {
+    const ALPHABET: &[u8] = b"0123456789-.,:{}\"\n eEinfremotyp_\\";
+    let ch = ALPHABET[byte as usize % ALPHABET.len()] as char;
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let (line, other) = (at % lines.len(), to % lines.len());
+    match kind {
+        // Overwrite, insert or delete one character.
+        0..=2 => {
+            let mut bytes: Vec<char> = text.chars().collect();
+            let k = at % (bytes.len() + 1);
+            match kind {
+                0 if k < bytes.len() => bytes[k] = ch,
+                1 => bytes.insert(k, ch),
+                _ if k < bytes.len() => {
+                    bytes.remove(k);
+                }
+                _ => {}
+            }
+            return bytes.into_iter().collect();
+        }
+        // Duplicate, drop or swap whole records.
+        3 => {
+            let copy = lines[line].clone();
+            lines.insert(other, copy);
+        }
+        4 => {
+            lines.remove(line);
+        }
+        5 => lines.swap(line, other),
+        // Replace one of the line's numbers with an extreme one.
+        _ => {
+            let extreme = [
+                "0",
+                "-1",
+                "18446744073709551615",
+                "4611686018427387904",
+                "1e308",
+                "nan",
+            ][byte as usize % 6];
+            let l = &lines[line];
+            let starts: Vec<usize> = l
+                .char_indices()
+                .filter(|&(k, c)| {
+                    c.is_ascii_digit()
+                        && !l[..k].ends_with(|p: char| p.is_ascii_digit() || p == '.')
+                })
+                .map(|(k, _)| k)
+                .collect();
+            if !starts.is_empty() {
+                let start = starts[to % starts.len()];
+                let end = l[start..]
+                    .find(|c: char| !c.is_ascii_digit() && c != '.')
+                    .map_or(l.len(), |e| start + e);
+                lines[line] = format!("{}{extreme}{}", &l[..start], &l[end..]);
+            }
+        }
+    }
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Up to four random mutations of a valid snapshot: the parser
+    /// returns a snapshot or a `SnapshotError`, and never panics.
+    #[test]
+    fn mutated_snapshots_parse_or_error(
+        r in rand_market(),
+        picks in proptest::collection::vec(0usize..16, 3..12),
+        edits in proptest::collection::vec((0u8..7, 0usize..100_000, 0usize..100_000, 0u8..=255), 1..5),
+    ) {
+        let market = build(&r);
+        let (profile, active) = decode_profile(&market, &picks);
+        let mut text = encode_snapshot(5, &market, &profile, &active);
+        for &(kind, at, to, byte) in &edits {
+            if text.is_empty() {
+                break;
+            }
+            text = mutate(&text, kind, at, to, byte);
+        }
+        match parse_snapshot(&text) {
+            Ok(snap) => prop_assert_eq!(snap.profile.len(), snap.market.provider_count()),
+            Err(SnapshotError::Corrupt(msg)) => prop_assert!(!msg.is_empty()),
+            Err(SnapshotError::Io(e)) => prop_assert!(false, "parsing text did I/O: {e}"),
         }
     }
 }

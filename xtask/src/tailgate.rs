@@ -2,9 +2,10 @@
 //!
 //! Three modes:
 //!
-//! * **tail gate** (default): reads the flat JSON emitted by
-//!   `marketload --out` and fails when an op's tail amplification
-//!   (`<op>_p99_p50`, i.e. p99 latency over p50) exceeds a bound. CI
+//! * **tail gate** (default): reads the JSONL report emitted by
+//!   `marketload --out` (one flat object per line, one line per run) and
+//!   fails when an op's tail amplification (`<op>_p99_p50`, i.e. p99
+//!   latency over p50) exceeds a bound on any row. CI
 //!   runs this against the smoke run's report so a regression that
 //!   re-introduces a convoy — one slow client or one long maintenance
 //!   sweep stalling everyone's tail — fails the build instead of only
@@ -45,8 +46,11 @@ fn extract_number(json: &str, key: &str) -> Result<f64, String> {
         .map_err(|_| format!("\"{key}\" is not a number: {raw:?}"))
 }
 
-/// The gate verdict for one op.
+/// The gate verdict for one op on one row of a report.
+#[derive(Debug)]
 pub struct Verdict {
+    /// 1-based row (non-empty line) of the report.
+    pub row: usize,
     /// Which op was gated (`join`, `leave`, `update`, `query`).
     pub op: String,
     /// Measured p99/p50 amplification.
@@ -65,20 +69,32 @@ impl Verdict {
     }
 }
 
-/// Evaluates the gate for `op` against a report's JSON text.
+/// Evaluates the gate for `op` on every row (non-empty line) of a
+/// report's text.
 ///
 /// # Errors
 ///
-/// Fails when the report lacks the op's fields or they do not parse.
-pub fn check(json: &str, op: &str, max_ratio: f64) -> Result<Verdict, String> {
-    let ratio = extract_number(json, &format!("{op}_p99_p50"))?;
-    let count = extract_number(json, &format!("{op}_count"))? as u64;
-    Ok(Verdict {
-        op: op.to_string(),
-        ratio,
-        count,
-        max_ratio,
-    })
+/// Fails when the report has no rows, or some row lacks the op's fields
+/// or they do not parse.
+pub fn check(json: &str, op: &str, max_ratio: f64) -> Result<Vec<Verdict>, String> {
+    let rows: Vec<&str> = json.lines().filter(|l| !l.trim().is_empty()).collect();
+    if rows.is_empty() {
+        return Err("report has no rows".into());
+    }
+    rows.iter()
+        .enumerate()
+        .map(|(k, line)| {
+            let field =
+                |key: String| extract_number(line, &key).map_err(|e| format!("row {}: {e}", k + 1));
+            Ok(Verdict {
+                row: k + 1,
+                op: op.to_string(),
+                ratio: field(format!("{op}_p99_p50"))?,
+                count: field(format!("{op}_count"))? as u64,
+                max_ratio,
+            })
+        })
+        .collect()
 }
 
 /// Runs the gate against a report file; returns the process exit code.
@@ -90,33 +106,36 @@ pub fn run(path: &Path, op: &str, max_ratio: f64) -> i32 {
             return 1;
         }
     };
-    match check(&json, op, max_ratio) {
-        Ok(v) => {
-            println!(
-                "tailgate: {} p99/p50 = {:.2} over {} ops (bound {:.1})",
-                v.op, v.ratio, v.count, v.max_ratio
-            );
-            if v.pass() {
-                0
-            } else if v.count == 0 {
-                eprintln!(
-                    "tailgate: FAIL — no {} ops in the report, gate is vacuous",
-                    v.op
-                );
-                1
-            } else {
-                eprintln!(
-                    "tailgate: FAIL — {} tail amplification {:.2} exceeds {:.1}",
-                    v.op, v.ratio, v.max_ratio
-                );
-                1
-            }
-        }
+    let verdicts = match check(&json, op, max_ratio) {
+        Ok(v) => v,
         Err(e) => {
             eprintln!("tailgate: {e}");
-            1
+            return 1;
+        }
+    };
+    let mut code = 0;
+    for v in verdicts {
+        println!(
+            "tailgate: row {}: {} p99/p50 = {:.2} over {} ops (bound {:.1})",
+            v.row, v.op, v.ratio, v.count, v.max_ratio
+        );
+        if v.pass() {
+            continue;
+        }
+        code = 1;
+        if v.count == 0 {
+            eprintln!(
+                "tailgate: FAIL — row {}: no {} ops, gate is vacuous",
+                v.row, v.op
+            );
+        } else {
+            eprintln!(
+                "tailgate: FAIL — row {}: {} tail amplification {:.2} exceeds {:.1}",
+                v.row, v.op, v.ratio, v.max_ratio
+            );
         }
     }
+    code
 }
 
 /// The scale-gate verdict comparing two drain reports.
@@ -357,21 +376,44 @@ mod tests {
     #[test]
     fn passes_under_bound_fails_over() {
         let v = check(REPORT, "join", 5.0).unwrap();
-        assert!(v.pass());
+        assert!(v.len() == 1 && v[0].pass());
         let v = check(REPORT, "join", 2.0).unwrap();
-        assert!(!v.pass());
+        assert!(!v[0].pass());
     }
 
     #[test]
     fn zero_ops_is_a_vacuous_gate_and_fails() {
         let v = check(REPORT, "query", 5.0).unwrap();
-        assert!(!v.pass());
+        assert!(!v[0].pass());
     }
 
     #[test]
     fn missing_field_is_an_error() {
         assert!(check(REPORT, "leave", 5.0).is_err());
         assert!(extract_number(REPORT, "nope").is_err());
+        assert!(check("\n\n", "join", 5.0).is_err());
+    }
+
+    #[test]
+    fn every_row_of_a_multi_row_report_is_gated() {
+        // The checked-in serve report has one row per shard count; a
+        // bound broken only on the last row must fail the gate.
+        let rows = |last: f64| {
+            format!(
+                "{{\"shards\":1,\"join_count\":10,\"join_p99_p50\":2.1}}\n\
+                 {{\"shards\":2,\"join_count\":10,\"join_p99_p50\":1.9}}\n\
+                 {{\"shards\":4,\"join_count\":10,\"join_p99_p50\":{last}}}\n"
+            )
+        };
+        let v = check(&rows(1.5), "join", 5.0).unwrap();
+        assert_eq!(v.len(), 3);
+        assert!(v.iter().all(Verdict::pass));
+        let v = check(&rows(50.0), "join", 5.0).unwrap();
+        assert!(v[0].pass() && v[1].pass() && !v[2].pass());
+        assert_eq!(v[2].row, 3);
+        // A row without the op's fields is an error, not a skipped row.
+        let torn = format!("{}{{\"shards\":8}}\n", rows(1.5));
+        assert!(check(&torn, "join", 5.0).unwrap_err().contains("row 4"));
     }
 
     #[test]
