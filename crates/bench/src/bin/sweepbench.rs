@@ -260,8 +260,31 @@ fn measure_appro(providers: usize, cloudlets: usize, reps: usize) -> ApproCell {
 }
 
 /// The checked-out commit, read from `.git` in the working directory
-/// (`unknown` outside a checkout).
+/// (`unknown` outside a checkout), marked `-dirty` when tracked files
+/// differ from it (see [`stamp_commit`]).
 fn git_commit() -> String {
+    let status = std::process::Command::new("git")
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).into_owned());
+    stamp_commit(head_commit(), status.as_deref())
+}
+
+/// `commit`, suffixed `-dirty` when `status` — the output of
+/// `git status --porcelain --untracked-files=no` — lists a change, so a
+/// row measured on an uncommitted tree does not pass for its parent's.
+/// Without git (`None`) the plain commit is all there is to say.
+fn stamp_commit(commit: String, status: Option<&str>) -> String {
+    match status {
+        Some(changes) if !changes.trim().is_empty() => format!("{commit}-dirty"),
+        _ => commit,
+    }
+}
+
+/// The commit `.git/HEAD` names, `unknown` outside a checkout.
+fn head_commit() -> String {
     let read = |path: &str| std::fs::read_to_string(path).ok();
     let Some(head) = read(".git/HEAD") else {
         return "unknown".into();
@@ -574,4 +597,21 @@ fn main() {
     }
     println!("{json}");
     mec_obs::shutdown();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::stamp_commit;
+
+    #[test]
+    fn dirty_tree_marks_its_commit() {
+        let sha = || "664f8f2".to_string();
+        assert_eq!(stamp_commit(sha(), Some("")), "664f8f2");
+        assert_eq!(
+            stamp_commit(sha(), Some(" M src/lib.rs\n")),
+            "664f8f2-dirty"
+        );
+        // git unavailable: nothing says the tree is dirty.
+        assert_eq!(stamp_commit(sha(), None), "664f8f2");
+    }
 }

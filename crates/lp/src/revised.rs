@@ -307,17 +307,6 @@ struct Revised<'a> {
     /// Rotating partial-pricing cursor.
     cursor: usize,
     scratch: Vec<f64>,
-    /// Pivot / refactorization tallies, published to `mec-obs` on drop so
-    /// every exit path (including error returns) reports them.
-    pivots: u64,
-    refactorizations: u64,
-}
-
-impl Drop for Revised<'_> {
-    fn drop(&mut self) {
-        mec_obs::counter_add("lp.pivots", self.pivots);
-        mec_obs::counter_add("lp.refactorizations", self.refactorizations);
-    }
 }
 
 impl<'a> Revised<'a> {
@@ -356,8 +345,6 @@ impl<'a> Revised<'a> {
             xb: vec![0.0; m],
             cursor: 0,
             scratch: Vec::with_capacity(m),
-            pivots: 0,
-            refactorizations: 0,
         };
         me.recompute_xb();
         Ok(me)
@@ -410,7 +397,6 @@ impl<'a> Revised<'a> {
     }
 
     fn refactorize(&mut self) -> Result<(), LpError> {
-        self.refactorizations += 1;
         self.lu = Lu::factor(self.form, &self.basis).ok_or(LpError::IterationLimit)?;
         self.etas.clear();
         self.recompute_xb();
@@ -420,7 +406,6 @@ impl<'a> Revised<'a> {
     /// Applies the pivot `(leave row r, enter column q)` given the FTRAN'd
     /// entering column `d`.
     fn pivot(&mut self, r: usize, q: usize, d: Vec<f64>) -> Result<(), LpError> {
-        self.pivots += 1;
         let t = self.xb[r] / d[r];
         for (xi, &di) in self.xb.iter_mut().zip(&d) {
             *xi -= di * t;
@@ -598,8 +583,6 @@ impl<'a> Revised<'a> {
 /// [`LpBuilder::solve_dense`]: identical error taxonomy, duals in original
 /// row order, structural solution vector.
 pub(crate) fn solve_revised(lp: &LpBuilder) -> Result<LpSolution, LpError> {
-    let _span = mec_obs::span("lp.revised.solve");
-    mec_obs::counter_add("lp.revised.solves", 1);
     let n = lp.var_count();
     let c = lp.objective_coeffs();
     let form = SparseForm::build(lp);

@@ -169,27 +169,6 @@ pub const REGISTRY: &[Probe] = &[
         kind: ProbeKind::Counter,
         help: "Bipartite rounding-graph slots built across GAP roundings.",
     },
-    // LP solver (crates/lp)
-    Probe {
-        name: "lp.pivots",
-        kind: ProbeKind::Counter,
-        help: "Simplex pivots executed by the revised-simplex backend.",
-    },
-    Probe {
-        name: "lp.refactorizations",
-        kind: ProbeKind::Counter,
-        help: "Basis refactorizations triggered by eta-file growth.",
-    },
-    Probe {
-        name: "lp.revised.solve",
-        kind: ProbeKind::Span,
-        help: "Wall time of one revised-simplex solve.",
-    },
-    Probe {
-        name: "lp.revised.solves",
-        kind: ProbeKind::Counter,
-        help: "Completed revised-simplex solves.",
-    },
     // load generator (crates/serve load harness; the `.ns` histograms
     // are emitted through a table, i.e. runtime-constructed)
     Probe {

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! {"type":"span","name":"appro.merge","start_ns":12034,"dur_ns":88211}
-//! {"type":"counter","name":"lp.pivots","value":4181}
+//! {"type":"counter","name":"core.dynamics.moves_applied","value":4181}
 //! {"type":"gauge","name":"core.dynamics.potential","seq":3,"value":10571.25}
 //! {"type":"hist","name":"sim.request_latency_us","count":5000,"p50":181,"p95":402,"p99":640,"max":1201}
 //! ```
@@ -31,9 +31,9 @@ pub use crate::json::ParseError;
 /// ```
 /// use mec_obs::wire::{encode, parse, Event};
 ///
-/// let ev = Event::Counter { name: "lp.pivots".into(), value: 4181 };
+/// let ev = Event::Counter { name: "core.dynamics.moves_applied".into(), value: 4181 };
 /// let line = encode(&ev);
-/// assert_eq!(line, r#"{"type":"counter","name":"lp.pivots","value":4181}"#);
+/// assert_eq!(line, r#"{"type":"counter","name":"core.dynamics.moves_applied","value":4181}"#);
 /// assert_eq!(parse(&line).unwrap(), ev);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -50,7 +50,7 @@ pub enum Event {
     },
     /// A monotonic counter snapshot (cumulative total at emission time).
     Counter {
-        /// Counter name, e.g. `lp.pivots`.
+        /// Counter name, e.g. `core.dynamics.moves_applied`.
         name: String,
         /// Cumulative value.
         value: u64,

@@ -389,7 +389,7 @@ fn placement_detail(id: &str, shared: &AdminShared) -> (u16, &'static str, Strin
         _ => None,
     };
     let (compute, bandwidth) = v.demands.get(p).copied().unwrap_or((0.0, 0.0));
-    let ewma = v.demand_ewma.get(p).copied().unwrap_or(0.0);
+    let ewma = v.demand_ewma(p);
     let (cloudlet_s, res_a, res_b) = match cloudlet {
         Some(c) => {
             let (a, b) = v.residual.get(c).copied().unwrap_or((f64::NAN, f64::NAN));

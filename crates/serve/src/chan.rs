@@ -16,9 +16,10 @@ use std::time::Duration;
 /// production builds. Placed at the hazard windows of the channel
 /// protocol — around lock acquisition and between a state change and
 /// its condvar notify — so the interleaving models below push competing
-/// senders and the draining receiver through many orderings.
+/// senders and the draining receiver through many orderings. The demand
+/// tracker's note/drain protocol uses the same points.
 #[inline]
-fn fuzz() {
+pub(crate) fn fuzz() {
     #[cfg(feature = "loom-model")]
     loom::fuzz_yield();
 }

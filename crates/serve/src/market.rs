@@ -7,9 +7,7 @@
 //! [`Command`]s on a bounded channel; the writer drains the queue in
 //! *batches* — everything queued is taken in one lock, applied in one
 //! pass over the state (`Shard::step`), and covered by a single
-//! published [`MarketView`]. Publishing is the expensive step (`O(N)`
-//! placement/cost vectors per view), so amortizing one publish over a
-//! whole batch is where the daemon's write throughput comes from.
+//! published [`MarketView`].
 //!
 //! Read-your-writes is preserved batch-wide: the view covering a batch
 //! is published *before* any command in the batch is acknowledged, so a
@@ -43,6 +41,15 @@
 //! itself apply in place: a demand update moves one provider's load in
 //! `O(1)` ([`GameState::set_provider_demand`]) and a restore swaps in the
 //! snapshot's state, both in the middle of a batch like any other write.
+//!
+//! A write costs what it touched, publish and demand fold included. The
+//! same four paths also record which view entries changed (`Touched`):
+//! the providers whose placement, admission, demand or EWMA moved, and
+//! the cloudlets whose congestion moved — Eq. 3 prices congestion, so
+//! only those cloudlets' occupants changed cost. A publish patches those
+//! entries, over the last two publish intervals, into the view the last
+//! publish replaced, and a quantum folds only the providers the I/O side
+//! noted ([`DemandTracker::drain`]).
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -58,7 +65,7 @@ use mec_core::{
 use mec_topology::CloudletId;
 
 use crate::chan::{OneSender, Receiver, Sender, TrySendError};
-use crate::demand::{demand_order, DemandTracker, DEMAND_EWMA_ALPHA};
+use crate::demand::{demand_order, DemandEwma, DemandTracker};
 use crate::eventloop::Completions;
 use crate::proto::{Request, Response, StatsReport};
 use crate::shard::{
@@ -417,6 +424,13 @@ impl Marks {
     fn is_empty(&self) -> bool {
         self.list.is_empty()
     }
+
+    fn clear(&mut self) {
+        for &k in &self.list {
+            self.mask[k] = false;
+        }
+        self.list.clear();
+    }
 }
 
 /// What changed since the last maintenance pass that found no improving
@@ -460,20 +474,61 @@ impl Dirt {
     }
 }
 
+/// The view entries one publish interval changed. A provider's entries
+/// are its placement, cost, admission flag, demand and EWMA; its cost
+/// also moves with the congestion at its cloudlet (Eq. 3), so a cloudlet
+/// whose congestion changed stands for all its occupants.
+struct Touched {
+    /// Every entry: boot, restore, an EWMA renormalisation.
+    all: bool,
+    /// Providers whose placement, admission, demand or EWMA changed.
+    providers: Marks,
+    /// Cloudlets whose congestion changed.
+    cloudlets: Marks,
+}
+
+impl Touched {
+    /// Nothing touched, over `m` cloudlets and `n` providers.
+    fn clean(m: usize, n: usize) -> Touched {
+        Touched {
+            all: false,
+            providers: Marks::new(n),
+            cloudlets: Marks::new(m),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.all = false;
+        self.providers.clear();
+        self.cloudlets.clear();
+    }
+}
+
 /// The active providers grouped by placement — one bucket per cloudlet,
 /// the last for the remote cloud — so a maintenance pass visits the
 /// providers its dirt names instead of scanning every id.
 struct Members {
     buckets: Vec<Vec<usize>>,
+    /// Inactive providers a boot or restore snapshot left cached. They
+    /// count in their cloudlet's congestion, so their published cost
+    /// moves with it, yet no bucket holds them; no write can park a
+    /// provider, so the list only shrinks ([`Shard::publish`] prunes it).
+    parked: Vec<usize>,
 }
 
 impl Members {
     fn new(state: &GameState<'_>, active: &[bool]) -> Members {
         let mut members = Members {
             buckets: vec![Vec::new(); state.market().cloudlet_count() + 1],
+            parked: Vec::new(),
         };
-        for p in (0..active.len()).filter(|&p| active[p]) {
-            members.insert(p, state.placement(ProviderId(p)));
+        for (p, &on) in active.iter().enumerate() {
+            let at = state.placement(ProviderId(p));
+            if on {
+                members.insert(p, at);
+            } else if at != Placement::Remote {
+                members.parked.push(p);
+            }
         }
         members
     }
@@ -522,10 +577,10 @@ struct Book {
     /// order when no demand has been observed): one past the provider
     /// that made the last improving move.
     cursor: usize,
-    /// Per-provider request-rate EWMAs ([`DEMAND_EWMA_ALPHA`]), folded
-    /// from the shared [`DemandTracker`] at every quantum start. Drives
-    /// the hot-first maintenance scan and is published in the view.
-    demand_ewma: Vec<f64>,
+    /// Per-provider request-rate EWMAs, folded from the shared
+    /// [`DemandTracker`] at every quantum start. Drives the hot-first
+    /// maintenance scan and is published in the view.
+    demand: DemandEwma,
     /// Replies settled in the current batch, sent only after the
     /// covering view is published.
     acks: Vec<(Reply, Response)>,
@@ -550,8 +605,12 @@ struct Book {
     parked_preps: Vec<Arc<CoordOp>>,
     /// Idle housekeeping ticks (throttles rebalance scans).
     ticks: u64,
-    /// The view the last publish replaced.
+    /// The view the last publish replaced: two publishes old, it is the
+    /// next publish's base.
     replaced: Option<Arc<MarketView>>,
+    /// The view entries changed since the last publish (`[0]`) and in
+    /// the interval before it (`[1]`): together, what `replaced` lacks.
+    touched: [Touched; 2],
 }
 
 /// One shard's writer: the game state over its market copy, its
@@ -572,10 +631,14 @@ impl Shard {
         seq: u64,
         ctx: ShardCtx,
     ) -> Shard {
-        let n = active.len();
+        let (m, n) = (state.market().cloudlet_count(), active.len());
         let dirt = Dirt {
             all: true,
-            ..Dirt::clean(state.market().cloudlet_count(), n)
+            ..Dirt::clean(m, n)
+        };
+        let touched = Touched {
+            all: true,
+            ..Touched::clean(m, n)
         };
         let members = Members::new(&state, &active);
         Shard {
@@ -588,7 +651,7 @@ impl Shard {
                 dirt,
                 members,
                 cursor: 0,
-                demand_ewma: vec![0.0; n],
+                demand: DemandEwma::new(n),
                 acks: Vec::new(),
                 applied: Vec::new(),
                 outbound: VecDeque::new(),
@@ -599,6 +662,7 @@ impl Shard {
                 parked_preps: Vec::new(),
                 ticks: 0,
                 replaced: None,
+                touched: [touched, Touched::clean(m, n)],
             },
             ctx,
         }
@@ -856,24 +920,30 @@ impl Shard {
         self.book.members = Members::new(&self.state, &self.book.active);
         self.book.seq = snap.seq;
         self.book.dirt.all = true;
+        self.book.touched[0].all = true;
         self.book.cursor = 0;
         self.book.tombstones.clear();
     }
 
     /// Moves `l` to `to`. Every placement change takes this path, which
-    /// records the congestion it moved as dirt.
+    /// records the congestion it moved as dirt and as touched view
+    /// entries.
     fn relocate(&mut self, l: ProviderId, to: Placement) {
         let from = self.state.apply_move(l, to);
         if from != to {
-            if self.book.active[l.index()] {
-                self.book.members.remove(l.index(), from);
-                self.book.members.insert(l.index(), to);
+            let book = &mut self.book;
+            if book.active[l.index()] {
+                book.members.remove(l.index(), from);
+                book.members.insert(l.index(), to);
             }
+            book.touched[0].providers.insert(l.index());
             if let Placement::Cloudlet(a) = from {
-                self.book.dirt.fell.insert(a.index());
+                book.dirt.fell.insert(a.index());
+                book.touched[0].cloudlets.insert(a.index());
             }
             if let Placement::Cloudlet(b) = to {
-                self.book.dirt.rose.insert(b.index());
+                book.dirt.rose.insert(b.index());
+                book.touched[0].cloudlets.insert(b.index());
             }
         }
     }
@@ -890,6 +960,7 @@ impl Shard {
         }
         self.book.active[provider] = on;
         self.book.dirt.providers.insert(provider);
+        self.book.touched[0].providers.insert(provider);
     }
 
     /// Replaces `l`'s demand vector in place, marking the provider dirty.
@@ -901,6 +972,7 @@ impl Shard {
         let shrank = compute < spec.compute_demand || bandwidth < spec.bandwidth_demand;
         self.state.set_provider_demand(l, compute, bandwidth);
         self.book.dirt.providers.insert(l.index());
+        self.book.touched[0].providers.insert(l.index());
         if let (true, Placement::Cloudlet(c)) = (shrank, self.state.placement(l)) {
             self.book.dirt.fell.insert(c.index());
         }
@@ -989,7 +1061,11 @@ impl Shard {
         reply: Reply,
         target: usize,
     ) {
-        let spec = self.state.market().provider(ProviderId(provider));
+        let l = ProviderId(provider);
+        // A provider a snapshot left parked here gives its slot back
+        // before another shard owns it.
+        self.relocate(l, Placement::Remote);
+        let spec = self.state.market().provider(l);
         let (compute, bandwidth) = (spec.compute_demand, spec.bandwidth_demand);
         self.ctx.router.set_owner(provider, target);
         mec_obs::counter_add("serve.shard.route", 1);
@@ -1471,25 +1547,27 @@ impl Shard {
         }
     }
 
-    /// Folds the query counts the I/O side accumulated since the last
-    /// quantum into this shard's per-provider demand EWMAs. Counts for
+    /// Folds the query counts the I/O side noted since the last quantum
+    /// into this shard's per-provider demand EWMAs: every EWMA decays in
+    /// `O(1)`, then each noted owned provider adds its count. Counts for
     /// providers owned by other shards are left in the tracker for their
-    /// owner's next fold; owned EWMAs decay toward zero through quiet
-    /// quanta (the same update with a zero count).
+    /// owner's next fold.
     fn fold_demand(&mut self) {
-        let demand = &self.ctx.demand;
-        if demand.is_empty() {
+        let Shard { ctx, book, .. } = self;
+        if ctx.demand.is_empty() {
             return;
         }
-        let n = self.book.demand_ewma.len().min(demand.len());
-        for p in 0..n {
-            if !self.ctx.owns(p) {
-                continue;
-            }
-            let count = demand.take(p) as f64;
-            let e = &mut self.book.demand_ewma[p];
-            *e = (1.0 - DEMAND_EWMA_ALPHA) * *e + DEMAND_EWMA_ALPHA * count;
+        if book.demand.decay() {
+            book.touched[0].all = true;
         }
+        let (ewma, touched) = (&mut book.demand, &mut book.touched[0]);
+        ctx.demand.drain(
+            |p| ctx.owns(p),
+            |p, count| {
+                ewma.add(p, count);
+                touched.providers.insert(p);
+            },
+        );
     }
 
     /// The active owned providers that `dirt` says could have an improving
@@ -1569,7 +1647,7 @@ impl Shard {
         while applied < max_moves && !self.book.dirt.is_clean() {
             let pass = std::mem::replace(&mut self.book.dirt, Dirt::clean(m, n));
             let mut order = self.candidates(&pass);
-            demand_order(&mut order, &self.book.demand_ewma, self.book.cursor);
+            demand_order(&mut order, self.book.demand.raw(), self.book.cursor);
             for (k, &p) in order.iter().enumerate() {
                 if applied == max_moves {
                     // Preempted: the candidates not yet checked stay dirty.
@@ -1606,88 +1684,102 @@ impl Shard {
         }
     }
 
-    /// This shard's view, built into `spare`'s buffers (a replaced view
-    /// no reader holds any more, or an empty one).
-    fn view(&self, spare: MarketView) -> MarketView {
+    /// This shard's view, written over `v`. With `all`, every entry is
+    /// rewritten, so any `v` will do; otherwise `v` must be the view
+    /// published two publishes ago, and only the entries the two
+    /// intervals since then touched ([`Book::touched`]) are rewritten,
+    /// plus the parked providers. The social cost is re-summed over the
+    /// whole cost vector in provider order, so it stays bit-identical to
+    /// [`GameState::subset_cost`] over the active providers.
+    fn view(&self, mut v: MarketView, all: bool) -> MarketView {
         let (state, book) = (&self.state, &self.book);
         let market = state.market();
-        let MarketView {
-            mut placements,
-            mut costs,
-            mut active,
-            mut congestion,
-            mut residual,
-            mut demands,
-            mut demand_ewma,
-            ..
-        } = spare;
-        // One pass over the providers fills the three provider-length
-        // vectors, reading each provider's spec once.
-        placements.clear();
-        costs.clear();
-        demands.clear();
-        for l in market.providers() {
+        let n = state.len();
+        if all {
+            v.placements.resize(n, Placement::Remote);
+            v.costs.resize(n, 0.0);
+            v.active.resize(n, false);
+            v.demands.resize(n, (0.0, 0.0));
+            v.demand_raw.resize(n, 0.0);
+        }
+        let mut write = |p: usize| {
+            let l = ProviderId(p);
             let spec = market.provider(l);
             let at = state.placement(l);
-            placements.push(at);
+            v.placements[p] = at;
             // `GameState::provider_cost`, inlined to share the spec read.
-            costs.push(match at {
+            v.costs[p] = match at {
                 Placement::Remote => spec.remote_cost,
                 Placement::Cloudlet(c) => market.caching_cost(l, c, state.congestion(c)),
-            });
-            demands.push((spec.compute_demand, spec.bandwidth_demand));
+            };
+            v.active[p] = book.active[p];
+            v.demands[p] = (spec.compute_demand, spec.bandwidth_demand);
+            v.demand_raw[p] = book.demand.raw()[p];
+        };
+        if all {
+            (0..n).for_each(&mut write);
+        } else {
+            for touched in &book.touched {
+                touched.providers.list.iter().copied().for_each(&mut write);
+                for &c in &touched.cloudlets.list {
+                    book.members.at(c).iter().copied().for_each(&mut write);
+                }
+            }
+            book.members.parked.iter().copied().for_each(&mut write);
         }
-        let social_cost = costs
+        v.social_cost = v
+            .costs
             .iter()
-            .zip(&book.active)
+            .zip(&v.active)
             .filter(|(_, &on)| on)
             .map(|(&c, _)| c)
             .sum();
-        active.clone_from(&book.active);
-        demand_ewma.clone_from(&book.demand_ewma);
-        congestion.clear();
-        congestion.extend_from_slice(state.congestion_counts());
+        v.demand_scale = book.demand.scale();
+        v.congestion.clear();
+        v.congestion.extend_from_slice(state.congestion_counts());
         // Peers read the residuals to estimate migrations: show them the
         // free space net of already-granted reservations so they never
         // over-target.
-        residual.clear();
-        residual.extend(market.cloudlets().map(|i| state.residual(i)));
+        v.residual.clear();
+        v.residual
+            .extend(market.cloudlets().map(|i| state.residual(i)));
         for r in &book.reserved {
-            residual[r.cloudlet].0 -= r.compute;
-            residual[r.cloudlet].1 -= r.bandwidth;
+            v.residual[r.cloudlet].0 -= r.compute;
+            v.residual[r.cloudlet].1 -= r.bandwidth;
         }
-        MarketView {
-            seq: book.seq,
-            placements,
-            costs,
-            active,
-            social_cost,
-            congestion,
-            residual,
-            demands,
-            demand_ewma,
-            epochs: book.epochs,
-            moves: book.moves,
-            equilibrium: book.dirt.is_clean(),
-        }
+        v.seq = book.seq;
+        v.epochs = book.epochs;
+        v.moves = book.moves;
+        v.equilibrium = book.dirt.is_clean();
+        v
     }
 
     /// Publishes this shard's view, recording the view-build latency when
     /// the probes are armed (`enabled()` is `const`, so the timer folds
     /// away in no-op builds). Sharded daemons record per-shard probes
     /// (`serve.publish.s<k>.ns`); `obsreport` folds them back together.
-    /// The view replaced last time lends its buffers once no reader holds
-    /// it any more, which spares the allocator a round trip per vector.
+    ///
+    /// The view the last publish replaced is two publishes old; once no
+    /// reader holds it any more, it is patched with what the two
+    /// intervals since touched. After a boot, a restore or an EWMA
+    /// renormalisation — or while a reader still holds that view — every
+    /// entry is rewritten instead, into fresh buffers in the last case.
     pub(crate) fn publish(&mut self) {
         let t0 = mec_obs::enabled().then(Instant::now);
-        let spare = self
-            .book
+        let (state, book) = (&self.state, &mut self.book);
+        book.members
+            .parked
+            .retain(|&p| !book.active[p] && state.placement(ProviderId(p)) != Placement::Remote);
+        let base = book
             .replaced
             .take()
-            .and_then(|old| Arc::try_unwrap(old).ok())
-            .unwrap_or_else(|| MarketView::empty(0));
-        let view = self.view(spare);
-        self.book.replaced = Some(self.ctx.views[self.ctx.index].store(view));
+            .and_then(|old| Arc::try_unwrap(old).ok());
+        let all = base.is_none() || book.touched.iter().any(|t| t.all);
+        let view = self.view(base.unwrap_or_else(|| MarketView::empty(0)), all);
+        let book = &mut self.book;
+        book.replaced = Some(self.ctx.views[self.ctx.index].store(view));
+        book.touched.swap(0, 1);
+        book.touched[0].clear();
         if let Some(t0) = t0 {
             mec_obs::record(self.ctx.publish_probe, t0.elapsed().as_nanos() as u64);
         }
@@ -2088,6 +2180,7 @@ pub(crate) fn refuse(cmd: Command) {
 mod tests {
     use super::*;
     use crate::chan;
+    use crate::demand::DEMAND_EWMA_ALPHA;
     use crate::shard::{BootState, ShardSet};
     use mec_core::model::{CloudletSpec, Market, ProviderSpec};
 
@@ -2457,27 +2550,79 @@ mod tests {
         base: Market,
         /// A consistent capture of every shard and the ownership map.
         saved: Option<(Vec<usize>, Vec<MarketSnapshot>)>,
+        /// The I/O side's query counters, shared with every shard.
+        demand: Arc<DemandTracker>,
+        /// Queries noted per provider and not yet folded.
+        pending: Vec<u64>,
+        /// Per shard, every provider's EWMA by the plain per-provider
+        /// recurrence, folded wherever that shard folds.
+        ewma: Vec<Vec<f64>>,
+        /// A view a reader holds across one step: the publish that would
+        /// patch it must rebuild into fresh buffers instead.
+        held: Option<Arc<MarketView>>,
     }
 
     impl Sim {
         fn boot(market: Market, profile: Profile, active: Vec<bool>, shards: usize) -> Sim {
             let base = market.clone();
+            let n = market.provider_count();
+            let demand = Arc::new(DemandTracker::new(n));
             let mut set = ShardSet::boot(
                 BootState::whole(market, profile, active, 0),
                 shards,
                 None,
                 4096,
                 None,
-                Arc::new(DemandTracker::disabled()),
+                demand.clone(),
                 1,
             )
             .unwrap();
+            let shards = set.take_idle();
             Sim {
-                shards: set.take_idle(),
+                ewma: vec![vec![0.0; n]; shards.len()],
+                shards,
                 txs: set.txs.clone(),
                 router: set.router.clone(),
                 base,
                 saved: None,
+                demand,
+                pending: vec![0; n],
+                held: None,
+            }
+        }
+
+        /// Notes `count` queries for provider `p`, as the I/O side does.
+        fn note(&mut self, p: usize, count: u64) {
+            for _ in 0..count {
+                self.demand.note(p);
+            }
+            self.pending[p] += count;
+        }
+
+        /// One quantum of at most `max_moves` moves on shard `k`, with the
+        /// reference fold beside it: every provider decays, and the
+        /// pending queries of the providers `k` owns land.
+        fn run_quantum(&mut self, k: usize, max_moves: usize) {
+            for (p, e) in self.ewma[k].iter_mut().enumerate() {
+                let count = if self.router.owner(p) == k {
+                    std::mem::take(&mut self.pending[p])
+                } else {
+                    0
+                };
+                *e = (1.0 - DEMAND_EWMA_ALPHA) * *e + DEMAND_EWMA_ALPHA * count as f64;
+            }
+            self.shards[k].0.run_quantum(max_moves);
+        }
+
+        /// Shard `k`'s published EWMAs match the reference recurrence.
+        fn assert_ewma(&self, k: usize) {
+            let view = self.shards[k].0.ctx.views[k].load();
+            for (p, &want) in self.ewma[k].iter().enumerate() {
+                let got = view.demand_ewma(p);
+                assert!(
+                    (got - want).abs() <= 1e-9 * want,
+                    "shard {k} provider {p}: published EWMA {got}, recurrence {want}"
+                );
             }
         }
 
@@ -2522,14 +2667,15 @@ mod tests {
         /// One quantum of at most `max_moves` moves on every dirty shard;
         /// each that comes out clean must be at equilibrium.
         fn quantum(&mut self, max_moves: usize) {
-            for (shard, _) in &mut self.shards {
-                if !shard.book.dirt.is_clean() {
-                    shard.run_quantum(max_moves);
+            for k in 0..self.shards.len() {
+                if !self.shards[k].0.book.dirt.is_clean() {
+                    self.run_quantum(k, max_moves);
+                    let shard = &self.shards[k].0;
                     if shard.book.dirt.is_clean() {
                         assert_settled(shard);
                     }
                 }
-                shard.settle_batch();
+                self.shards[k].0.settle_batch();
             }
         }
 
@@ -2542,7 +2688,10 @@ mod tests {
             let owner = self.router.owner(p);
             let (tx, _rx) = chan::oneshot();
             let reply: Reply = tx.into();
-            match kind % 11 {
+            // A view held since the last step is released when this one
+            // ends.
+            let _released = self.held.take();
+            match kind % 13 {
                 0 => self.send(
                     owner,
                     Command::Join {
@@ -2565,7 +2714,7 @@ mod tests {
                 // overflows) ...
                 3 | 4 => {
                     let spec = self.base.provider(ProviderId(p));
-                    let grow = if kind % 11 == 3 { 100.0 } else { 1.0 };
+                    let grow = if kind % 13 == 3 { 100.0 } else { 1.0 };
                     self.send(
                         owner,
                         Command::Update {
@@ -2613,9 +2762,13 @@ mod tests {
                     }
                 }
                 // Land an inactive `p` at `c` as a finished handoff would:
-                // ownership moves first, then the commit.
+                // ownership moves first, then the commit. The source has
+                // released `p` to the remote cloud by then, so a provider
+                // parked at a cloudlet cannot be handed off this way.
                 8 => {
-                    if !self.shards[owner].0.book.active[p] {
+                    let source = &self.shards[owner].0;
+                    let l = ProviderId(p);
+                    if !source.book.active[p] && source.state.placement(l) == Placement::Remote {
                         let k = self.region(c);
                         let (compute, bandwidth) = self.demand(p);
                         self.router.set_owner(p, k);
@@ -2645,7 +2798,7 @@ mod tests {
                         .collect();
                     self.saved = Some((owners, slices));
                 }
-                _ => {
+                10 => {
                     if let Some((owners, slices)) = self.saved.clone() {
                         for (q, &k) in owners.iter().enumerate() {
                             self.router.set_owner(q, k);
@@ -2655,11 +2808,18 @@ mod tests {
                         }
                     }
                 }
+                // `c + 1` queries for `p`, folded by whichever shard owns
+                // `p` at its next quantum ...
+                11 => self.note(p, c as u64 + 1),
+                // ... and a reader holding the owner's view until the
+                // next step ends.
+                _ => self.held = Some(self.shards[owner].0.ctx.views[owner].load()),
             }
             self.pump();
-            for (shard, _) in &self.shards {
+            for (k, (shard, _)) in self.shards.iter().enumerate() {
                 assert_members(shard);
                 assert_view(shard);
+                self.assert_ewma(k);
             }
             match budget % 4 {
                 0 => {}
@@ -2673,9 +2833,10 @@ mod tests {
         /// dropped, quanta to equilibrium) and certifies what is left.
         fn finish(mut self) {
             let sharded = self.shards.len() > 1;
-            for (shard, _) in &mut self.shards {
-                shard.release(None);
-                shard.run_quantum(usize::MAX);
+            for k in 0..self.shards.len() {
+                self.shards[k].0.release(None);
+                self.run_quantum(k, usize::MAX);
+                let shard = &self.shards[k].0;
                 assert!(shard.book.dirt.is_clean());
                 assert_settled(shard);
                 let market = shard.state.market();
@@ -2718,11 +2879,12 @@ mod tests {
         }
     }
 
-    /// The published view, built into a replaced view's buffers, matches
-    /// a fresh build; its costs are each provider's `provider_cost` and
-    /// its social cost their sum over the active providers, bit for bit.
+    /// The published view, patched into a replaced view or rebuilt,
+    /// matches a fresh build; its costs are each provider's
+    /// `provider_cost` and its social cost their sum over the active
+    /// providers, bit for bit.
     fn assert_view(shard: &Shard) {
-        let view = shard.view(MarketView::empty(0));
+        let view = shard.view(MarketView::empty(0), true);
         let published = shard.ctx.views[shard.ctx.index].load();
         assert_eq!(format!("{published:?}"), format!("{view:?}"));
         let state = &shard.state;
@@ -2762,22 +2924,40 @@ mod tests {
         );
     }
 
+    /// Renormalising the EWMAs' shared scale rewrites every entry, so the
+    /// publishes after it must rewrite every view entry too.
+    #[test]
+    fn ewma_renormalisation_republishes_every_entry() {
+        let mut sim = Sim::boot(tiny_market(3), Profile::all_remote(3), vec![true; 3], 1);
+        sim.note(1, 3);
+        // ~800 quanta take the scale across its floor.
+        for _ in 0..1000 {
+            sim.run_quantum(0, 1);
+            sim.shards[0].0.settle_batch();
+            assert_view(&sim.shards[0].0);
+            sim.assert_ewma(0);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
 
-        /// Differential check of the dirt rules: on small tight markets at
-        /// one and two shards, random joins (pinned and not), leaves,
-        /// evicting updates and their undoing, reservations and aborts,
-        /// landed handoffs, and restores, with quanta of 1, 2 or
-        /// [`EPOCH_MOVES`] moves between them. Every quantum that leaves
-        /// the dirt clean must survive a full best-response sweep, and the
-        /// drained shards must be capacity-feasible and (region-)Nash.
+        /// Differential check of the dirt rules and of the patched
+        /// publish: on small tight markets at one and two shards, random
+        /// joins (pinned and not), leaves, evicting updates and their
+        /// undoing, reservations and aborts, landed handoffs, restores,
+        /// noted queries and views held by a reader, with quanta of 1, 2
+        /// or [`EPOCH_MOVES`] moves between them. After every step each
+        /// published view must equal a fresh build and carry the
+        /// reference EWMAs; every quantum that leaves the dirt clean must
+        /// survive a full best-response sweep, and the drained shards must
+        /// be capacity-feasible and (region-)Nash.
         #[test]
         fn clean_dirt_is_always_an_equilibrium(
             shards in 1usize..3,
             cloudlets in proptest::collection::vec((1u8..4, 1u8..10), 2..5),
             providers in proptest::collection::vec((1u8..3, 0u8..6, 2u8..12, 0u8..7), 3..9),
-            ops in proptest::collection::vec((0u8..11, 0usize..16, 0usize..8, 0u8..4), 1..60),
+            ops in proptest::collection::vec((0u8..13, 0usize..16, 0usize..8, 0u8..4), 1..60),
         ) {
             let mut b = Market::builder();
             for &(slots, price) in &cloudlets {
@@ -2791,16 +2971,22 @@ mod tests {
             let market = b.uniform_update_cost(0.2).build();
             // Boot from an arbitrary feasible profile, so the boot itself
             // must be maintained: `init` picks a cloudlet (cached when it
-            // fits), active at the remote cloud, or inactive.
+            // fits), active at the remote cloud, inactive, or inactive but
+            // parked at a cloudlet, as a snapshot can leave a provider.
             let m = market.cloudlet_count();
             let mut state = GameState::all_remote(&market);
             let mut active = vec![false; providers.len()];
             for (p, &(_, _, _, init)) in providers.iter().enumerate() {
-                let pick = usize::from(init) % (m + 2);
+                let pick = usize::from(init) % (m + 3);
                 active[p] = pick <= m;
+                let at = match pick {
+                    _ if pick < m => Some(pick),
+                    _ if pick == m + 2 => Some(p % m),
+                    _ => None,
+                };
                 let l = ProviderId(p);
-                if pick < m && market.fits(l, state.residual(CloudletId(pick))) {
-                    state.apply_move(l, Placement::Cloudlet(CloudletId(pick)));
+                if let Some(c) = at.filter(|&c| market.fits(l, state.residual(CloudletId(c)))) {
+                    state.apply_move(l, Placement::Cloudlet(CloudletId(c)));
                 }
             }
             let profile = state.into_profile();

@@ -9,6 +9,12 @@
 //! the `Arc` (two reference-count bumps), then answer any number of
 //! requests from the immutable snapshot without contending with the
 //! writer.
+//!
+//! A publish does not build its view from scratch: it rewrites the view
+//! the previous publish replaced (two publishes old, and by then
+//! normally released by every reader), patching only the entries the
+//! writes of those two intervals touched. Every view a reader loads is
+//! still complete and immutable; the patching happens before the swap.
 
 use std::sync::{Arc, Mutex};
 
@@ -41,11 +47,15 @@ pub struct MarketView {
     /// `(compute, bandwidth)` demand per provider, from the publishing
     /// shard's market copy. Feeds the admin placement drill-down.
     pub demands: Vec<(f64, f64)>,
-    /// Observed request-rate EWMA per provider (folded from I/O-side
-    /// query counts once per maintenance quantum; zero when the daemon
-    /// runs without a demand tracker). In a sharded daemon only the
-    /// publishing shard's own providers carry a live signal.
-    pub demand_ewma: Vec<f64>,
+    /// Observed request-rate EWMA per provider before the shared decay
+    /// [`MarketView::demand_scale`]: provider `p`'s EWMA is
+    /// `demand_raw[p] * demand_scale` ([`MarketView::demand_ewma`]). Folded
+    /// from I/O-side query counts once per maintenance quantum; zero when
+    /// the daemon runs without a demand tracker. In a sharded daemon only
+    /// the publishing shard's own providers carry a live signal.
+    pub demand_raw: Vec<f64>,
+    /// The shared decay factor of [`MarketView::demand_raw`].
+    pub demand_scale: f64,
     /// Equilibrium-maintenance epochs run so far.
     pub epochs: u64,
     /// Improving moves applied by those epochs.
@@ -69,11 +79,20 @@ impl MarketView {
             congestion: Vec::new(),
             residual: Vec::new(),
             demands: vec![(0.0, 0.0); providers],
-            demand_ewma: vec![0.0; providers],
+            demand_raw: vec![0.0; providers],
+            demand_scale: 1.0,
             epochs: 0,
             moves: 0,
             equilibrium: false,
         }
+    }
+
+    /// Provider `p`'s observed request-rate EWMA (zero for an unknown
+    /// id).
+    pub fn demand_ewma(&self, p: usize) -> f64 {
+        self.demand_raw
+            .get(p)
+            .map_or(0.0, |r| r * self.demand_scale)
     }
 
     /// Providers currently admitted.
