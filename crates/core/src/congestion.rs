@@ -10,7 +10,7 @@
 //! (Rosenthal's potential sums the price curve), so best-response dynamics
 //! still converge to a pure Nash equilibrium.
 
-use crate::game::IMPROVEMENT_TOL;
+use crate::game::{choose, IMPROVEMENT_TOL};
 use crate::model::{Market, ProviderId};
 use crate::strategy::{Placement, Profile};
 
@@ -163,33 +163,14 @@ impl<'a> GeneralizedGame<'a> {
             residual[c.index()].1 += spec.bandwidth_demand;
             sigma[c.index()] -= 1;
         }
-        let mut best: Option<(Placement, f64)> = None;
-        let mut consider = |p: Placement, cost: f64| {
-            let better = match best {
-                None => true,
-                Some((bp, bc)) => {
-                    cost < bc - IMPROVEMENT_TOL
-                        || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
-                }
-            };
-            if better {
-                best = Some((p, cost));
-            }
-        };
-        if market.provider(l).can_stay_remote() {
-            consider(Placement::Remote, market.provider(l).remote_cost);
-        }
-        for i in market.cloudlets() {
-            if market.fits(l, residual[i.index()]) {
-                let cost = self
-                    .model
+        choose(market, l, current, |i| {
+            market.fits(l, residual[i.index()]).then(|| {
+                self.model
                     .price(market.cloudlet(i).congestion_price(), sigma[i.index()] + 1)
                     + market.provider(l).instantiation_cost
-                    + market.update_cost(l, i);
-                consider(Placement::Cloudlet(i), cost);
-            }
-        }
-        best
+                    + market.update_cost(l, i)
+            })
+        })
     }
 
     /// Round-robin best-response dynamics to a Nash equilibrium.

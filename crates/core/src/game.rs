@@ -24,6 +24,8 @@
 //! amortize thread startup; the chunked merge reproduces the sequential
 //! tie-breaking exactly, so results are identical at any worker count.
 
+use mec_topology::CloudletId;
+
 use crate::model::{Market, ProviderId};
 use crate::state::GameState;
 use crate::strategy::{Placement, Profile};
@@ -101,6 +103,43 @@ pub fn rosenthal_potential(market: &Market, profile: &Profile) -> f64 {
     phi
 }
 
+/// The one candidate order and tie-break of every best response in the
+/// crate: the remote cloud first (when `l` may stay remote), then each
+/// cloudlet in id order that `cost_at` prices (`None` means "not a
+/// candidate"). A later candidate wins only if it is cheaper by more than
+/// [`IMPROVEMENT_TOL`]; within the tolerance the tie goes to `l`'s
+/// `current` placement, else to the earlier candidate, so dynamics are
+/// deterministic.
+#[inline]
+pub(crate) fn choose(
+    market: &Market,
+    l: ProviderId,
+    current: Placement,
+    mut cost_at: impl FnMut(CloudletId) -> Option<f64>,
+) -> Option<(Placement, f64)> {
+    let spec = market.provider(l);
+    let mut best = spec
+        .can_stay_remote()
+        .then_some((Placement::Remote, spec.remote_cost));
+    for i in market.cloudlets() {
+        let Some(cost) = cost_at(i) else {
+            continue;
+        };
+        let p = Placement::Cloudlet(i);
+        let better = match best {
+            None => true,
+            Some((bp, bc)) => {
+                cost < bc - IMPROVEMENT_TOL
+                    || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
+            }
+        };
+        if better {
+            best = Some((p, cost));
+        }
+    }
+    best
+}
+
 /// The best response of provider `l` against the rest of `profile`,
 /// recomputing congestion and residuals from scratch.
 ///
@@ -133,31 +172,11 @@ pub fn best_response(
         residual[c.index()].1 += spec.bandwidth_demand;
         sigma[c.index()] -= 1;
     }
-
-    let mut best: Option<(Placement, f64)> = None;
-    let mut consider = |p: Placement, cost: f64| {
-        let better = match best {
-            None => true,
-            Some((bp, bc)) => {
-                cost < bc - IMPROVEMENT_TOL
-                    || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
-            }
-        };
-        if better {
-            best = Some((p, cost));
-        }
-    };
-
-    if market.provider(l).can_stay_remote() {
-        consider(Placement::Remote, market.provider(l).remote_cost);
-    }
-    for i in market.cloudlets() {
-        if market.fits(l, residual[i.index()]) {
-            let cost = market.caching_cost(l, i, sigma[i.index()] + 1);
-            consider(Placement::Cloudlet(i), cost);
-        }
-    }
-    best
+    choose(market, l, current, |i| {
+        market
+            .fits(l, residual[i.index()])
+            .then(|| market.caching_cost(l, i, sigma[i.index()] + 1))
+    })
 }
 
 /// `true` if `l` has a profitable unilateral deviation — `O(M)`.
@@ -562,7 +581,6 @@ impl BestResponseDynamics {
 mod tests {
     use super::*;
     use crate::model::{CloudletSpec, ProviderSpec};
-    use mec_topology::CloudletId;
 
     fn market(n_providers: usize) -> Market {
         let mut b = Market::builder()
@@ -589,6 +607,45 @@ mod tests {
             ));
         }
         b.uniform_update_cost(0.2).build()
+    }
+
+    /// Every best response shares this rule, so the differential tests
+    /// between them cannot see it break; it is pinned here instead.
+    #[test]
+    fn chooser_breaks_ties_to_the_current_placement_then_the_earlier_candidate() {
+        let m = market(1);
+        let l = ProviderId(0);
+        let remote = m.provider(l).remote_cost;
+        let (cl0, cl1) = (
+            Placement::Cloudlet(CloudletId(0)),
+            Placement::Cloudlet(CloudletId(1)),
+        );
+        let within = remote - 0.5 * IMPROVEMENT_TOL;
+        // Within the tolerance nothing beats the remote cloud, which
+        // comes first, unless the tie is with the current placement.
+        assert_eq!(
+            choose(&m, l, Placement::Remote, |_| Some(within)),
+            Some((Placement::Remote, remote))
+        );
+        assert_eq!(choose(&m, l, cl1, |_| Some(within)), Some((cl1, within)));
+        assert_eq!(
+            choose(&m, l, cl1, |i| (i.index() == 0).then_some(within)),
+            Some((Placement::Remote, remote))
+        );
+        // Beyond it the cheaper candidate wins, and of two equal ones
+        // the earlier id.
+        let cheaper = remote - 2.0 * IMPROVEMENT_TOL;
+        assert_eq!(
+            choose(&m, l, Placement::Remote, |_| Some(cheaper)),
+            Some((cl0, cheaper))
+        );
+        // A provider that must cache has no answer without a candidate.
+        let must_cache = Market::builder()
+            .cloudlet(CloudletSpec::new(20.0, 100.0, 0.5, 0.5))
+            .provider(ProviderSpec::new(2.0, 10.0, 1.0, f64::INFINITY))
+            .uniform_update_cost(0.2)
+            .build();
+        assert_eq!(choose(&must_cache, l, Placement::Remote, |_| None), None);
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub use snapshot::{
 pub use state::GameState;
 pub use strategy::{Placement, Profile};
 pub use verify::{
-    check_capacity, check_congestion, check_cost_reconstruction, check_nash, check_state,
-    Certificate, Violation,
+    check_capacity, check_congestion, check_cost_reconstruction, check_nash, check_nash_in,
+    check_state, Certificate, Violation,
 };
 pub use weighted::WeightedGame;
 

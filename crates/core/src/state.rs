@@ -47,7 +47,7 @@ use std::borrow::Cow;
 
 use mec_topology::CloudletId;
 
-use crate::game::IMPROVEMENT_TOL;
+use crate::game::choose;
 use crate::model::{Market, ProviderId};
 use crate::strategy::{Placement, Profile};
 
@@ -300,44 +300,42 @@ impl<'m> GameState<'m> {
     /// to the recompute path [`crate::game::best_response`].
     ///
     /// Returns `None` when no candidate at all is available.
+    #[inline]
     pub fn best_response(&self, l: ProviderId) -> Option<(Placement, f64)> {
+        self.best_response_in(l, |i| Some(self.residual(i)))
+    }
+
+    /// [`GameState::best_response`] over a restricted strategy set.
+    /// `free(i)` is the free `(compute, bandwidth)` room at cloudlet `i`
+    /// as `l` may use it — [`GameState::residual`], less any capacity the
+    /// caller holds back — or `None` when `i` is not a candidate. `l`'s
+    /// own load at its current cloudlet is added back here, so candidates
+    /// see the others-only state. The remote option, costs and
+    /// tie-breaking are those of [`GameState::best_response`].
+    ///
+    /// A region-sharded writer passes its region as the mask and its
+    /// residuals net of migration reservations as the room.
+    #[inline]
+    pub fn best_response_in(
+        &self,
+        l: ProviderId,
+        mut free: impl FnMut(CloudletId) -> Option<(f64, f64)>,
+    ) -> Option<(Placement, f64)> {
         let market = self.market();
         let current = self.profile.placement(l);
         let spec = market.provider(l);
-
-        let mut best: Option<(Placement, f64)> = None;
-        let mut consider = |p: Placement, cost: f64| {
-            let better = match best {
-                None => true,
-                Some((bp, bc)) => {
-                    cost < bc - IMPROVEMENT_TOL
-                        || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
-                }
-            };
-            if better {
-                best = Some((p, cost));
-            }
-        };
-
-        if spec.can_stay_remote() {
-            consider(Placement::Remote, spec.remote_cost);
-        }
-        for i in market.cloudlets() {
-            // Candidates see the "others only" state: remove l from its own
-            // cloudlet before checking fit and congestion.
-            let (mut free_a, mut free_b) = self.residual(i);
+        choose(market, l, current, |i| {
+            let (mut free_a, mut free_b) = free(i)?;
             let mut others = self.sigma[i.index()];
             if current == Placement::Cloudlet(i) {
                 free_a += spec.compute_demand;
                 free_b += spec.bandwidth_demand;
                 others -= 1;
             }
-            if market.fits(l, (free_a, free_b)) {
-                let cost = market.caching_cost(l, i, others + 1);
-                consider(Placement::Cloudlet(i), cost);
-            }
-        }
-        best
+            market
+                .fits(l, (free_a, free_b))
+                .then(|| market.caching_cost(l, i, others + 1))
+        })
     }
 
     /// `true` if the maintained aggregates match a from-scratch

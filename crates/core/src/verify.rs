@@ -21,7 +21,8 @@
 //!   every movable provider is enumerated and priced; any strictly
 //!   improving one (beyond `tol`) is reported. Independent of
 //!   [`crate::game::is_nash`], which runs on the incremental
-//!   [`GameState`].
+//!   [`GameState`]. [`check_nash_in`] restricts the deviations to a
+//!   cloudlet mask.
 //!
 //! With the `verify` cargo feature enabled, the algorithm entry points
 //! ([`crate::appro::appro`], [`crate::lcf::lcf`], the best-response
@@ -419,10 +420,42 @@ pub fn check_nash(
     movable: &[bool],
     tol: f64,
 ) -> Vec<Violation> {
+    check_nash_in(
+        market,
+        profile,
+        movable,
+        &vec![true; market.cloudlet_count()],
+        tol,
+    )
+}
+
+/// [`check_nash`] over a restricted strategy set: only deviations to the
+/// remote cloud and to the cloudlets `allowed` marks are enumerated —
+/// the Nash condition of [`crate::GameState::best_response_in`] under
+/// the same mask. A movable provider placed outside the mask is priced
+/// at its actual cost; reporting it as misplaced is the caller's
+/// business. A region-sharded writer certifies its region this way.
+///
+/// # Panics
+///
+/// Panics if `movable` does not cover every provider or `allowed` every
+/// cloudlet.
+pub fn check_nash_in(
+    market: &Market,
+    profile: &Profile,
+    movable: &[bool],
+    allowed: &[bool],
+    tol: f64,
+) -> Vec<Violation> {
     assert_eq!(
         movable.len(),
         market.provider_count(),
         "movable mask must cover every provider"
+    );
+    assert_eq!(
+        allowed.len(),
+        market.cloudlet_count(),
+        "cloudlet mask must cover every cloudlet"
     );
     let (sigma, loads) = recount(market, profile);
     let mut out = Vec::new();
@@ -448,9 +481,9 @@ pub fn check_nash(
                 deviation_cost: spec.remote_cost,
             });
         }
-        // Deviation to every other cloudlet with room for `l`.
+        // Deviation to every other allowed cloudlet with room for `l`.
         for i in market.cloudlets() {
-            if current == Placement::Cloudlet(i) {
+            if !allowed[i.index()] || current == Placement::Cloudlet(i) {
                 continue;
             }
             // `l` is not cached at `i`, so the recounted load is already

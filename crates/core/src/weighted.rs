@@ -25,7 +25,7 @@
 //! affect anyone else, so they settle after one sweep). The tests verify
 //! the weighted-potential identity move by move.
 
-use crate::game::IMPROVEMENT_TOL;
+use crate::game::{choose, IMPROVEMENT_TOL};
 use crate::model::{Market, ProviderId};
 use crate::strategy::{Placement, Profile};
 
@@ -148,32 +148,13 @@ impl<'a> WeightedGame<'a> {
             residual[c.index()].1 += spec.bandwidth_demand;
             load[c.index()] -= self.weights[l.index()];
         }
-        let mut best: Option<(Placement, f64)> = None;
-        let mut consider = |p: Placement, cost: f64| {
-            let better = match best {
-                None => true,
-                Some((bp, bc)) => {
-                    cost < bc - IMPROVEMENT_TOL
-                        || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
-                }
-            };
-            if better {
-                best = Some((p, cost));
-            }
-        };
-        if market.provider(l).can_stay_remote() {
-            consider(Placement::Remote, market.provider(l).remote_cost);
-        }
-        for i in market.cloudlets() {
-            if market.fits(l, residual[i.index()]) {
-                let cost = market.cloudlet(i).congestion_price()
-                    * (load[i.index()] + self.weights[l.index()])
+        choose(market, l, current, |i| {
+            market.fits(l, residual[i.index()]).then(|| {
+                market.cloudlet(i).congestion_price() * (load[i.index()] + self.weights[l.index()])
                     + market.provider(l).instantiation_cost
-                    + market.update_cost(l, i);
-                consider(Placement::Cloudlet(i), cost);
-            }
-        }
-        best
+                    + market.update_cost(l, i)
+            })
+        })
     }
 
     /// Round-robin best-response dynamics; returns moves on convergence.

@@ -25,24 +25,19 @@
 //!   re-baseline tails after a deploy or an incident; answers with how
 //!   many were dropped.
 //! * `GET /residuals` — Eq. 4–5 residual capacities and congestion per
-//!   cloudlet, each read from its owning shard's published view.
+//!   cloudlet, each read from the published view of the shard whose
+//!   region (fixed at boot) holds it.
 //! * `GET /shards` — per-shard queue depth, settled writes, published
 //!   seq, and cross-shard migration counts from [`crate::shard::ShardGauges`].
-//! * `POST /reload/topology` — swap the cloudlet→shard region map used
-//!   for pinned-join forwarding and rebalance targeting. The body is
-//!   whitespace/comma-separated shard indices, one per cloudlet, and is
-//!   validated (every cloudlet mapped, every shard non-empty, no shard
-//!   out of range) *before* the swap; an invalid body changes nothing.
-//!   Capacity ownership is fixed at boot, so a reload can re-steer
-//!   routing but never oversubscribe — joins pinned to a cloudlet whose
-//!   map entry disagrees with its boot owner are refused cleanly.
 //!
 //! The listener is deliberately sequential: admin traffic is one
 //! scraper, not a fleet. Robustness against a wedged or malicious
 //! client comes from hard caps ([`MAX_HEADER`], [`MAX_BODY`]) and
 //! per-connection read/write timeouts (`IO_TIMEOUT`, 2 s) — a stalled
 //! request costs at most one timeout, never a stuck thread — and every
-//! response closes the connection (`Connection: close`).
+//! response closes the connection (`Connection: close`). The request
+//! head is parsed from bytes alone (`parse_head`), apart from the socket
+//! loop that feeds it, so the parser is fuzzed without a socket.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -56,10 +51,10 @@ use mec_core::Placement;
 use crate::shard::{Coordinator, Router, ShardGauges};
 use crate::view::SharedView;
 
-/// Hard cap on the request line + headers.
+/// Hard cap on the request line + headers, terminator included.
 pub const MAX_HEADER: usize = 8 * 1024;
-/// Hard cap on a request body (the topology map), matching the wire
-/// protocol's frame cap.
+/// Hard cap on a declared request body, matching the wire protocol's
+/// frame cap. No endpoint reads a body; the listener only drains it.
 pub const MAX_BODY: usize = 1 << 20;
 /// Per-connection read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
@@ -74,12 +69,10 @@ pub struct AdminShared {
     pub router: Arc<Router>,
     /// Per-shard depth/write/migration gauges.
     pub gauges: Arc<ShardGauges>,
-    /// Region map + epochs (the reload endpoint swaps the map here).
+    /// The fixed cloudlet→shard region map.
     pub coord: Arc<Coordinator>,
     /// Daemon stop flag; the admin loop exits when it flips.
     pub stop: Arc<AtomicBool>,
-    /// Cloudlet count of the booted market (validates reload bodies).
-    pub cloudlets: usize,
     /// Provider count of the booted market.
     pub providers: usize,
 }
@@ -157,14 +150,20 @@ fn handle_connection(stream: TcpStream, shared: &AdminShared) {
     }
 }
 
-/// A parsed admin request.
-struct HttpRequest {
+/// A parsed request head: the request line and the declared body
+/// length.
+#[derive(Debug, PartialEq, Eq)]
+struct RequestHead {
     method: String,
     path: String,
-    body: Vec<u8>,
+    /// Declared `Content-Length` (0 when absent), at most [`MAX_BODY`].
+    content_length: usize,
+    /// Bytes the head took, terminator included: where the body starts.
+    len: usize,
 }
 
 /// Why a request could not be served; maps onto an HTTP status.
+#[derive(Debug)]
 enum HttpError {
     /// Not parseable as HTTP/1.x.
     Malformed(&'static str),
@@ -197,34 +196,28 @@ impl HttpError {
     }
 }
 
-/// Reads one HTTP/1.x request with hard caps on head and body size.
-fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpError> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(i) = find_head_end(&buf) {
-            break i;
-        }
-        if buf.len() >= MAX_HEADER {
-            return Err(HttpError::HeaderTooLarge);
-        }
-        let n = stream.read(&mut chunk).map_err(|_| HttpError::Io)?;
-        if n == 0 {
-            return Err(HttpError::Malformed("truncated request head"));
-        }
-        // Bounded by the MAX_HEADER check above (and MAX_BODY below once
-        // the head is complete). lint: allow(growth)
-        buf.extend_from_slice(&chunk[..n]);
+/// Parses the request head at the front of `buf` from its bytes alone:
+/// `Ok(None)` while the head is incomplete, `Ok(Some(head))` once its
+/// `\r\n\r\n` terminator arrives within [`MAX_HEADER`] bytes. A head
+/// that does not end within the cap, a request line that is not
+/// HTTP/1.x, an unparseable `Content-Length` or one above [`MAX_BODY`]
+/// is an error. The last `Content-Length` header wins.
+fn parse_head(buf: &[u8]) -> Result<Option<RequestHead>, HttpError> {
+    let Some(head_end) = find_head_end(&buf[..buf.len().min(MAX_HEADER)]) else {
+        return if buf.len() >= MAX_HEADER {
+            Err(HttpError::HeaderTooLarge)
+        } else {
+            Ok(None)
+        };
     };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+    let head = String::from_utf8_lossy(&buf[..head_end]);
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => (m, p, v),
+    let (method, path) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => (m, p),
         _ => return Err(HttpError::Malformed("bad request line")),
     };
-    let _ = version;
     let mut content_length = 0usize;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -240,25 +233,41 @@ fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpError> {
     if content_length > MAX_BODY {
         return Err(HttpError::BodyTooLarge);
     }
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    if body.len() > content_length {
-        body.truncate(content_length);
-    }
-    while body.len() < content_length {
-        let want = (content_length - body.len()).min(chunk.len());
+    Ok(Some(RequestHead {
+        method: method.to_string(),
+        path: path.to_string(),
+        content_length,
+        len: head_end + 4,
+    }))
+}
+
+/// Reads one HTTP/1.x request: bytes until [`parse_head`] completes the
+/// head, then drains the declared body.
+fn read_request(stream: &mut impl Read) -> Result<RequestHead, HttpError> {
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 1024];
+    let head = loop {
+        if let Some(head) = parse_head(&buf)? {
+            break head;
+        }
+        let n = stream.read(&mut chunk).map_err(|_| HttpError::Io)?;
+        if n == 0 {
+            return Err(HttpError::Malformed("truncated request head"));
+        }
+        // Bounded: `parse_head` refuses MAX_HEADER bytes without a head.
+        // lint: allow(growth)
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let mut left = head.content_length.saturating_sub(buf.len() - head.len);
+    while left > 0 {
+        let want = left.min(chunk.len());
         let n = stream.read(&mut chunk[..want]).map_err(|_| HttpError::Io)?;
         if n == 0 {
             return Err(HttpError::Malformed("truncated request body"));
         }
-        // Bounded by content_length, itself capped at MAX_BODY above.
-        // lint: allow(growth)
-        body.extend_from_slice(&chunk[..n]);
+        left -= n;
     }
-    Ok(HttpRequest {
-        method: method.to_string(),
-        path: path.to_string(),
-        body,
-    })
+    Ok(head)
 }
 
 /// Index of `\r\n\r\n` terminating the request head, if complete.
@@ -267,7 +276,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Routes a parsed request to its endpoint.
-fn dispatch(req: &HttpRequest, shared: &AdminShared) -> (u16, &'static str, String) {
+fn dispatch(req: &RequestHead, shared: &AdminShared) -> (u16, &'static str, String) {
     let path = req.path.split('?').next().unwrap_or("");
     match (req.method.as_str(), path) {
         ("GET", "/metrics") => (
@@ -281,7 +290,6 @@ fn dispatch(req: &HttpRequest, shared: &AdminShared) -> (u16, &'static str, Stri
         }
         ("GET", "/residuals") => (200, "application/json", residuals_json(shared)),
         ("GET", "/shards") => (200, "application/json", shards_json(shared)),
-        ("POST", "/reload/topology") => reload_topology(&req.body, shared),
         ("POST", "/reset/histograms") => {
             let cleared = mec_obs::reset_histograms();
             (
@@ -418,10 +426,9 @@ fn placement_detail(id: &str, shared: &AdminShared) -> (u16, &'static str, Strin
 /// publish).
 fn residuals_json(shared: &AdminShared) -> String {
     let views: Vec<_> = shared.views.iter().map(|v| v.load()).collect();
-    let region_of = shared.coord.region_map();
+    let regions = shared.coord.regions();
     let mut rows = Vec::new();
-    for c in 0..shared.cloudlets {
-        let k = region_of.get(c).copied().unwrap_or(0);
+    for (c, &k) in regions.iter().enumerate() {
         let (ra, rb, cong) = match views.get(k) {
             Some(v) => match (v.residual.get(c), v.congestion.get(c)) {
                 (Some(&(a, b)), Some(&g)) => (json_f64(a), json_f64(b), g.to_string()),
@@ -437,9 +444,8 @@ fn residuals_json(shared: &AdminShared) -> String {
         ));
     }
     format!(
-        "{{\"cloudlets\":{},\"region_version\":{},\"residuals\":[{}]}}\n",
-        shared.cloudlets,
-        shared.coord.region_version(),
+        "{{\"cloudlets\":{},\"residuals\":[{}]}}\n",
+        regions.len(),
         rows.join(",")
     )
 }
@@ -464,54 +470,7 @@ fn shards_json(shared: &AdminShared) -> String {
             v.equilibrium
         ));
     }
-    format!(
-        "{{\"shards\":[{}],\"region_version\":{}}}\n",
-        rows.join(","),
-        shared.coord.region_version()
-    )
-}
-
-/// `POST /reload/topology`: validate, then swap the region map.
-fn reload_topology(body: &[u8], shared: &AdminShared) -> (u16, &'static str, String) {
-    let reject = |msg: String| {
-        (
-            400,
-            "application/json",
-            format!("{{\"ok\":false,\"error\":\"{}\"}}\n", msg.replace('"', "'")),
-        )
-    };
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return reject("topology body is not UTF-8".to_string()),
-    };
-    let mut map = Vec::new();
-    for tok in text.split(|ch: char| ch.is_whitespace() || ch == ',') {
-        if tok.is_empty() {
-            continue;
-        }
-        match tok.parse::<usize>() {
-            // At most one entry per body byte; the body itself is
-            // already capped at MAX_BODY. lint: allow(growth)
-            Ok(s) => map.push(s),
-            Err(_) => return reject(format!("bad shard index '{tok}'")),
-        }
-    }
-    // Same validation boot applies to --regions, against the *live*
-    // cloudlet and shard counts; nothing is swapped on failure.
-    let validated =
-        match crate::shard::region_map(Some(&map), shared.cloudlets, shared.coord.shards) {
-            Ok(v) => v,
-            Err(e) => return reject(e.to_string()),
-        };
-    let version = shared.coord.swap_region_map(validated);
-    (
-        200,
-        "application/json",
-        format!(
-            "{{\"ok\":true,\"region_version\":{version},\"cloudlets\":{}}}\n",
-            shared.cloudlets
-        ),
-    )
+    format!("{{\"shards\":[{}]}}\n", rows.join(","))
 }
 
 /// Writes one response and closes (Connection: close on every reply).
@@ -540,6 +499,7 @@ fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn head_end_detection() {
@@ -561,5 +521,140 @@ mod tests {
         assert_eq!(HttpError::HeaderTooLarge.status(), 431);
         assert_eq!(HttpError::BodyTooLarge.status(), 413);
         assert!(HttpError::BodyTooLarge.body().contains("\"ok\":false"));
+    }
+
+    /// Bytes biased towards what request heads are made of (methods,
+    /// versions, CRLFs, the length header) so the soup reaches past the
+    /// request line.
+    fn soup_byte() -> impl Strategy<Value = u8> {
+        const ALPHABET: &[u8] = b"GETPOS /HTP1.0\r\n\r\n\r\n::Content-Length 0123456789";
+        (0u8..4, 0usize..ALPHABET.len(), 0u8..=255).prop_map(|(mode, k, raw)| {
+            if mode == 0 {
+                raw
+            } else {
+                ALPHABET[k]
+            }
+        })
+    }
+
+    /// Strings of 1.. `len` bytes drawn from `alphabet`.
+    fn token(
+        alphabet: &'static [u8],
+        len: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..alphabet.len(), len)
+            .prop_map(move |ks| ks.into_iter().map(|k| char::from(alphabet[k])).collect())
+    }
+
+    const UPPER: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+    const PATH: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789/_.?=-";
+    const NAME: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-";
+    /// Printable ASCII: header values hold no CR or LF.
+    const VALUE: &[u8] = b" !\"#$%&'()*+,-./0123456789:;<=>?@ABCXYZ[\\]^_`abcxyz{|}~";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Arbitrary bytes, some runs past the head cap: the parser never
+        /// panics, waits only on a head shorter than the cap, and accepts
+        /// only a head that ends within it and declares a body within its
+        /// own cap.
+        #[test]
+        fn byte_soup_parses_or_refuses(
+            lead in proptest::bool::ANY,
+            bytes in proptest::collection::vec(soup_byte(), 0..512),
+            pad in (proptest::bool::ANY, 0usize..2 * MAX_HEADER),
+        ) {
+            let mut buf = Vec::new();
+            if lead {
+                buf.extend_from_slice(b"GET /x HTTP/1.1\r\n");
+            }
+            buf.extend_from_slice(&bytes);
+            if pad.0 {
+                buf.resize(buf.len() + pad.1, b'x');
+            }
+            match parse_head(&buf) {
+                Ok(None) => prop_assert!(buf.len() < MAX_HEADER && find_head_end(&buf).is_none()),
+                Ok(Some(head)) => {
+                    prop_assert!(head.len <= MAX_HEADER.min(buf.len()));
+                    prop_assert_eq!(&buf[head.len - 4..head.len], b"\r\n\r\n");
+                    prop_assert!(head.content_length <= MAX_BODY);
+                }
+                Err(HttpError::HeaderTooLarge) => prop_assert!(buf.len() >= MAX_HEADER),
+                Err(_) => {}
+            }
+        }
+
+        /// A well-formed head parses back to its request line and declared
+        /// length whatever body bytes follow it, every proper prefix of it
+        /// is incomplete, and the socket loop reads it through its body.
+        #[test]
+        fn well_formed_head_round_trips(
+            method in token(UPPER, 1..8),
+            path in token(PATH, 0..41),
+            minor in 0u8..2,
+            headers in proptest::collection::vec((token(NAME, 1..13), token(VALUE, 0..31)), 0..6),
+            declared in (proptest::bool::ANY, 0usize..3, 0usize..4, 0usize..2048, 0usize..=MAX_BODY),
+            body in proptest::collection::vec(0u8..=255, 0..64),
+            cut in 0usize..4096,
+        ) {
+            let path = format!("/{path}");
+            let mut head = format!("{method} {path} HTTP/1.{minor}\r\n");
+            for (name, value) in &headers {
+                head.push_str(&format!("{name}:{value}\r\n"));
+            }
+            // Mostly short bodies the socket loop can drain, sometimes
+            // any length up to the cap.
+            let (declares, case, pick, short, any) = declared;
+            let n = if pick == 0 { any } else { short };
+            if declares {
+                let name = ["Content-Length", "content-length", "CONTENT-LENGTH"][case];
+                head.push_str(&format!("{name}: {n}\r\n"));
+            }
+            head.push_str("\r\n");
+            let want = RequestHead {
+                method,
+                path,
+                content_length: if declares { n } else { 0 },
+                len: head.len(),
+            };
+            let mut buf = head.clone().into_bytes();
+            buf.extend_from_slice(&body);
+            prop_assert_eq!(parse_head(&buf).ok().flatten().as_ref(), Some(&want));
+            prop_assert!(matches!(parse_head(&buf[..cut % head.len()]), Ok(None)));
+            // The socket loop over the head plus exactly its body, and
+            // over a body one byte short.
+            if want.content_length > 2048 {
+                return;
+            }
+            let mut stream = head.into_bytes();
+            stream.resize(stream.len() + want.content_length, b'b');
+            prop_assert_eq!(read_request(&mut stream.as_slice()).ok().as_ref(), Some(&want));
+            if want.content_length > 0 {
+                let short = &stream[..stream.len() - 1];
+                prop_assert!(matches!(
+                    read_request(&mut &short[..]),
+                    Err(HttpError::Malformed("truncated request body"))
+                ));
+            }
+        }
+
+        /// A head that does not end within MAX_HEADER, with or without its
+        /// terminator, is refused (431), and so is a declared body past
+        /// MAX_BODY (413).
+        #[test]
+        fn oversized_heads_and_bodies_are_refused(
+            filler in MAX_HEADER - 32..2 * MAX_HEADER,
+            terminated in proptest::bool::ANY,
+            over in MAX_BODY + 1..usize::MAX / 2,
+        ) {
+            let mut head = format!("GET /metrics HTTP/1.1\r\nX-Filler: {}\r\n", "x".repeat(filler));
+            if terminated {
+                head.push_str("\r\n");
+            }
+            prop_assert!(matches!(parse_head(head.as_bytes()), Err(HttpError::HeaderTooLarge)));
+            let body = format!("POST /reset/histograms HTTP/1.1\r\nContent-Length: {over}\r\n\r\n");
+            prop_assert!(matches!(parse_head(body.as_bytes()), Err(HttpError::BodyTooLarge)));
+        }
     }
 }

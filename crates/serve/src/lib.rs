@@ -26,12 +26,12 @@
 //!   preemptible best-response *maintenance quanta* between queue drains
 //!   (Lemma 3), versioned crash-recovery snapshots;
 //! * [`shard`] — region-keyed market sharding: the one boot path for a
-//!   set of shard writers, the provider→shard router, cross-shard
-//!   migration bookkeeping, and coordinated multi-shard snapshot
-//!   manifests;
+//!   set of shard writers over a region map fixed at boot, the
+//!   provider→shard router, cross-shard migration bookkeeping, and
+//!   coordinated multi-shard snapshot manifests;
 //! * [`admin`] — the std-only HTTP/1.1 admin surface: Prometheus
-//!   `/metrics`, live placement/residual/shard inspection, and
-//!   validated topology hot-reload;
+//!   `/metrics`, live placement/residual/shard inspection, and the
+//!   histogram reset;
 //! * [`server`] — acceptor + event-loop I/O threads over `std::net`;
 //! * [`client`] — a blocking protocol client;
 //! * [`load`] — the `marketload` engine: concurrent churn-scripted

@@ -26,14 +26,17 @@
 //! Maintenance runs in bounded *quanta*: passes of best responses over
 //! just those candidates, applying at most [`EPOCH_MOVES`] improving
 //! moves (Lemma 3 dynamics), each pass re-checking only what the previous
-//! pass's moves disturbed. A batch that empties the queue runs its
-//! quantum before it publishes, so one publish covers the write and the
-//! maintenance it triggered; behind a deeper queue, maintenance waits
-//! for the next empty drain. Quanta interleave with queue drains, so
-//! maintenance is preemptible — a request burst waits for at most one
-//! quantum, never a full convergence run — while the exact-potential
-//! argument still guarantees the dynamics terminate once the queue goes
-//! quiet. At equilibrium with an empty queue the writer sleeps in idle
+//! pass's moves disturbed. Each is a [`GameState::best_response_in`]
+//! over the shard's region — its cloudlets under the region map fixed at
+//! boot — against the free space net of migration reservations; the
+//! drain certificate checks Nash under the same mask. A batch that
+//! empties the queue runs its quantum before it publishes, so one
+//! publish covers the write and the maintenance it triggered; behind a
+//! deeper queue, maintenance waits for the next empty drain. Quanta
+//! interleave with queue drains, so maintenance is preemptible — a
+//! request burst waits for at most one quantum, never a full convergence
+//! run — while the exact-potential argument still guarantees the
+//! dynamics terminate once the queue goes quiet. At equilibrium with an empty queue the writer sleeps in idle
 //! ticks, waking only to rebalance across shards and to notice that the
 //! I/O side has gone.
 //!
@@ -291,8 +294,6 @@ pub(crate) struct ShardCtx {
     pub(crate) index: usize,
     /// Total shard count.
     pub(crate) shards: usize,
-    /// Cloudlet→"belongs to this shard" mask over the full topology.
-    pub(crate) mine: Vec<bool>,
     /// Provider→shard ownership map (shared with the I/O threads).
     pub(crate) router: Arc<Router>,
     /// Command senders to every shard, self included. Because each
@@ -303,7 +304,7 @@ pub(crate) struct ShardCtx {
     /// publishes into its own and reads its peers' for cross-shard
     /// rebalance estimates.
     pub(crate) views: Vec<Arc<SharedView>>,
-    /// Shared epochs and drain/quiesce barriers.
+    /// The fixed region map, shared epochs and drain/quiesce barriers.
     pub(crate) coord: Arc<Coordinator>,
     /// Per-shard depth/write gauges read by `stats`.
     pub(crate) gauges: Arc<ShardGauges>,
@@ -344,7 +345,7 @@ pub(crate) fn publish_probe(index: usize, shards: usize) -> &'static str {
 impl ShardCtx {
     /// `true` if cloudlet `c` belongs to this shard's region.
     fn owns_cloudlet(&self, c: usize) -> bool {
-        self.mine.get(c).copied().unwrap_or(false)
+        self.coord.regions().get(c) == Some(&self.index)
     }
 
     /// `true` if this shard currently owns provider `p`.
@@ -1246,9 +1247,7 @@ impl Shard {
         }
         let ctx = &self.ctx;
         let views: Vec<Arc<MarketView>> = ctx.views.iter().map(|v| v.load()).collect();
-        // One map load per pass: a concurrent admin reload swaps the Arc,
-        // and this pass keeps targeting under the map it started with.
-        let region_of = ctx.coord.region_map();
+        let regions = ctx.coord.regions();
         let market = self.state.market();
         let mut best: Option<(usize, usize, f64)> = None;
         for l in market.providers() {
@@ -1260,14 +1259,8 @@ impl Shard {
             let spec = market.provider(l);
             for i in market.cloudlets() {
                 let c = i.index();
-                if ctx.owns_cloudlet(c) {
-                    continue;
-                }
-                let r = region_of.get(c).copied().unwrap_or(0);
+                let r = regions[c];
                 if r == ctx.index {
-                    // A reloaded map can point an unowned cloudlet back at
-                    // this shard; capacity ownership is fixed at boot, so a
-                    // handoff to ourselves could never be granted.
                     continue;
                 }
                 let Some(v) = views.get(r) else {
@@ -1294,7 +1287,7 @@ impl Shard {
         };
         let spec = market.provider(ProviderId(provider));
         let (compute, bandwidth) = (spec.compute_demand, spec.bandwidth_demand);
-        let target = region_of.get(cloudlet).copied().unwrap_or(0);
+        let target = self.ctx.coord.regions()[cloudlet];
         self.book.outgoing = Some(Outgoing {
             provider,
             target,
@@ -1313,54 +1306,6 @@ impl Shard {
                 from,
             },
         );
-    }
-
-    /// [`GameState::best_response`] restricted to this shard's region,
-    /// with migration reservations debited from the residuals. Falls
-    /// through to the exact core implementation when nothing restricts
-    /// the view.
-    fn region_best_response(&self, l: ProviderId) -> Option<(Placement, f64)> {
-        if self.ctx.shards == 1 && self.book.reserved.is_empty() {
-            return self.state.best_response(l);
-        }
-        let market = self.state.market();
-        let current = self.state.placement(l);
-        let spec = market.provider(l);
-        let mut best: Option<(Placement, f64)> = None;
-        let mut consider = |p: Placement, cost: f64| {
-            let better = match best {
-                None => true,
-                Some((bp, bc)) => {
-                    cost < bc - IMPROVEMENT_TOL
-                        || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
-                }
-            };
-            if better {
-                best = Some((p, cost));
-            }
-        };
-        if spec.can_stay_remote() {
-            consider(Placement::Remote, spec.remote_cost);
-        }
-        for i in market.cloudlets() {
-            if !self.ctx.owns_cloudlet(i.index()) {
-                continue;
-            }
-            let (mut free_a, mut free_b) = self.free_at(i);
-            let mut others = self.state.congestion(i);
-            if current == Placement::Cloudlet(i) {
-                free_a += spec.compute_demand;
-                free_b += spec.bandwidth_demand;
-                others -= 1;
-            }
-            if market.fits(l, (free_a, free_b)) {
-                consider(
-                    Placement::Cloudlet(i),
-                    market.caching_cost(l, i, others + 1),
-                );
-            }
-        }
-        best
     }
 
     /// Admission control (Eq. 4–5 against the maintained residuals, net
@@ -1386,34 +1331,14 @@ impl Shard {
         if self.book.active[provider] {
             return Some((reply, error(&format!("provider {provider} already joined"))));
         }
-        let shards = self.ctx.shards;
         let market = self.state.market();
         if let Some(c) = cloudlet {
             if c >= market.cloudlet_count() {
                 return Some((reply, error(&format!("unknown cloudlet {c}"))));
             }
             if !self.ctx.owns_cloudlet(c) {
-                let target = self.ctx.coord.region_of(c);
-                // Under the boot map the owner is one direct hop away.
-                // After an admin topology reload the map can disagree with
-                // the boot-time ownership masks (capacity ownership never
-                // moves at runtime): a map that points back at this shard,
-                // or a forward chain that has done a full lap without
-                // finding the mask owner, must reject cleanly instead of
-                // bouncing the command between shards forever.
-                if target == self.ctx.index || hop >= shards {
-                    mec_obs::counter_add("serve.join.rejected", 1);
-                    return Some((
-                        reply,
-                        Response::Rejected {
-                            reason: format!(
-                                "cloudlet {c} is not owned by any shard under the current \
-                                 region map (reload moved it off its boot owner; restart \
-                                 to re-partition)"
-                            ),
-                        },
-                    ));
-                }
+                // The region's owner is one direct hop away.
+                let target = self.ctx.coord.regions()[c];
                 self.forward_join(provider, cloudlet, hop + 1, reply, target);
                 return None;
             }
@@ -1447,6 +1372,7 @@ impl Shard {
                 ))
             }
             None => {
+                let shards = self.ctx.shards;
                 if cloudlet.is_none() && shards > 1 && hop + 1 < shards {
                     let target = (self.ctx.index + 1) % shards;
                     self.forward_join(provider, None, hop + 1, reply, target);
@@ -1658,7 +1584,9 @@ impl Shard {
                 }
                 let l = ProviderId(p);
                 let current = self.state.provider_cost(l);
-                match self.region_best_response(l) {
+                let region =
+                    |i: CloudletId| self.ctx.owns_cloudlet(i.index()).then(|| self.free_at(i));
+                match self.state.best_response_in(l, region) {
                     Some((to, cost))
                         if to != self.state.placement(l) && cost < current - IMPROVEMENT_TOL =>
                     {
@@ -1742,11 +1670,7 @@ impl Shard {
         // over-target.
         v.residual.clear();
         v.residual
-            .extend(market.cloudlets().map(|i| state.residual(i)));
-        for r in &book.reserved {
-            v.residual[r.cloudlet].0 -= r.compute;
-            v.residual[r.cloudlet].1 -= r.bandwidth;
-        }
+            .extend(market.cloudlets().map(|i| self.free_at(i)));
         v.seq = book.seq;
         v.epochs = book.epochs;
         v.moves = book.moves;
@@ -1955,81 +1879,49 @@ impl Shard {
                 .into_iter()
                 .map(|v| v.to_string()),
         );
-        if self.ctx.shards == 1 {
-            out.extend(
-                mec_core::check_nash(
-                    market,
-                    self.state.profile(),
-                    &self.book.active,
-                    IMPROVEMENT_TOL,
-                )
-                .into_iter()
-                .map(|v| v.to_string()),
-            );
-        } else {
-            out.extend(self.certify_region_nash());
-        }
+        out.extend(self.certify_region_nash());
         out
     }
 
-    /// Nash certification restricted to this shard's region. The shard's
-    /// market copy sees foreign cloudlets as empty (their load lives on
-    /// other shards), so a whole-market `check_nash` would report phantom
-    /// improving moves into them. Rebuild a sub-market of just the
-    /// region's cloudlets, re-index the owned placements into it, and
-    /// certify that.
+    /// Nash certification of this shard's region: every active owned
+    /// provider, against deviations to the remote cloud and to the
+    /// region's cloudlets. The shard's market copy sees foreign cloudlets
+    /// as empty (their load lives on other shards), so a whole-market
+    /// check would report phantom improving moves into them. An owned
+    /// provider placed outside the region is a violation of its own.
     #[cfg(any(test, feature = "verify"))]
     fn certify_region_nash(&self) -> Vec<String> {
         let ctx = &self.ctx;
         let market = self.state.market();
-        let keep: Vec<usize> = (0..market.cloudlet_count())
-            .filter(|&c| ctx.owns_cloudlet(c))
+        let region: Vec<bool> = (0..market.cloudlet_count())
+            .map(|c| ctx.owns_cloudlet(c))
             .collect();
-        let mut local_of = vec![None; market.cloudlet_count()];
-        for (j, &c) in keep.iter().enumerate() {
-            local_of[c] = Some(j);
-        }
-        let mut b = mec_core::model::Market::builder();
-        for &c in &keep {
-            b = b.cloudlet(market.cloudlet(CloudletId(c)).clone());
-        }
-        for l in market.providers() {
-            b = b.provider(market.provider(l).clone());
-        }
-        let mut update_cost = Vec::with_capacity(market.provider_count() * keep.len());
-        for l in market.providers() {
-            for &c in &keep {
-                update_cost.push(market.update_cost(l, CloudletId(c)));
-            }
-        }
-        let sub = b.update_cost_matrix(update_cost).build();
-        let mut violations = Vec::new();
-        let mut placements = Vec::with_capacity(market.provider_count());
-        let mut mask = vec![false; market.provider_count()];
-        for l in market.providers() {
-            let p = l.index();
-            let owned = ctx.router.owner(p) == ctx.index;
-            let place = match self.state.placement(l) {
-                Placement::Cloudlet(i) if owned => match local_of[i.index()] {
-                    Some(j) => Placement::Cloudlet(CloudletId(j)),
-                    None => {
-                        violations.push(format!(
-                            "shard {}: owned provider {p} placed outside its region",
-                            ctx.index
-                        ));
-                        Placement::Remote
-                    }
-                },
-                _ => Placement::Remote,
-            };
-            placements.push(place);
-            mask[p] = owned && self.book.active[p];
-        }
-        let profile = Profile::new(placements);
+        let movable: Vec<bool> = (0..self.state.len())
+            .map(|p| self.book.active[p] && ctx.owns(p))
+            .collect();
+        let mut violations: Vec<String> = market
+            .providers()
+            .filter(|&l| match self.state.placement(l) {
+                Placement::Cloudlet(i) => ctx.owns(l.index()) && !region[i.index()],
+                Placement::Remote => false,
+            })
+            .map(|l| {
+                format!(
+                    "shard {}: owned provider {l} placed outside its region",
+                    ctx.index
+                )
+            })
+            .collect();
         violations.extend(
-            mec_core::check_nash(&sub, &profile, &mask, IMPROVEMENT_TOL)
-                .into_iter()
-                .map(|v| format!("shard {}: {v}", ctx.index)),
+            mec_core::check_nash_in(
+                market,
+                self.state.profile(),
+                &movable,
+                &region,
+                IMPROVEMENT_TOL,
+            )
+            .into_iter()
+            .map(|v| format!("shard {}: {v}", ctx.index)),
         );
         violations
     }
@@ -2832,7 +2724,6 @@ mod tests {
         /// Drains every shard as the daemon does (leftover reservations
         /// dropped, quanta to equilibrium) and certifies what is left.
         fn finish(mut self) {
-            let sharded = self.shards.len() > 1;
             for k in 0..self.shards.len() {
                 self.shards[k].0.release(None);
                 self.run_quantum(k, usize::MAX);
@@ -2842,19 +2733,7 @@ mod tests {
                 let market = shard.state.market();
                 let capacity = mec_core::check_capacity(market, shard.state.profile());
                 assert!(capacity.is_empty(), "{capacity:?}");
-                let nash: Vec<String> = if sharded {
-                    shard.certify_region_nash()
-                } else {
-                    mec_core::check_nash(
-                        market,
-                        shard.state.profile(),
-                        &shard.book.active,
-                        IMPROVEMENT_TOL,
-                    )
-                    .into_iter()
-                    .map(|v| v.to_string())
-                    .collect()
-                };
+                let nash = shard.certify_region_nash();
                 assert!(nash.is_empty(), "{nash:?}");
             }
         }
@@ -2903,16 +2782,18 @@ mod tests {
         );
     }
 
-    /// A full best-response sweep over every active owned provider finds
-    /// no improving move.
+    /// A full best-response sweep of every active owned provider over the
+    /// shard's region finds no improving move.
     fn assert_settled(shard: &Shard) {
         let improving: Vec<usize> = (0..shard.state.len())
             .filter(|&p| shard.book.active[p] && shard.ctx.owns(p))
             .filter(|&p| {
                 let l = ProviderId(p);
                 let current = shard.state.provider_cost(l);
+                let region =
+                    |i: CloudletId| shard.ctx.owns_cloudlet(i.index()).then(|| shard.free_at(i));
                 matches!(
-                    shard.region_best_response(l),
+                    shard.state.best_response_in(l, region),
                     Some((to, cost)) if to != shard.state.placement(l) && cost < current - IMPROVEMENT_TOL
                 )
             })
@@ -2943,18 +2824,20 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
 
         /// Differential check of the dirt rules and of the patched
-        /// publish: on small tight markets at one and two shards, random
-        /// joins (pinned and not), leaves, evicting updates and their
-        /// undoing, reservations and aborts, landed handoffs, restores,
-        /// noted queries and views held by a reader, with quanta of 1, 2
-        /// or [`EPOCH_MOVES`] moves between them. After every step each
+        /// publish: on small tight markets at one to four shards (at most
+        /// one per cloudlet), random joins (pinned and not), leaves,
+        /// evicting updates and their undoing, reservations and aborts,
+        /// landed handoffs, restores, noted queries and views held by a
+        /// reader, with quanta of 1, 2 or [`EPOCH_MOVES`] moves between
+        /// them. After every step each
         /// published view must equal a fresh build and carry the
         /// reference EWMAs; every quantum that leaves the dirt clean must
-        /// survive a full best-response sweep, and the drained shards must
-        /// be capacity-feasible and (region-)Nash.
+        /// survive a full best-response sweep over its region, and the
+        /// drained shards must be capacity-feasible and Nash over their
+        /// regions.
         #[test]
         fn clean_dirt_is_always_an_equilibrium(
-            shards in 1usize..3,
+            shards in 1usize..5,
             cloudlets in proptest::collection::vec((1u8..4, 1u8..10), 2..5),
             providers in proptest::collection::vec((1u8..3, 0u8..6, 2u8..12, 0u8..7), 3..9),
             ops in proptest::collection::vec((0u8..13, 0usize..16, 0usize..8, 0u8..4), 1..60),

@@ -172,7 +172,6 @@ impl ServerHandle {
 pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     let boot = BootState::load(market, cfg.snapshot_path.as_deref())?;
     let n = boot.market.provider_count();
-    let m = boot.market.cloudlet_count();
     let io_count = cfg.io_thread_count();
     // One demand tracker daemon-wide: every I/O thread notes queries into
     // it, each writer folds (only) its owned providers' counts.
@@ -273,7 +272,6 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             gauges: shards.gauges.clone(),
             coord: shards.coord.clone(),
             stop: stop.clone(),
-            cloudlets: m,
             providers: n,
         });
         admin = Some(crate::admin::spawn_admin(admin_l, shared).map_err(|e| abandon(e, 0))?);

@@ -7,10 +7,12 @@
 //! disjoint set of cloudlets (a spatial cluster from
 //! `mec_topology::MecNetwork::regions`, or a contiguous split for bare
 //! markets) plus the providers currently placed in — or homed to — that
-//! region. A provider's congestion cost (Eq. 1–3) depends only on the
-//! load at its own cloudlet, so best-response epochs are shard-local and
-//! the shards never share mutable game state: every cross-shard effect
-//! travels as a [`crate::market::Command`] on the owning shard's queue.
+//! region. The cloudlet→shard map is validated once at boot and never
+//! changes; to re-partition, drain and restart with new regions. A
+//! provider's congestion cost (Eq. 1–3) depends only on the load at its
+//! own cloudlet, so best-response epochs are shard-local and the shards
+//! never share mutable game state: every cross-shard effect travels as a
+//! [`crate::market::Command`] on the owning shard's queue.
 //!
 //! # Ownership
 //!
@@ -157,20 +159,8 @@ impl ShardGauges {
 pub struct Coordinator {
     /// Shard count.
     pub shards: usize,
-    /// Cloudlet→shard region assignment, swappable at runtime (admin
-    /// topology reload). Readers clone the `Arc` out ([`Self::region_map`])
-    /// or index one cloudlet ([`Self::region_of`]); the swap
-    /// ([`Self::swap_region_map`]) is validated by the caller first.
-    ///
-    /// The map only steers *routing* decisions — which shard a pinned
-    /// join is forwarded to, which region a rebalance pass targets. The
-    /// per-shard capacity ownership masks (`ShardCtx::mine`) are fixed
-    /// at boot, and every capacity-mutating path re-checks ownership on
-    /// the executing shard, so a concurrent swap can misroute (the
-    /// receiving shard forwards or refuses) but never oversubscribe.
-    region_of: Mutex<std::sync::Arc<Vec<usize>>>,
-    /// Bumped on every successful [`Self::swap_region_map`].
-    region_version: AtomicU64,
+    /// Cloudlet→shard region map, fixed at boot ([`Self::regions`]).
+    regions: Vec<usize>,
     /// Next snapshot epoch (monotonic; assigned at dispatch time).
     epoch: AtomicU64,
     /// Epoch of the final drain snapshot set, assigned once by whichever
@@ -187,11 +177,10 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// A coordinator for `shards` shards over the given region map.
-    pub fn new(shards: usize, region_of: Vec<usize>, epoch0: u64) -> Coordinator {
+    pub fn new(shards: usize, regions: Vec<usize>, epoch0: u64) -> Coordinator {
         Coordinator {
             shards,
-            region_of: Mutex::new(std::sync::Arc::new(region_of)),
-            region_version: AtomicU64::new(0),
+            regions,
             epoch: AtomicU64::new(epoch0),
             drain_epoch: AtomicU64::new(NO_EPOCH),
             quiesced: AtomicUsize::new(0),
@@ -200,30 +189,12 @@ impl Coordinator {
         }
     }
 
-    /// The current cloudlet→shard region map (cheap: one lock + `Arc`
-    /// clone). Loops should call this once and index the returned map.
-    pub fn region_map(&self) -> std::sync::Arc<Vec<usize>> {
-        lock_ok(&self.region_of).clone()
-    }
-
-    /// Region (owning shard at boot) of cloudlet `c` under the current
-    /// map; unknown cloudlets report region 0 (panic-free, mirroring
-    /// [`Router::owner`] clamping).
-    pub fn region_of(&self, c: usize) -> usize {
-        self.region_map().get(c).copied().unwrap_or(0)
-    }
-
-    /// Monotonic version of the region map (0 at boot, +1 per swap).
-    pub fn region_version(&self) -> u64 {
-        self.region_version.load(Ordering::Acquire)
-    }
-
-    /// Installs a new region map and returns the new version. The caller
-    /// must have validated `map` (length = cloudlets, every shard
-    /// `0..self.shards` non-empty) — see `region_map`.
-    pub fn swap_region_map(&self, map: Vec<usize>) -> u64 {
-        *lock_ok(&self.region_of) = std::sync::Arc::new(map);
-        self.region_version.fetch_add(1, Ordering::AcqRel) + 1
+    /// The cloudlet→shard region map, fixed at boot: shard `regions()[c]`
+    /// owns cloudlet `c`'s capacity, takes the joins pinned to it and is
+    /// the target of a migration into it. To re-partition, drain and
+    /// restart with new regions.
+    pub fn regions(&self) -> &[usize] {
+        &self.regions
     }
 
     /// Allocates the next snapshot epoch.
@@ -641,7 +612,7 @@ impl ShardSet {
             .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
             .collect();
         let gauges = Arc::new(ShardGauges::new(shards));
-        let coord = Arc::new(Coordinator::new(shards, region_of.clone(), epoch0));
+        let coord = Arc::new(Coordinator::new(shards, region_of, epoch0));
         let io_live = Arc::new(AtomicUsize::new(io_senders));
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| chan::bounded(queue_cap)).unzip();
         let newest = seqs.iter().copied().max().unwrap_or(0);
@@ -667,7 +638,6 @@ impl ShardSet {
             let ctx = ShardCtx {
                 index: k,
                 shards,
-                mine: region_of.iter().map(|&r| r == k).collect(),
                 router: router.clone(),
                 peers: txs.clone(),
                 views: views.clone(),
@@ -967,19 +937,6 @@ mod tests {
         assert!(op.ack_apply());
         assert!(op.take_reply().is_some());
         assert!(op.take_reply().is_none(), "reply is taken exactly once");
-    }
-
-    #[test]
-    fn region_map_swaps_bump_version_and_reroute() {
-        let c = Coordinator::new(2, vec![0, 1], 0);
-        assert_eq!(c.region_version(), 0);
-        assert_eq!(c.region_of(0), 0);
-        assert_eq!(c.region_of(1), 1);
-        assert_eq!(c.region_of(99), 0, "unknown cloudlets clamp to region 0");
-        assert_eq!(c.swap_region_map(vec![1, 0]), 1);
-        assert_eq!(c.region_version(), 1);
-        assert_eq!(c.region_of(0), 1);
-        assert_eq!(*c.region_map(), vec![1, 0]);
     }
 
     #[test]

@@ -533,6 +533,44 @@ fn concurrent_clients_admit_exactly_to_capacity() {
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
 }
 
+/// The region map is fixed at boot, so a bad one fails the boot: a map
+/// of the wrong length, one that leaves a shard without cloudlets, and
+/// one that names a shard the daemon does not run are each refused as
+/// `InvalidInput` before any thread starts.
+#[test]
+fn bad_region_maps_fail_the_boot() {
+    let market = Market::builder()
+        .cloudlet(CloudletSpec::new(4.0, 20.0, 0.5, 0.5))
+        .cloudlet(CloudletSpec::new(4.0, 20.0, 0.3, 0.2))
+        .cloudlet(CloudletSpec::new(4.0, 20.0, 0.4, 0.1))
+        .provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0))
+        .uniform_update_cost(0.2)
+        .build();
+    let cases: [(Vec<usize>, &str); 3] = [
+        (vec![0, 1], "covers 2 cloudlets, market has 3"),
+        (vec![0, 0, 0], "leaves shard 1 without cloudlets"),
+        (vec![0, 1, 2], "names shard 2, daemon has 2"),
+    ];
+    for (regions, why) in cases {
+        let cfg = ServerConfig {
+            shards: 2,
+            regions: Some(regions.clone()),
+            ..ServerConfig::default()
+        };
+        match serve(market.clone(), &cfg) {
+            Ok(_) => panic!("region map {regions:?} booted"),
+            Err(e) => {
+                assert_eq!(
+                    e.kind(),
+                    std::io::ErrorKind::InvalidInput,
+                    "{regions:?}: {e}"
+                );
+                assert!(e.to_string().contains(why), "{regions:?}: {e}");
+            }
+        }
+    }
+}
+
 /// Boots a `shards`-shard daemon persisting to `snapshot`.
 fn boot_shards(
     market: Market,

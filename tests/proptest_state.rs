@@ -1,11 +1,14 @@
 //! Differential property tests: the incremental `GameState` must stay in
 //! exact agreement with recomputation from scratch under arbitrary move
 //! sequences, and every query answered from its maintained aggregates must
-//! match the reference `Profile` path.
+//! match the reference `Profile` path. The restricted best response and
+//! Nash certificate must match the unrestricted ones on the sub-market of
+//! the cloudlets they allow.
 
-use mec_core::game::{best_response, BestResponseDynamics, MoveOrder};
+use mec_core::game::{best_response, BestResponseDynamics, MoveOrder, IMPROVEMENT_TOL};
 use mec_core::model::{CloudletSpec, Market, ProviderSpec};
 use mec_core::state::GameState;
+use mec_core::verify::{check_nash, check_nash_in, Violation};
 use mec_core::{Placement, Profile, ProviderId};
 use mec_topology::CloudletId;
 use proptest::prelude::*;
@@ -57,6 +60,131 @@ fn apply_script(state: &mut GameState<'_>, script: &[(usize, usize)]) {
         };
         let old = state.apply_move(l, to);
         let _ = old;
+    }
+}
+
+/// The sub-market of the cloudlets `allowed` marks, each with its
+/// capacities reduced by its `held` amounts (possibly below zero), and the
+/// sub-market id of every allowed cloudlet. `None` when nothing is allowed.
+fn sub_market(
+    market: &Market,
+    allowed: &[bool],
+    held: &[(f64, f64)],
+) -> Option<(Market, Vec<Option<usize>>)> {
+    let keep: Vec<CloudletId> = market.cloudlets().filter(|i| allowed[i.index()]).collect();
+    if keep.is_empty() {
+        return None;
+    }
+    let mut local = vec![None; market.cloudlet_count()];
+    let mut b = Market::builder();
+    for (j, &i) in keep.iter().enumerate() {
+        local[i.index()] = Some(j);
+        let spec = market.cloudlet(i);
+        let (ha, hb) = held[i.index()];
+        b = b.cloudlet(CloudletSpec {
+            compute_capacity: spec.compute_capacity - ha,
+            bandwidth_capacity: spec.bandwidth_capacity - hb,
+            ..spec.clone()
+        });
+    }
+    let mut update = Vec::new();
+    for l in market.providers() {
+        b = b.provider(market.provider(l).clone());
+        update.extend(keep.iter().map(|&i| market.update_cost(l, i)));
+    }
+    Some((b.update_cost_matrix(update).build(), local))
+}
+
+/// `profile` re-indexed into a sub-market: a provider placed outside it
+/// goes remote.
+fn sub_profile(profile: &Profile, local: &[Option<usize>]) -> Profile {
+    Profile::new(
+        profile
+            .iter()
+            .map(|(_, p)| match p {
+                Placement::Cloudlet(i) => local[i.index()]
+                    .map_or(Placement::Remote, |j| Placement::Cloudlet(CloudletId(j))),
+                Placement::Remote => Placement::Remote,
+            })
+            .collect(),
+    )
+}
+
+/// A sub-market placement back in the whole market's ids.
+fn global(p: Placement, local: &[Option<usize>]) -> Placement {
+    match p {
+        Placement::Cloudlet(CloudletId(j)) => Placement::Cloudlet(CloudletId(
+            local
+                .iter()
+                .position(|&k| k == Some(j))
+                .expect("sub-market cloudlet"),
+        )),
+        Placement::Remote => Placement::Remote,
+    }
+}
+
+/// A market on a half-unit grid: capacities, demands and held amounts
+/// are small integers, so a residual net of held capacity is exact in
+/// either subtraction order, and prices repeat often enough to exercise
+/// the tie-break.
+fn grid_market(
+    cloudlets: &[(u8, u8, u8, u8, bool)],
+    providers: &[(u8, u8, u8, bool)],
+    update: &[u8],
+) -> (Market, Vec<bool>, Vec<(f64, f64)>) {
+    let mut b = Market::builder();
+    for &(slots, alpha, beta, _, _) in cloudlets {
+        let slots = f64::from(slots);
+        b = b.cloudlet(CloudletSpec::new(
+            2.0 * slots,
+            8.0 * slots,
+            f64::from(alpha) / 2.0,
+            f64::from(beta) / 2.0,
+        ));
+    }
+    for &(units, inst, remote, remote_ok) in providers {
+        let units = f64::from(units);
+        let remote = if remote_ok {
+            f64::from(remote)
+        } else {
+            f64::INFINITY
+        };
+        b = b.provider(ProviderSpec::new(
+            units,
+            4.0 * units,
+            f64::from(inst) / 2.0,
+            remote,
+        ));
+    }
+    let cells = cloudlets.len() * providers.len();
+    let matrix = (0..cells)
+        .map(|k| f64::from(update[k % update.len()]) / 5.0)
+        .collect();
+    let allowed = cloudlets.iter().map(|c| c.4).collect();
+    let held = cloudlets
+        .iter()
+        .map(|c| (f64::from(c.3), 4.0 * f64::from(c.3)))
+        .collect();
+    (b.update_cost_matrix(matrix).build(), allowed, held)
+}
+
+/// A violation's placements back in the whole market's ids.
+fn global_violation(v: Violation, local: &[Option<usize>]) -> Violation {
+    match v {
+        Violation::ProfitableDeviation {
+            provider,
+            from,
+            to,
+            current_cost,
+            deviation_cost,
+        } => Violation::ProfitableDeviation {
+            provider,
+            from: global(from, local),
+            to: global(to, local),
+            current_cost,
+            deviation_cost,
+        },
+        other => other,
     }
 }
 
@@ -196,5 +324,78 @@ proptest! {
             p_inc.social_cost(&market),
             p_ref.social_cost(&market)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The restricted best response over a cloudlet mask with held
+    /// capacity equals the reference best response on the sub-market of
+    /// the allowed cloudlets with those capacities held back; the masked
+    /// Nash certificate equals the whole certificate on that sub-market.
+    /// A movable provider the mask leaves outside its strategy set is out
+    /// of scope for the certificate comparison (the caller reports it).
+    #[test]
+    fn restricted_best_response_and_certificate_match_the_sub_market(
+        cloudlets in proptest::collection::vec((1u8..6, 0u8..4, 0u8..4, 0u8..3, proptest::bool::ANY), 1..6),
+        providers in proptest::collection::vec((1u8..3, 0u8..6, 2u8..12, 0u8..6), 2..10),
+        update in proptest::collection::vec(0u8..3, 1..12),
+        script in proptest::collection::vec((0usize..64, 0usize..8), 0..40),
+        movable in proptest::collection::vec(proptest::bool::ANY, 1..12),
+    ) {
+        let providers: Vec<(u8, u8, u8, bool)> =
+            providers.into_iter().map(|(u, i, r, ok)| (u, i, r, ok > 0)).collect();
+        let (market, allowed, held) = grid_market(&cloudlets, &providers, &update);
+        let mut state = GameState::all_remote(&market);
+        apply_script(&mut state, &script);
+        let profile = state.profile().clone();
+
+        let restricted = |l: ProviderId| {
+            state.best_response_in(l, |i| {
+                let (a, b) = state.residual(i);
+                let (ha, hb) = held[i.index()];
+                allowed[i.index()].then_some((a - ha, b - hb))
+            })
+        };
+        match sub_market(&market, &allowed, &held) {
+            Some((sub, local)) => {
+                let sub_prof = sub_profile(&profile, &local);
+                for l in market.providers() {
+                    let want = best_response(&sub, &sub_prof, l).map(|(p, c)| (global(p, &local), c));
+                    prop_assert_eq!(restricted(l), want, "best response of {}", l);
+                }
+            }
+            None => {
+                for l in market.providers() {
+                    let spec = market.provider(l);
+                    let want = spec.can_stay_remote().then_some((Placement::Remote, spec.remote_cost));
+                    prop_assert_eq!(restricted(l), want, "best response of {}", l);
+                }
+            }
+        }
+
+        let movable: Vec<bool> = market
+            .providers()
+            .map(|l| {
+                movable[l.index() % movable.len()]
+                    && match profile.placement(l) {
+                        Placement::Cloudlet(i) => allowed[i.index()],
+                        Placement::Remote => true,
+                    }
+            })
+            .collect();
+        let got = check_nash_in(&market, &profile, &movable, &allowed, IMPROVEMENT_TOL);
+        let none = vec![(0.0, 0.0); market.cloudlet_count()];
+        let want = match sub_market(&market, &allowed, &none) {
+            Some((sub, local)) => check_nash(&sub, &sub_profile(&profile, &local), &movable, IMPROVEMENT_TOL)
+                .into_iter()
+                .map(|v| global_violation(v, &local))
+                .collect(),
+            // Only the remote cloud is allowed, and every movable
+            // provider is already there.
+            None => Vec::new(),
+        };
+        prop_assert_eq!(got, want);
     }
 }
