@@ -301,6 +301,16 @@ pub const REGISTRY: &[Probe] = &[
         help: "Write commands routed to a non-resident shard.",
     },
     Probe {
+        name: "serve.turn.inline",
+        kind: ProbeKind::Counter,
+        help: "Command batches an I/O thread applied inline under its queue claim.",
+    },
+    Probe {
+        name: "serve.turn.writer",
+        kind: ProbeKind::Counter,
+        help: "Command batches applied on a shard's writer thread.",
+    },
+    Probe {
         name: "serve.update",
         kind: ProbeKind::Counter,
         help: "Update requests applied (demand re-declared).",

@@ -275,22 +275,40 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Routes a parsed request to its endpoint.
+/// Routes a parsed request to its endpoint. The path is matched first:
+/// an unknown path is 404 whatever the method, and a known path asked
+/// with a method it does not answer is 405.
 fn dispatch(req: &RequestHead, shared: &AdminShared) -> (u16, &'static str, String) {
     let path = req.path.split('?').next().unwrap_or("");
-    match (req.method.as_str(), path) {
-        ("GET", "/metrics") => (
+    let method = match path {
+        "/metrics" | "/placement" | "/residuals" | "/shards" => "GET",
+        p if p.starts_with("/placement/") => "GET",
+        "/reset/histograms" => "POST",
+        _ => {
+            return (
+                404,
+                "application/json",
+                "{\"ok\":false,\"error\":\"no such endpoint\"}\n".to_string(),
+            )
+        }
+    };
+    if req.method != method {
+        return (
+            405,
+            "application/json",
+            "{\"ok\":false,\"error\":\"method not allowed\"}\n".to_string(),
+        );
+    }
+    match path {
+        "/metrics" => (
             200,
             "text/plain; version=0.0.4; charset=utf-8",
             mec_obs::prom::render(&mec_obs::summary()),
         ),
-        ("GET", "/placement") => (200, "application/json", placement_json(shared)),
-        ("GET", p) if p.starts_with("/placement/") => {
-            placement_detail(&p["/placement/".len()..], shared)
-        }
-        ("GET", "/residuals") => (200, "application/json", residuals_json(shared)),
-        ("GET", "/shards") => (200, "application/json", shards_json(shared)),
-        ("POST", "/reset/histograms") => {
+        "/placement" => (200, "application/json", placement_json(shared)),
+        "/residuals" => (200, "application/json", residuals_json(shared)),
+        "/shards" => (200, "application/json", shards_json(shared)),
+        "/reset/histograms" => {
             let cleared = mec_obs::reset_histograms();
             (
                 200,
@@ -298,16 +316,7 @@ fn dispatch(req: &RequestHead, shared: &AdminShared) -> (u16, &'static str, Stri
                 format!("{{\"ok\":true,\"cleared\":{cleared}}}\n"),
             )
         }
-        ("GET", _) => (
-            404,
-            "application/json",
-            "{\"ok\":false,\"error\":\"no such endpoint\"}\n".to_string(),
-        ),
-        _ => (
-            405,
-            "application/json",
-            "{\"ok\":false,\"error\":\"method not allowed\"}\n".to_string(),
-        ),
+        p => placement_detail(&p["/placement/".len()..], shared),
     }
 }
 

@@ -1,5 +1,5 @@
 //! The poll-based I/O event loop: nonblocking sockets, per-connection
-//! buffers, and ordered reply delivery.
+//! buffers, ordered reply delivery, and inline turns on idle shards.
 //!
 //! PR 5's server spent one OS thread per connection; at 100+ sessions the
 //! scheduler — not the market — set the latency floor, and a single slow
@@ -9,9 +9,10 @@
 //! (`poll(2)`; the one facility `std` lacks):
 //!
 //! ```text
-//! acceptor ──inbox+wake──► io thread(s) ──Command──► market thread
-//!                           │    ▲                        │
-//!          reads from view ─┘    └── Completions ◄── batched replies
+//! acceptor ──inbox+wake──► io thread(s) ──Command──► shard queue
+//!                           │  ▲   │ claim taken?          │ claimed, or
+//!                           │  │   └─► inline turn ◄───────┘ writer thread
+//!          reads from view ─┘  └── Completions ◄── acks (own: no wake byte)
 //! ```
 //!
 //! Per connection the loop keeps a [`FrameDecoder`] (reassembling frames
@@ -19,18 +20,31 @@
 //! many responses coalesce into one `write` syscall), and an ordered
 //! `pending` queue that guarantees responses leave in request order even
 //! when reads (answered locally from the published view) and writes
-//! (round-tripping through the market thread) interleave on a pipelined
-//! connection. A read that arrives behind an in-flight write is
-//! *deferred* and evaluated only once the write's reply has been
-//! serialized — by which point the market thread has published a view
-//! covering the write, so read-your-writes holds even within a pipeline.
+//! (applied by a shard turn) interleave on a pipelined connection. A
+//! read that arrives behind an in-flight write is *deferred* and
+//! evaluated only once the write's reply has been serialized — by which
+//! point the shard has published a view covering the write, so
+//! read-your-writes holds even within a pipeline.
 //!
-//! Wakeups (new connections from the acceptor, completed commands from
-//! the market thread) arrive through a [`Waker`] — a nonblocking Unix
-//! socket pair whose read end sits in the poll set, `std`-only and cheap
-//! (no trip through the IP stack): the wake side is one one-byte
-//! `write`, deduplicated by an atomic flag so a batch of completions
-//! costs one syscall, not one per reply.
+//! A poll round reads and decodes, then pushes the round's commands to
+//! their shard queues. A client write whose push finds its queue
+//! unclaimed takes the claim ([`crate::chan`]): after the round's reads
+//! and backlog flush, the loop runs one inline turn per shard it claimed
+//! — the client writes at the head of the queue, applied, published and
+//! acknowledged — and releases the claim, waking the shard's writer
+//! thread only if work is left that only it does. With its own wake flag
+//! armed across the turns, the acks to this thread write no wake byte;
+//! the loop collects them and writes the replies in the same round. The
+//! turns are bounded (one batch each) and the loop never waits on
+//! another thread: the claim makes the shard lock uncontended, and a
+//! push that finds the queue claimed leaves the command to the claimant.
+//!
+//! Other wakeups (new connections from the acceptor, completions from a
+//! writer thread or another I/O thread's turn) arrive through a
+//! [`Waker`] — a nonblocking Unix socket pair whose read end sits in the
+//! poll set, `std`-only and cheap (no trip through the IP stack): the
+//! wake side is one one-byte `write`, deduplicated by an atomic flag so
+//! a batch of completions costs one syscall, not one per reply.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -52,9 +66,9 @@ use std::sync::atomic::AtomicBool as WakeFlag;
 
 use polling::{poll, PollFd, POLLIN, POLLOUT};
 
-use crate::chan::{Sender, TrySendError};
+use crate::chan::{lock_ok, Sender, TrySendError};
 use crate::demand::DemandTracker;
-use crate::market::{self, composite_stats, Command};
+use crate::market::{self, composite_stats, Command, Shard};
 use crate::proto::{self, FrameDecoder, Request, Response};
 use crate::shard::{CoordKind, CoordOp, Coordinator, DrainOp, Router, ShardGauges};
 use crate::view::SharedView;
@@ -155,6 +169,15 @@ impl Completions {
         }
     }
 
+    /// Arms the wake flag without writing a wake byte (I/O-thread side),
+    /// before the loop's own inline turns: the acks those turns push here
+    /// — and any other thread's until the next [`Completions::drain_into`]
+    /// — write no byte, because the loop drains the mailbox itself right
+    /// after the turns.
+    fn arm(&self) {
+        self.wake_armed.store(true, Ordering::Release);
+    }
+
     /// Wakes the owning loop without delivering a completion — used for
     /// inbox handoffs from the acceptor and stop-flag changes. Skips the
     /// dedup flag: these events are rare and must never be coalesced away.
@@ -188,6 +211,9 @@ pub(crate) struct IoShared {
     /// Command queues into the shard writer threads (one per shard; a
     /// single-shard daemon has exactly one entry).
     pub txs: Vec<Sender<Command>>,
+    /// The shards behind those queues: a push that claims a queue lets
+    /// this thread apply its client writes inline.
+    pub slots: Vec<Arc<Mutex<Shard>>>,
     /// Published market views, one per shard. Reads are answered from the
     /// owning shard's view.
     pub views: Vec<Arc<SharedView>>,
@@ -323,6 +349,8 @@ pub(crate) fn run_io(shared: &IoShared) {
     let mut next_conn: u64 = 0;
     let mut completions: Vec<(u64, u64, Response)> = Vec::new();
     let mut backlog: VecDeque<(usize, Command)> = VecDeque::new();
+    let mut claimed: Vec<usize> = Vec::new();
+    let mut batch: Vec<Command> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut fd_conn: Vec<u64> = Vec::new();
 
@@ -355,30 +383,9 @@ pub(crate) fn run_io(shared: &IoShared) {
             shared.completions.waker.drain();
         }
 
-        // Completed commands from the market thread: slot them into their
-        // connection's pipeline.
-        shared.completions.drain_into(&mut completions);
-        for (conn_id, req_id, resp) in completions.drain(..) {
-            let Some(conn) = conns.get_mut(&conn_id) else {
-                continue; // connection died while the command was in flight
-            };
-            if matches!(resp, Response::Draining) {
-                conn.close_after_flush = true;
-                // Stop accepting immediately (the market thread repeats
-                // this when it finishes draining, but doing it here closes
-                // the window where a new client connects mid-drain).
-                shared.stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(shared.addr);
-            }
-            for slot in conn.pending.iter_mut() {
-                if let Slot::Waiting(id) = slot {
-                    if *id == req_id {
-                        *slot = Slot::Done(resp);
-                        break;
-                    }
-                }
-            }
-        }
+        // Completed commands from the market threads: slot them into
+        // their connection's pipeline.
+        collect_completions(&mut conns, &mut completions, shared);
 
         // Adopt freshly accepted connections.
         {
@@ -398,10 +405,11 @@ pub(crate) fn run_io(shared: &IoShared) {
 
         // Retry the backlog before reading more requests, so FIFO order
         // into the market thread is preserved.
-        flush_backlog(&mut backlog, shared);
+        flush_backlog(&mut backlog, shared, &mut claimed);
 
-        // Service readiness: read + decode + dispatch, then advance each
-        // connection's pipeline and flush its output buffer.
+        // Service readiness: read + decode + dispatch, then apply the
+        // shards this round claimed, then advance each connection's
+        // pipeline and flush its output buffer.
         for (k, fd) in fds.iter().enumerate().skip(1) {
             let id = fd_conn[k - 1];
             let Some(conn) = conns.get_mut(&id) else {
@@ -411,7 +419,11 @@ pub(crate) fn run_io(shared: &IoShared) {
                 read_ready(id, conn, shared, &mut backlog);
             }
         }
-        flush_backlog(&mut backlog, shared);
+        flush_backlog(&mut backlog, shared, &mut claimed);
+        if !claimed.is_empty() {
+            run_turns(&mut claimed, &mut batch, shared);
+            collect_completions(&mut conns, &mut completions, shared);
+        }
         for conn in conns.values_mut() {
             if !conn.dead {
                 advance(conn, shared);
@@ -432,17 +444,63 @@ pub(crate) fn run_io(shared: &IoShared) {
     }
 }
 
+/// Takes everything the mailbox holds and slots each response into its
+/// connection's pipeline.
+fn collect_completions(
+    conns: &mut HashMap<u64, Conn>,
+    completions: &mut Vec<(u64, u64, Response)>,
+    shared: &IoShared,
+) {
+    shared.completions.drain_into(completions);
+    for (conn_id, req_id, resp) in completions.drain(..) {
+        let Some(conn) = conns.get_mut(&conn_id) else {
+            continue; // connection died while the command was in flight
+        };
+        if matches!(resp, Response::Draining) {
+            conn.close_after_flush = true;
+            // Stop accepting immediately (the market thread repeats
+            // this when it finishes draining, but doing it here closes
+            // the window where a new client connects mid-drain).
+            shared.stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(shared.addr);
+        }
+        for slot in conn.pending.iter_mut() {
+            if let Slot::Waiting(id) = slot {
+                if *id == req_id {
+                    *slot = Slot::Done(resp);
+                    break;
+                }
+            }
+        }
+    }
+}
+
 /// Pushes backlog commands into their shard queues until one fills. The
 /// backlog is drained strictly FIFO — stopping at the first full queue
 /// rather than skipping ahead to another shard's entries — so commands
-/// from one connection reach each shard in request order. A `Closed`
-/// queue means that shard's writer is gone — the command is refused with
-/// the draining error, through the normal completion path so reply order
-/// per connection is preserved.
-fn flush_backlog(backlog: &mut VecDeque<(usize, Command)>, shared: &IoShared) {
+/// from one connection reach each shard in request order. A client
+/// write that finds its queue unclaimed takes the claim, and the shard
+/// joins `claimed` for this round's inline turns; any other command is
+/// a plain push. A `Closed` queue means that shard's writer is gone —
+/// the command is refused with the draining error, through the normal
+/// completion path so reply order per connection is preserved.
+fn flush_backlog(
+    backlog: &mut VecDeque<(usize, Command)>,
+    shared: &IoShared,
+    claimed: &mut Vec<usize>,
+) {
     while let Some((shard, cmd)) = backlog.pop_front() {
-        match shared.txs[shard].try_send(cmd) {
-            Ok(()) => {}
+        let tx = &shared.txs[shard];
+        let pushed = if cmd.is_client_write() {
+            tx.try_send_claim(cmd)
+        } else {
+            tx.try_send(cmd).map(|()| false)
+        };
+        match pushed {
+            // At most one entry per shard: a claim is held until this
+            // round's turns release it.
+            Ok(true) => claimed.push(shard), // lint: allow(growth)
+            Ok(false) => {}
             Err(TrySendError::Full(cmd)) => {
                 backlog.push_front((shard, cmd)); // lint: allow(growth) — re-queues the element just popped; no net growth
                 return;
@@ -451,6 +509,26 @@ fn flush_backlog(backlog: &mut VecDeque<(usize, Command)>, shared: &IoShared) {
                 market::refuse(cmd);
             }
         }
+    }
+}
+
+/// Runs one inline turn on each shard this round's pushes claimed, then
+/// releases the claim — handing the writer thread whatever is still
+/// queued, or work only it does. The turns' acks to this thread land in
+/// its own mailbox with the wake flag armed, so they write no wake byte;
+/// the caller collects them in the same round. Never waits on another
+/// thread: the claim excludes every other applier.
+fn run_turns(claimed: &mut Vec<usize>, batch: &mut Vec<Command>, shared: &IoShared) {
+    shared.completions.arm();
+    for k in claimed.drain(..) {
+        let wanted = {
+            // Uncontended: only the holder of the queue's claim locks the
+            // shard, and this thread's push took it this round.
+            // lint: allow(io-blocking)
+            let mut shard = lock_ok(&shared.slots[k]);
+            shard.turn_inline(&shared.txs[k], batch)
+        };
+        shared.txs[k].release(wanted);
     }
 }
 
@@ -679,20 +757,7 @@ fn flush_out(conn: &mut Conn) {
 /// their clients before the sockets close.
 fn final_flush(conns: &mut HashMap<u64, Conn>, shared: &IoShared) {
     // Late completions (e.g. the drain refusals) may still be arriving.
-    let mut completions = Vec::new();
-    shared.completions.drain_into(&mut completions);
-    for (conn_id, req_id, resp) in completions {
-        if let Some(conn) = conns.get_mut(&conn_id) {
-            for slot in conn.pending.iter_mut() {
-                if let Slot::Waiting(id) = slot {
-                    if *id == req_id {
-                        *slot = Slot::Done(resp);
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    collect_completions(conns, &mut Vec::new(), shared);
     for conn in conns.values_mut() {
         advance(conn, shared);
     }
@@ -750,6 +815,24 @@ mod tests {
         // A push after the drain re-arms the wake.
         c.push(1, 0, Response::Left);
         assert!(c.wake_armed.load(Ordering::Acquire));
+    }
+
+    /// The loop arms its own flag before its inline turns: the acks they
+    /// push write no wake byte, the drain right after takes them, and
+    /// the next push from anyone wakes the loop again.
+    #[test]
+    fn acks_pushed_while_armed_write_no_wake_byte() {
+        let c = Completions::new().unwrap();
+        let mut fds = [PollFd::new(c.waker.fd(), POLLIN)];
+        c.arm();
+        c.push(0, 0, Response::Left);
+        c.push(0, 1, Response::Left);
+        assert_eq!(poll(&mut fds, Some(Duration::from_millis(5))).unwrap(), 0);
+        let mut out = Vec::new();
+        c.drain_into(&mut out);
+        assert_eq!(out.len(), 2);
+        c.push(1, 0, Response::Left);
+        assert_eq!(poll(&mut fds, Some(Duration::from_secs(5))).unwrap(), 1);
     }
 }
 

@@ -10,7 +10,8 @@
 //!   escaping/number rules with the observability traces via
 //!   [`mec_obs::json`]);
 //! * [`chan`] — hand-rolled bounded MPSC + oneshot channels (std-only; the
-//!   vendored tree has no channel crate);
+//!   vendored tree has no channel crate), whose queue lock also guards the
+//!   claim that lets an I/O thread apply its own writes to an idle shard;
 //! * [`view`] — immutable published snapshots for reader threads;
 //! * [`demand`] — the demand-observation layer: I/O threads note every
 //!   answered query into a shared tracker, shard writers fold the counts
@@ -20,7 +21,8 @@
 //!   diurnal cycles, flash crowds, drift) against a live writer thread,
 //!   scoring cache hits and observed re-cache moves;
 //! * [`eventloop`] — the poll-based I/O loop (vendored `poll(2)` shim,
-//!   nonblocking sockets, per-connection buffers, ordered completions);
+//!   nonblocking sockets, per-connection buffers, ordered completions,
+//!   inline turns on the shards its pushes claimed);
 //! * [`market`] — the shard writer: batched admission control against
 //!   the incremental [`mec_core::GameState`] residuals (Eq. 4–5),
 //!   preemptible best-response *maintenance quanta* between queue drains

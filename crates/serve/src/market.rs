@@ -1,13 +1,28 @@
 //! The shard writer: batched admission control, preemptible equilibrium
 //! maintenance, snapshots, and graceful drain.
 //!
-//! Each region's writer thread owns one shard: a [`GameState`] that
-//! owns the shard's copy of the [`Market`](mec_core::model::Market), plus the book-keeping of
-//! admissions, migrations and coordinated snapshots. I/O threads enqueue
-//! [`Command`]s on a bounded channel; the writer drains the queue in
-//! *batches* — everything queued is taken in one lock, applied in one
-//! pass over the state (`Shard::step`), and covered by a single
-//! published [`MarketView`].
+//! Each region has one shard: a [`GameState`] that owns the shard's copy
+//! of the [`Market`](mec_core::model::Market), plus the book-keeping of
+//! admissions, migrations and coordinated snapshots. Commands reach it
+//! on a bounded channel, and whoever holds the channel's *claim*
+//! applies them (see [`crate::chan`]):
+//!
+//! ```text
+//! io thread ──push, queue unclaimed: claim──► inline turn (client writes)
+//!     │                                          │ release: anything left,
+//!     └──push, queue claimed: no notify          ▼ or maintenance? wake
+//! peer / driver ──push, wake if parked──► writer thread turn (everything)
+//! ```
+//!
+//! Both run the same *turn* (`Shard::turn`): take a batch — everything
+//! queued, in one lock — apply it in one pass over the state
+//! (`Shard::step`), run the one maintenance quantum a queue-emptying
+//! batch earns, publish a single [`MarketView`], then ack. An I/O
+//! thread's inline turn takes only the client writes (join, leave,
+//! update) at the head of the queue; every other command, maintenance
+//! the quantum left, idle rebalance ticks and the drain with its linger
+//! stay on the writer thread, which the releasing I/O thread wakes only
+//! when one of them is pending.
 //!
 //! Read-your-writes is preserved batch-wide: the view covering a batch
 //! is published *before* any command in the batch is acknowledged, so a
@@ -36,9 +51,10 @@
 //! interleave with queue drains, so maintenance is preemptible — a
 //! request burst waits for at most one quantum, never a full convergence
 //! run — while the exact-potential argument still guarantees the
-//! dynamics terminate once the queue goes quiet. At equilibrium with an empty queue the writer sleeps in idle
-//! ticks, waking only to rebalance across shards and to notice that the
-//! I/O side has gone.
+//! dynamics terminate once the queue goes quiet. At equilibrium with
+//! nothing queued the writer thread sleeps; a whole idle tick with no
+//! claim taken by anyone wakes it to rebalance across shards and to
+//! notice that the I/O side has gone.
 //!
 //! Because the state owns its market, commands that change the market
 //! itself apply in place: a demand update moves one provider's load in
@@ -57,7 +73,7 @@
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mec_core::game::IMPROVEMENT_TOL;
@@ -67,7 +83,7 @@ use mec_core::{
 };
 use mec_topology::CloudletId;
 
-use crate::chan::{OneSender, Receiver, Sender, TrySendError};
+use crate::chan::{lock_ok, Claimed, OneSender, Receiver, Sender, TrySendError};
 use crate::demand::{demand_order, DemandEwma, DemandTracker};
 use crate::eventloop::Completions;
 use crate::proto::{Request, Response, StatsReport};
@@ -250,6 +266,17 @@ pub enum Command {
         /// The shared drain barrier.
         op: Arc<DrainOp>,
     },
+}
+
+impl Command {
+    /// `true` for a client write — a join, leave or demand update as a
+    /// client sent it — the only commands an I/O thread applies inline.
+    pub(crate) fn is_client_write(&self) -> bool {
+        matches!(
+            self,
+            Command::Join { .. } | Command::Leave { .. } | Command::Update { .. }
+        )
+    }
 }
 
 /// Builds the market command for a single-shard request. Reads are
@@ -669,54 +696,109 @@ impl Shard {
         }
     }
 
-    /// Runs the writer thread to completion: drain a batch, apply it, and
-    /// settle it; spend empty gaps on maintenance quanta (or, at
-    /// equilibrium, on idle ticks). Returns when a drain command or the
-    /// exit of every I/O-side sender has drained the shard.
-    pub(crate) fn run(mut self, rx: &Receiver<Command>) -> MarketOutcome {
+    /// Runs the writer thread to completion. Each claim of the queue
+    /// brings a batch — possibly empty, when an I/O thread's inline turn
+    /// left maintenance behind — which runs as one [`Shard::turn`]; a
+    /// claim that comes after a whole idle tick runs a rebalance scan
+    /// instead. Returns when a drain command or the exit
+    /// of every I/O-side sender has drained the shard; the claim is then
+    /// held until the thread exits, so no I/O thread applies a command
+    /// to a drained shard.
+    pub(crate) fn run(slot: &Mutex<Shard>, rx: &Receiver<Command>) -> MarketOutcome {
         let mut batch: Vec<Command> = Vec::new();
         loop {
-            self.drain_outbound();
-            // Poll nonblockingly while maintenance is pending; at
-            // equilibrium wake every idle tick to rebalance and to notice
-            // the I/O side has gone (the queue itself never disconnects).
-            let settled = self.book.dirt.is_clean();
-            let timeout = if settled { IDLE_TICK } else { Duration::ZERO };
-            let Ok((taken, depth)) = rx.recv_batch(&mut batch, BATCH_MAX, Some(timeout)) else {
-                if settled {
-                    self.maybe_rebalance();
-                } else {
-                    self.run_quantum(EPOCH_MOVES);
-                    self.publish();
+            let claimed = rx.claim_batch(&mut batch, BATCH_MAX, IDLE_TICK);
+            // A claimant that panics never gives the claim back, so no
+            // one ever locks a poisoned shard.
+            let mut shard = lock_ok(slot);
+            let taken = match claimed {
+                Claimed::Batch { taken, depth } => {
+                    if taken > 0 {
+                        mec_obs::counter_add("serve.turn.writer", 1);
+                    }
+                    if let Some((op, rest)) = shard.turn(&mut batch, depth, EPOCH_MOVES) {
+                        if op.ack() {
+                            if let Some(reply) = op.take_reply() {
+                                reply.send(Response::Draining);
+                            }
+                        }
+                        return shard.drain_and_finish(rx, rest);
+                    }
+                    taken
                 }
-                if self.ctx.io_gone() {
-                    return self.drain_and_finish(rx, Vec::new());
+                Claimed::Idle => {
+                    shard.drain_outbound();
+                    shard.maybe_rebalance();
+                    0
                 }
-                continue;
             };
+            // The queue itself never disconnects: teardown is noticed
+            // whenever a claim brings no commands.
+            if taken == 0 && shard.ctx.io_gone() {
+                return shard.drain_and_finish(rx, Vec::new());
+            }
+            let wanted = shard.wants_writer();
+            drop(shard);
+            rx.release(wanted);
+        }
+    }
+
+    /// An I/O thread's inline turn, under the claim its push took on
+    /// `tx`'s queue: one batch of the client writes at the head of the
+    /// queue, stopping before any other command, run as one
+    /// [`Shard::turn`]. Returns whether work only the writer thread does
+    /// is left ([`Shard::wants_writer`]); the caller passes that on when
+    /// it releases the claim, which also hands the writer whatever is
+    /// still queued.
+    pub(crate) fn turn_inline(&mut self, tx: &Sender<Command>, batch: &mut Vec<Command>) -> bool {
+        let (taken, depth) = tx.take_claimed(batch, BATCH_MAX, Command::is_client_write);
+        if taken > 0 {
+            mec_obs::counter_add("serve.turn.inline", 1);
+            // Client writes never carry a drain.
+            let _ = self.turn(batch, depth, EPOCH_MOVES);
+        }
+        self.wants_writer()
+    }
+
+    /// One turn, the same on either thread: retry the peer sends a full
+    /// queue held back; apply `batch` (taken from a queue `depth` deep);
+    /// if it emptied the queue and left dirt, run a quantum of at most
+    /// `moves` moves (none at 0); publish once; then ack. A drain command
+    /// met in the batch is handed back, with the commands batched behind
+    /// it, for the writer thread to run once the batch is settled.
+    pub(crate) fn turn(
+        &mut self,
+        batch: &mut Vec<Command>,
+        depth: usize,
+        moves: usize,
+    ) -> Option<(Arc<DrainOp>, Vec<Command>)> {
+        self.drain_outbound();
+        let taken = batch.len();
+        if taken > 0 {
             mec_obs::record("serve.drain.batch", taken as u64);
             mec_obs::record("serve.drain.depth", depth as u64);
             mec_obs::gauge("serve.queue.depth", self.book.seq, depth as f64);
             self.ctx.gauges.set_depth(self.ctx.index, depth);
-            let mut cmds = batch.drain(..);
-            let drain = cmds.by_ref().find_map(|cmd| self.step(cmd));
-            let rest: Vec<Command> = cmds.collect();
-            // A batch that emptied the queue folds its maintenance quantum
-            // into its one publish; behind a deeper queue, maintenance
-            // waits until the queue empties.
-            if drain.is_none() && taken == depth && !self.book.dirt.is_clean() {
-                self.run_quantum(EPOCH_MOVES);
-            }
-            self.settle_batch();
-            if let Some(op) = drain {
-                if op.ack() {
-                    if let Some(reply) = op.take_reply() {
-                        reply.send(Response::Draining);
-                    }
-                }
-                return self.drain_and_finish(rx, rest);
-            }
         }
+        let mut cmds = batch.drain(..);
+        let drain = cmds.by_ref().find_map(|cmd| self.step(cmd));
+        let rest: Vec<Command> = cmds.collect();
+        // A batch that emptied the queue folds its maintenance quantum
+        // into its one publish; behind a deeper queue, maintenance
+        // waits until the queue empties.
+        if moves > 0 && drain.is_none() && taken == depth && !self.book.dirt.is_clean() {
+            self.run_quantum(moves);
+        }
+        self.settle_batch();
+        drain.map(|op| (op, rest))
+    }
+
+    /// `true` while maintenance the last quantum did not finish is left
+    /// for the writer thread. Peer sends a full queue held back are not:
+    /// every turn and every idle tick retries them, as the writer loop
+    /// always has, so a saturated peer does not spin the writer.
+    fn wants_writer(&self) -> bool {
+        !self.book.dirt.is_clean()
     }
 
     /// Ends a batch: one publish covering it, then its acks, then the
@@ -1713,7 +1795,7 @@ impl Shard {
     /// in-flight outgoing handoff first), keep servicing migration
     /// traffic until every shard has quiesced, then finish independently.
     /// `rest` is whatever was batched behind the drain command.
-    fn drain_and_finish(mut self, rx: &Receiver<Command>, rest: Vec<Command>) -> MarketOutcome {
+    fn drain_and_finish(&mut self, rx: &Receiver<Command>, rest: Vec<Command>) -> MarketOutcome {
         // Quiesce: this shard originates no further migrations. An
         // in-flight outgoing handoff must resolve first (the pending grant
         // is answered with an abort), so commits are never stranded.
@@ -1805,7 +1887,7 @@ impl Shard {
     /// Drain: run maintenance quanta until the active players reach
     /// equilibrium, write the final snapshot, and (with the `verify`
     /// feature) re-certify the placement from first principles.
-    fn finish(mut self) -> MarketOutcome {
+    fn finish(&mut self) -> MarketOutcome {
         // Equilibrium is guaranteed to be reached: best-response dynamics
         // on the exact-potential game terminate (Lemma 3). The cap is a
         // backstop against a cost-model bug turning the drain into a hot
@@ -1823,8 +1905,8 @@ impl Shard {
         };
         MarketOutcome {
             seq: self.book.seq,
-            profile: self.state.into_profile(),
-            active: self.book.active,
+            profile: self.state.profile().clone(),
+            active: self.book.active.clone(),
             epochs: self.book.epochs,
             moves: self.book.moves,
             equilibrium: self.book.dirt.is_clean(),
@@ -2492,9 +2574,16 @@ mod tests {
         }
 
         /// One quantum of at most `max_moves` moves on shard `k`, with the
-        /// reference fold beside it: every provider decays, and the
-        /// pending queries of the providers `k` owns land.
+        /// reference fold beside it.
         fn run_quantum(&mut self, k: usize, max_moves: usize) {
+            self.fold(k);
+            self.shards[k].0.run_quantum(max_moves);
+        }
+
+        /// The reference fold of a quantum on shard `k`: every provider
+        /// decays, and the pending queries of the providers `k` owns
+        /// land.
+        fn fold(&mut self, k: usize) {
             for (p, e) in self.ewma[k].iter_mut().enumerate() {
                 let count = if self.router.owner(p) == k {
                     std::mem::take(&mut self.pending[p])
@@ -2503,7 +2592,6 @@ mod tests {
                 };
                 *e = (1.0 - DEMAND_EWMA_ALPHA) * *e + DEMAND_EWMA_ALPHA * count as f64;
             }
-            self.shards[k].0.run_quantum(max_moves);
         }
 
         /// Shard `k`'s published EWMAs match the reference recurrence.
@@ -2537,18 +2625,28 @@ mod tests {
             (spec.compute_demand, spec.bandwidth_demand)
         }
 
-        /// Applies every queued command, shard by shard, until all queues
-        /// are empty.
-        fn pump(&mut self) {
+        /// Runs [`Shard::turn`] — what the writer thread and an inline
+        /// I/O thread both run — on every queued command, shard by shard,
+        /// with quanta of at most `moves` moves, until every queue is
+        /// empty; the last round's empty turns run the quanta that dirt
+        /// left behind. Each quantum gets its reference fold, and one that
+        /// leaves the dirt clean must leave the shard at equilibrium.
+        fn pump(&mut self, moves: usize) {
             loop {
                 let mut idle = true;
-                for (shard, rx) in &mut self.shards {
-                    for cmd in rx.try_drain() {
-                        idle = false;
-                        assert!(shard.step(cmd).is_none());
-                    }
-                    shard.settle_batch();
+                for k in 0..self.shards.len() {
+                    let (shard, rx) = &mut self.shards[k];
+                    let mut batch = rx.try_drain();
+                    idle &= batch.is_empty();
+                    let (depth, epochs) = (batch.len(), shard.book.epochs);
+                    assert!(shard.turn(&mut batch, depth, moves).is_none());
                     shard.drain_outbound();
+                    if shard.book.epochs > epochs {
+                        if shard.book.dirt.is_clean() {
+                            assert_settled(shard);
+                        }
+                        self.fold(k);
+                    }
                 }
                 if idle {
                     return;
@@ -2556,24 +2654,9 @@ mod tests {
             }
         }
 
-        /// One quantum of at most `max_moves` moves on every dirty shard;
-        /// each that comes out clean must be at equilibrium.
-        fn quantum(&mut self, max_moves: usize) {
-            for k in 0..self.shards.len() {
-                if !self.shards[k].0.book.dirt.is_clean() {
-                    self.run_quantum(k, max_moves);
-                    let shard = &self.shards[k].0;
-                    if shard.book.dirt.is_clean() {
-                        assert_settled(shard);
-                    }
-                }
-                self.shards[k].0.settle_batch();
-            }
-        }
-
         /// One random step: `(kind, provider, cloudlet, budget)`. The
-        /// budget picks the move bound of the quantum that follows; 0
-        /// skips it, so dirt piles up across steps.
+        /// budget picks the move bound of the turns' quanta; 0 skips
+        /// them, so dirt piles up across steps.
         fn apply(&mut self, (kind, p, c, budget): (u8, usize, usize, u8)) {
             let (n, m) = (self.base.provider_count(), self.base.cloudlet_count());
             let (p, c) = (p % n, c % m);
@@ -2707,17 +2790,14 @@ mod tests {
                 // next step ends.
                 _ => self.held = Some(self.shards[owner].0.ctx.views[owner].load()),
             }
-            self.pump();
+            self.pump(match budget % 4 {
+                3 => EPOCH_MOVES,
+                b => usize::from(b),
+            });
             for (k, (shard, _)) in self.shards.iter().enumerate() {
                 assert_members(shard);
                 assert_view(shard);
                 self.assert_ewma(k);
-            }
-            match budget % 4 {
-                0 => {}
-                1 => self.quantum(1),
-                2 => self.quantum(2),
-                _ => self.quantum(EPOCH_MOVES),
             }
         }
 

@@ -1,12 +1,13 @@
 //! The TCP front half of the daemon: acceptor, event-loop I/O threads,
 //! boot and drain plumbing.
 //!
-//! Threading model (single-writer *per region* / multi-reader):
+//! Threading model (one applier *per region* at a time / multi-reader):
 //!
 //! ```text
-//! acceptor ──inbox+wake──► io threads ──Command batch──► shard threads (×N)
-//!                           │    ▲                           │   ▲
-//!         reads from views ─┘    └──── Completions ◄──── publishes+acks
+//! acceptor ──inbox+wake──► io threads ──Command──► shard queues (×N)
+//!                           │    ▲   └─ claimed: inline turn ─┤ else
+//!         reads from views ─┘    └──── Completions ◄──── shard threads (×N)
+//!                                                        publishes+acks
 //!                                                            └── peer queues
 //! ```
 //!
@@ -19,6 +20,15 @@
 //! come back through a completion mailbox and leave in request order. No
 //! thread is ever parked on one client.
 //!
+//! Each shard's commands are applied by whoever holds its queue's claim
+//! ([`crate::chan`]). When a client write finds its shard idle, the I/O
+//! thread that decoded it takes the claim and applies it inline, in the
+//! same poll round — one batch of client writes, published and
+//! acknowledged — so the common write costs no thread handoff. The
+//! shard's writer thread applies everything else: peer and admin
+//! commands, writes queued while another thread held the claim,
+//! maintenance left after a quantum, idle rebalance ticks and the drain.
+//!
 //! The writers boot through one `ShardSet` at every shard count: each
 //! region gets its own writer thread, every shard's first view is
 //! published before the listener accepts, and `shutdown` is a coordinated
@@ -30,7 +40,8 @@
 //! per-shard slice sets behind a manifest.
 //!
 //! Every daemon thread is named by its role — `shard-<k>`, `io-<k>`,
-//! `acceptor`, `admin` — so per-thread CPU can be read apart.
+//! `acceptor`, `admin` — so per-thread CPU can be read apart. An
+//! `io-<k>` thread's CPU includes the inline turns it ran.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -209,6 +220,7 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             stop: stop.clone(),
             live: live.clone(),
             txs: shards.txs.clone(),
+            slots: shards.slots.clone(),
             views: shards.views.clone(),
             router: shards.router.clone(),
             gauges: shards.gauges.clone(),

@@ -538,9 +538,11 @@ fn restore_err(path: &Path, e: &dyn std::fmt::Display) -> std::io::Error {
 }
 
 /// One booted set of shard writers and everything they share with the
-/// I/O side: the command queues, the router, the published views, the
-/// gauges, the coordinator and the I/O-liveness counter. The daemon, the
-/// drain bench and the trace replay all boot their writers here.
+/// I/O side: the command queues, the shards themselves (an I/O thread
+/// whose push claims a queue applies its client writes inline), the
+/// router, the published views, the gauges, the coordinator and the
+/// I/O-liveness counter. The daemon, the drain bench and the trace
+/// replay all boot their writers here.
 ///
 /// Every shard's first view is published before [`ShardSet::boot`]
 /// returns, so a reader never sees a pre-boot view. The writers start
@@ -549,6 +551,9 @@ fn restore_err(path: &Path, e: &dyn std::fmt::Display) -> std::io::Error {
 pub(crate) struct ShardSet {
     /// Command queue of each shard.
     pub(crate) txs: Vec<Sender<Command>>,
+    /// Each shard, locked by whoever holds its queue's claim: the writer
+    /// thread, or an I/O thread running an inline turn.
+    pub(crate) slots: Vec<Arc<Mutex<Shard>>>,
     /// Published view of each shard.
     pub(crate) views: Vec<Arc<SharedView>>,
     /// Provider→shard ownership map.
@@ -559,8 +564,8 @@ pub(crate) struct ShardSet {
     pub(crate) coord: Arc<Coordinator>,
     /// Live I/O-side senders; every writer drains once it reaches zero.
     pub(crate) io_live: Arc<AtomicUsize>,
-    /// Writers not yet started, each with its queue.
-    idle: Vec<(Shard, Receiver<Command>)>,
+    /// The receiving ends of the queues, until the writers start.
+    idle: Vec<Receiver<Command>>,
     /// Started writer threads.
     running: Vec<JoinHandle<MarketOutcome>>,
 }
@@ -616,8 +621,8 @@ impl ShardSet {
         let io_live = Arc::new(AtomicUsize::new(io_senders));
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| chan::bounded(queue_cap)).unzip();
         let newest = seqs.iter().copied().max().unwrap_or(0);
-        let mut idle = Vec::with_capacity(shards);
-        for (k, rx) in rxs.into_iter().enumerate() {
+        let mut slots = Vec::with_capacity(shards);
+        for k in 0..shards {
             // This shard's slice of the boot state: owned providers carry
             // their restored placement and admission flag, everyone else
             // is Remote/inactive (their owner's slice carries them).
@@ -651,7 +656,7 @@ impl ShardSet {
             let state = GameState::owned(market.clone(), shard_profile);
             let mut shard = Shard::new(state, shard_active, seq, ctx);
             shard.publish();
-            idle.push((shard, rx));
+            slots.push(Arc::new(Mutex::new(shard)));
         }
         Ok(ShardSet {
             txs,
@@ -660,7 +665,8 @@ impl ShardSet {
             gauges,
             coord,
             io_live,
-            idle,
+            slots,
+            idle: rxs,
             running: Vec::new(),
         })
     }
@@ -677,16 +683,18 @@ impl ShardSet {
         &mut self,
         on_exit: impl Fn() + Clone + Send + 'static,
     ) -> std::io::Result<()> {
-        for (k, (shard, rx)) in self.idle.drain(..).enumerate() {
+        for (k, rx) in self.idle.drain(..).enumerate() {
             let on_exit = on_exit.clone();
-            // The shard's writer thread: owns its region for its whole
-            // life. Intentionally a raw thread, not the bench pool — it
-            // outlives any scope and is joined through `join`.
+            let slot = self.slots[k].clone();
+            // The shard's writer thread: serves its region for the
+            // daemon's whole life. Intentionally a raw thread, not the
+            // bench pool — it outlives any scope and is joined through
+            // `join`.
             // lint: allow(thread-spawn)
             let spawned = std::thread::Builder::new()
                 .name(format!("shard-{k}"))
                 .spawn(move || {
-                    let outcome = shard.run(&rx);
+                    let outcome = Shard::run(&slot, &rx);
                     on_exit();
                     outcome
                 });
@@ -705,7 +713,13 @@ impl ShardSet {
     /// by hand instead of starting them.
     #[cfg(test)]
     pub(crate) fn take_idle(&mut self) -> Vec<(Shard, Receiver<Command>)> {
-        std::mem::take(&mut self.idle)
+        let slots = std::mem::take(&mut self.slots).into_iter().map(|slot| {
+            let Ok(shard) = Arc::try_unwrap(slot) else {
+                panic!("a shard slot was shared before its writer started");
+            };
+            shard.into_inner().unwrap_or_else(|e| e.into_inner())
+        });
+        slots.zip(std::mem::take(&mut self.idle)).collect()
     }
 
     /// Drains the set on behalf of an in-process driver: one `DrainAll`

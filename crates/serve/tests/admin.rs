@@ -299,6 +299,20 @@ fn malformed_and_oversized_requests_do_not_wedge_the_listener() {
     let (status, _) = get(admin, "/nope");
     assert_eq!(status, 404, "unknown path");
 
+    // The path decides first: an unknown path is 404 for every method,
+    // the removed topology reload included; a known path asked with the
+    // wrong method is 405.
+    for (request, want) in [
+        (&b"POST /nope HTTP/1.1\r\n\r\n"[..], 404),
+        (b"POST /reload/topology HTTP/1.1\r\n\r\n", 404),
+        (b"DELETE /nope HTTP/1.1\r\n\r\n", 404),
+        (b"POST /placement/0 HTTP/1.1\r\n\r\n", 405),
+        (b"GET /reset/histograms HTTP/1.1\r\n\r\n", 405),
+    ] {
+        let (status, _) = raw(admin, request);
+        assert_eq!(status, want, "{}", String::from_utf8_lossy(request).trim());
+    }
+
     // A client that sends nothing and hangs up mid-head.
     drop(TcpStream::connect(admin).expect("connect"));
 
@@ -403,9 +417,9 @@ fn reset_histograms_keeps_counters_monotonic() {
             "counter {series} went backwards across the reset: {v1} -> {v2}"
         );
     }
-    // GET on the reset endpoint is not a thing.
+    // The reset endpoint answers POST only.
     let (status, _) = get(admin, "/reset/histograms");
-    assert_eq!(status, 404);
+    assert_eq!(status, 405);
 
     drain(handle, &mut client);
 }

@@ -699,3 +699,113 @@ fn sharded_boot_resumes_each_shard_at_its_slice_seq() {
     drain(handle, &mut client);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Several I/O threads in front of two shards, each I/O thread applying
+/// the client writes it claims inline: six clients pipeline a seeded mix
+/// of joins, leaves, demand updates, queries and stats over providers
+/// they all share. Every reply must come back in request order, and
+/// every `stats` pipelined behind a write that changed the market must
+/// see it (`pipelined_reads_observe_preceding_writes`, under
+/// contention): each pipeline opens with a `stats` answered before its
+/// writes are read, and a later `stats` behind a successful join or
+/// update must read a higher composite seq. The drain must then pass
+/// the capacity and Nash certificates (checked under `--features
+/// verify`).
+#[test]
+fn pipelined_clients_on_shared_providers_across_io_threads() {
+    use mec_serve::Request;
+    const CLIENTS: u64 = 6;
+    const PROVIDERS: usize = 12;
+    let mut b = Market::builder();
+    for k in 0..4 {
+        b = b.cloudlet(CloudletSpec::new(8.0, 40.0, 0.3 + 0.1 * k as f64, 0.2));
+    }
+    for _ in 0..PROVIDERS {
+        b = b.provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0));
+    }
+    let cfg = ServerConfig {
+        shards: 2,
+        io_threads: 3,
+        ..ServerConfig::default()
+    };
+    let handle = serve(b.uniform_update_cost(0.2).build(), &cfg).expect("boot");
+    let addr = handle.addr();
+    crossbeam::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            scope.spawn(move |_| {
+                let mut client = Client::connect(addr).expect("connect");
+                client
+                    .set_timeout(Some(Duration::from_secs(30)))
+                    .expect("timeout");
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(c + 1);
+                let mut next = move |n: u64| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng % n
+                };
+                // The seq of the pipeline's opening `stats`, the last seq
+                // read, and whether a join or update succeeded since the
+                // opening `stats`.
+                let (mut base, mut last, mut wrote) = (0u64, 0u64, false);
+                for _ in 0..40 {
+                    let mut reqs = vec![Request::Stats];
+                    for _ in 0..8 {
+                        let provider = next(PROVIDERS as u64) as usize;
+                        reqs.push(match next(5) {
+                            0 => Request::Join {
+                                provider,
+                                cloudlet: None,
+                            },
+                            1 => Request::Leave { provider },
+                            2 => Request::UpdateDemand {
+                                provider,
+                                compute: 1.0 + next(3) as f64,
+                                bandwidth: 8.0,
+                            },
+                            3 => Request::Query { provider },
+                            _ => Request::Stats,
+                        });
+                    }
+                    let resps = client.pipeline(&reqs).expect("pipeline");
+                    assert_eq!(resps.len(), reqs.len());
+                    for (k, (req, (resp, _))) in reqs.iter().zip(&resps).enumerate() {
+                        match (req, resp) {
+                            (Request::Stats, Response::Stats(s)) => {
+                                assert!(s.seq >= last, "client {c}: seq {} after {last}", s.seq);
+                                assert!(
+                                    !wrote || s.seq > base,
+                                    "client {c}: seq {} misses a write made after seq {base}",
+                                    s.seq
+                                );
+                                last = s.seq;
+                                if k == 0 {
+                                    (base, wrote) = (s.seq, false);
+                                }
+                            }
+                            // A successful join or update raises its
+                            // shard's seq before it is acknowledged.
+                            (Request::Join { .. }, Response::Admitted { .. })
+                            | (Request::UpdateDemand { .. }, Response::Updated { .. }) => {
+                                wrote = true;
+                            }
+                            (
+                                Request::Join { .. },
+                                Response::Rejected { .. } | Response::Error { .. },
+                            )
+                            | (Request::Leave { .. }, Response::Left | Response::Error { .. })
+                            | (Request::UpdateDemand { .. }, Response::Error { .. })
+                            | (Request::Query { .. }, Response::Placement { .. }) => {}
+                            other => panic!("client {c}: reply out of order: {other:?}"),
+                        }
+                    }
+                }
+            });
+        }
+    })
+    .expect("clients");
+    let mut client = Client::connect(addr).expect("connect");
+    let outcome = drain(handle, &mut client);
+    assert!(outcome.equilibrium);
+    assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+}

@@ -3,7 +3,12 @@
 //! The serve data plane's tail-latency story (DESIGN.md §3g) rests on
 //! one invariant: an I/O thread parked on *anything* — a sleep, a lock
 //! held across a market batch, a channel receive — stalls every
-//! connection multiplexed onto it. This rule makes the invariant
+//! connection multiplexed onto it. An I/O thread does run market work
+//! itself: when its push claims an idle shard's queue, it applies one
+//! batch of client writes inline (a bounded turn). It still never waits
+//! on another thread — the claim makes the one shard lock it takes
+//! uncontended, and that site carries an allow marker saying so, like
+//! the mailbox and inbox locks. This rule makes the invariant
 //! checkable: starting from the event-loop entry point `run_io` in
 //! `crates/serve/src/eventloop.rs`, it builds the file-local call graph
 //! (an ident followed by `(` that names another function in the file is
@@ -12,8 +17,9 @@
 //!
 //! * `thread::sleep(` — any path spelling ending in `thread::sleep`;
 //! * `.lock(` and `lock_ok(` — mutex acquisition (the brief
-//!   completion-mailbox and inbox locks the design *does* allow carry
-//!   `// lint: allow(io-blocking)` markers with their justification);
+//!   completion-mailbox and inbox locks and the claimed shard's lock
+//!   the design *does* allow carry `// lint: allow(io-blocking)`
+//!   markers with their justification);
 //! * `.recv(` / `.recv_timeout(` / `.recv_batch(` — channel receives
 //!   (the market thread owns those; I/O threads get completions pushed
 //!   to them);
