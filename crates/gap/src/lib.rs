@@ -18,6 +18,10 @@
 //! * [`greedy`] — a regret heuristic (ablation baseline),
 //! * [`exact`] — branch-and-bound optimum for small instances (testing).
 //!
+//! The relaxation is differential-tested against the general simplex of
+//! `mec-lp` (a dev-dependency only); `cargo test -p mec-gap --features
+//! mec-lp/verify` certifies every one of those oracle solves optimal.
+//!
 //! # Examples
 //!
 //! ```

@@ -4,12 +4,15 @@
 //! One variable per admissible `(item, bin)` pair, one `Eq` row per item
 //! (`Σ_j x_ij = 1`) and one `Le` row per bin that admits any item
 //! (`Σ_i w_i x_ij ≤ CAP_j`). It shares no code with `mec_gap::lp_relax`.
+//! Built with `--features mec-lp/verify`, every solve is certified
+//! optimal (primal and dual feasibility, closed duality gap) before its
+//! objective is used.
 
 use mec_gap::{GapError, GapInstance};
-use mec_lp::{LpBuilder, LpError, Relation, SolverBackend};
+use mec_lp::{LpBuilder, LpError, Relation};
 
-/// Optimal objective of the assignment LP of `inst` on `backend`.
-pub fn lp_objective(inst: &GapInstance, backend: SolverBackend) -> Result<f64, GapError> {
+/// Optimal objective of the assignment LP of `inst`.
+pub fn lp_objective(inst: &GapInstance) -> Result<f64, GapError> {
     let (n, m) = (inst.items(), inst.bins());
     let pairs: Vec<(usize, usize)> = (0..n)
         .flat_map(|i| (0..m).map(move |j| (i, j)))
@@ -37,7 +40,7 @@ pub fn lp_objective(inst: &GapInstance, backend: SolverBackend) -> Result<f64, G
             lp.constraint(&row, Relation::Le, inst.capacity(j));
         }
     }
-    match lp.solve_with(backend) {
+    match lp.solve() {
         Ok(sol) => Ok(sol.objective),
         Err(LpError::Infeasible) => Err(GapError::Infeasible),
         Err(e) => panic!("simplex oracle failed: {e}"),

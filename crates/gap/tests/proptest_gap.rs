@@ -8,7 +8,9 @@
 //!   assignment LP solved by the simplex oracle ([`oracle`]), also on
 //!   Appro-shaped instances (unit slots priced by marginal congestion, a
 //!   large remote bin some items may not use), and its potential-derived
-//!   duals pass the `verify::check_relaxation` certificate;
+//!   duals pass the `verify::check_relaxation` certificate (with
+//!   `--features mec-lp/verify` every oracle solve is itself certified
+//!   optimal);
 //! * the `verify::check_assignment` certifier accepts every rounded output.
 
 mod oracle;
@@ -17,7 +19,6 @@ use mec_gap::{
     check_assignment, check_relaxation, exact, greedy, lp_relax, shmoys_tardos, GapInstance,
     FORBIDDEN,
 };
-use mec_lp::SolverBackend;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -94,7 +95,7 @@ proptest! {
     #[test]
     fn transportation_agrees_with_lp(r in rand_inst()) {
         let inst = build(&r);
-        let lp = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
+        let lp = oracle::lp_objective(&inst).unwrap();
         let tp = lp_relax::solve_relaxation(&inst).unwrap();
         prop_assert!((lp - tp.objective).abs() < 1e-5,
             "LP {} vs transportation {}", lp, tp.objective);
@@ -123,17 +124,6 @@ proptest! {
         prop_assert!(violations.is_empty(), "certifier rejected ST output: {violations:?}");
     }
 
-    /// The dense tableau and the sparse revised simplex solve the same
-    /// assignment LP; their optima must agree on every random relaxation.
-    #[test]
-    fn dense_and_revised_agree_on_relaxation(r in rand_inst()) {
-        let inst = build(&r);
-        let dense = oracle::lp_objective(&inst, SolverBackend::Dense).unwrap();
-        let revised = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
-        prop_assert!((dense - revised).abs() < 1e-5 * (1.0 + dense.abs()),
-            "dense {} vs revised {}", dense, revised);
-    }
-
     /// FORBIDDEN arcs leave the relaxation a transportation problem over
     /// the admissible arcs, and its optimum matches the general LP there.
     /// Bin 0 is never forbidden, so every item fits somewhere.
@@ -156,7 +146,7 @@ proptest! {
         for j in 0..r.bins {
             inst.set_capacity(j, total + 2.0);
         }
-        let lp = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
+        let lp = oracle::lp_objective(&inst).unwrap();
         let tp = lp_relax::solve_relaxation(&inst).unwrap();
         prop_assert!((lp - tp.objective).abs() < 1e-5 * (1.0 + lp.abs()),
             "LP {} vs transportation {}", lp, tp.objective);
@@ -259,17 +249,17 @@ proptest! {
 
     /// On Appro-shaped instances — large enough for the multi-bin
     /// displacement chains of the real reductions — the transportation
-    /// solver reaches the revised simplex's optimum, and its solution with
+    /// solver reaches the simplex oracle's optimum, and its solution with
     /// the potential-derived duals passes the relaxation certificate:
     /// every item covered, every capacity respected, the duals feasible
     /// and the duality gap closed.
     #[test]
     fn transportation_agrees_on_appro_shaped(r in appro_shaped()) {
         let inst = build_appro_shaped(&r);
-        let lp = oracle::lp_objective(&inst, SolverBackend::Revised).unwrap();
+        let lp = oracle::lp_objective(&inst).unwrap();
         let tp = lp_relax::solve_relaxation(&inst).unwrap();
         prop_assert!((lp - tp.objective).abs() < 1e-6 * (1.0 + lp.abs()),
-            "revised {} vs transportation {}", lp, tp.objective);
+            "simplex {} vs transportation {}", lp, tp.objective);
         let violations = check_relaxation(&inst, &tp, 1e-9);
         prop_assert!(violations.is_empty(), "certificate: {violations:?}");
     }

@@ -1,4 +1,5 @@
-//! Two-phase primal-simplex linear-programming solvers.
+//! A two-phase primal-simplex linear-programming solver with a
+//! certificate of optimality.
 //!
 //! The Shmoys–Tardos approximation algorithm for the Generalized Assignment
 //! Problem (used by the paper's `Appro` algorithm) needs the optimal solution
@@ -7,16 +8,16 @@
 //! independent general LP solver that flow is tested against. It is a
 //! dev-dependency of `mec-gap` (the oracle of its relaxation proptests) and
 //! of `mec-bench` (a substrate bench), and no library or binary of the
-//! workspace links it. It implements two interchangeable deterministic
-//! backends with Bland's rule as an anti-cycling fallback (select via
-//! [`SolverBackend`]):
+//! workspace links it.
 //!
-//! * a **sparse revised simplex** ([`simplex::SolverBackend::Revised`], the
-//!   default) — column-wise sparse storage and product-form basis updates,
-//!   built for large, very sparse assignment LPs;
-//! * a **dense tableau** ([`simplex::SolverBackend::Dense`]) — the original
-//!   implementation, kept as the reference the revised simplex is
-//!   differential-tested against.
+//! [`LpBuilder::solve`] runs a deterministic **sparse revised simplex**
+//! (column-wise sparse storage, product-form basis updates, Bland's rule
+//! as an anti-cycling fallback), built for large, very sparse assignment
+//! LPs. Its answer carries its own proof: [`check_solution`] re-checks
+//! primal feasibility, dual feasibility (row signs and reduced costs) and
+//! the duality gap from the problem data alone, which together certify
+//! that the solution is optimal. The `verify` feature runs that check on
+//! every solve.
 //!
 //! The solver handles problems of the form
 //!
@@ -47,5 +48,5 @@ pub(crate) mod revised;
 pub mod simplex;
 pub mod verify;
 
-pub use simplex::{LpBuilder, LpError, LpSolution, Relation, SolverBackend};
+pub use simplex::{LpBuilder, LpError, LpSolution, Relation};
 pub use verify::{check_solution, LpViolation};

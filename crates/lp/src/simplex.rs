@@ -1,10 +1,10 @@
-//! Two-phase dense tableau simplex.
+//! The LP problem builder, its solution and error types.
 //!
-//! Deterministic: Dantzig pricing with a Bland's-rule fallback after a fixed
-//! iteration budget, so cycling cannot occur. All numerics use absolute
-//! tolerances scaled to the problem data.
+//! [`LpBuilder`] collects a minimization over non-negative variables;
+//! [`LpBuilder::solve`] runs the sparse revised simplex
+//! (`crate::revised`) and, under the `verify` feature, certifies the
+//! answer with [`crate::verify::check_solution`].
 
-use mec_num::approx_zero;
 use std::fmt;
 
 /// Relation of a linear constraint row.
@@ -51,25 +51,6 @@ impl fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
-/// Which simplex implementation answers a [`LpBuilder::solve_with`] call.
-///
-/// Both backends implement the same two-phase primal simplex contract —
-/// identical error taxonomy, duals in row-insertion order — and both are
-/// re-certified by [`crate::verify::check_solution`] under the `verify`
-/// feature. They differ only in data layout and per-iteration cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Sparse revised simplex (column-wise storage, eta-file basis updates
-    /// with periodic LU refactorization, Dantzig + partial pricing). The
-    /// default: on GAP-shaped relaxations with 2 nonzeros per structural
-    /// column it is orders of magnitude faster than the tableau.
-    #[default]
-    Revised,
-    /// Dense two-phase tableau — the original implementation, kept as a
-    /// slow reference oracle for differential testing.
-    Dense,
-}
-
 /// An optimal solution of a linear program.
 #[derive(Debug, Clone)]
 pub struct LpSolution {
@@ -100,8 +81,6 @@ struct Row {
     rel: Relation,
     rhs: f64,
 }
-
-const EPS: f64 = 1e-9;
 
 impl LpBuilder {
     /// Creates a builder for an LP with `n` structural variables, all with a
@@ -183,12 +162,13 @@ impl LpBuilder {
         self
     }
 
-    /// Solves the LP with the default backend
-    /// ([`SolverBackend::Revised`], the sparse revised simplex).
+    /// Solves the LP with the two-phase sparse revised simplex.
     ///
     /// With the `verify` cargo feature enabled, the solution is re-checked
-    /// against the original problem data ([`crate::verify::check_solution`])
-    /// before being returned; a violation panics with a full report.
+    /// against the original problem data ([`crate::verify::check_solution`]:
+    /// primal and dual feasibility, `c · x` and the duality gap, which
+    /// together prove optimality) before being returned; a violation
+    /// panics with a full report.
     ///
     /// # Errors
     ///
@@ -196,57 +176,13 @@ impl LpBuilder {
     /// * [`LpError::Unbounded`] — the objective decreases without bound.
     /// * [`LpError::IterationLimit`] — the pivot budget was exhausted.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        self.solve_with(SolverBackend::default())
-    }
-
-    /// Solves the LP with the dense two-phase tableau — the reference
-    /// oracle. Same contract (and `verify`-feature self-certification) as
-    /// [`LpBuilder::solve`]; use it in differential tests against the
-    /// revised backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LpBuilder::solve`].
-    pub fn solve_dense(&self) -> Result<LpSolution, LpError> {
-        self.solve_with(SolverBackend::Dense)
-    }
-
-    /// Solves the LP with an explicit [`SolverBackend`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LpBuilder::solve`].
-    ///
-    /// # Examples
-    ///
-    /// Both backends return the same optimum — useful for differential
-    /// testing:
-    ///
-    /// ```
-    /// use mec_lp::{LpBuilder, Relation, SolverBackend};
-    ///
-    /// // minimize  x + y   s.t.  x + 2y >= 4,  3x + y >= 3
-    /// let mut lp = LpBuilder::new(2);
-    /// lp.objective(&[1.0, 1.0]);
-    /// lp.constraint(&[1.0, 2.0], Relation::Ge, 4.0);
-    /// lp.constraint(&[3.0, 1.0], Relation::Ge, 3.0);
-    ///
-    /// let fast = lp.solve_with(SolverBackend::Revised)?;
-    /// let oracle = lp.solve_with(SolverBackend::Dense)?;
-    /// assert!((fast.objective - oracle.objective).abs() < 1e-9);
-    /// # Ok::<(), mec_lp::LpError>(())
-    /// ```
-    pub fn solve_with(&self, backend: SolverBackend) -> Result<LpSolution, LpError> {
-        let sol = match backend {
-            SolverBackend::Revised => crate::revised::solve_revised(self)?,
-            SolverBackend::Dense => Tableau::build(self).solve(&self.c, self.n)?,
-        };
+        let sol = crate::revised::solve_revised(self)?;
         #[cfg(feature = "verify")]
         {
             let violations = crate::verify::check_solution(self, &sol, 1e-6);
             assert!(
                 violations.is_empty(),
-                "simplex self-certification failed ({backend:?} backend):\n{}",
+                "simplex self-certification failed:\n{}",
                 violations
                     .iter()
                     .map(|v| format!("  - {v}"))
@@ -255,268 +191,6 @@ impl LpBuilder {
             );
         }
         Ok(sol)
-    }
-}
-
-/// Dense simplex tableau in canonical form.
-struct Tableau {
-    m: usize,
-    /// Total columns excluding the RHS.
-    ncols: usize,
-    /// Row-major `m × (ncols + 1)`; the last column is the RHS.
-    t: Vec<f64>,
-    basis: Vec<usize>,
-    /// First artificial column index (artificials occupy `art0..ncols`).
-    art0: usize,
-    /// Per original row: the auxiliary column carrying its dual (slack,
-    /// surplus or artificial) and that column's coefficient (+1 / −1).
-    row_marker: Vec<(usize, f64)>,
-    /// Per original row: −1 if the row was multiplied by −1 to make b ≥ 0.
-    row_sign: Vec<f64>,
-}
-
-impl Tableau {
-    fn build(lp: &LpBuilder) -> Tableau {
-        let m = lp.rows.len();
-        let n = lp.n;
-        // Count auxiliary columns.
-        let mut slack = 0;
-        let mut art = 0;
-        for r in &lp.rows {
-            let b_neg = r.rhs < 0.0;
-            let rel = flip(r.rel, b_neg);
-            match rel {
-                Relation::Le => slack += 1,
-                Relation::Ge => {
-                    slack += 1;
-                    art += 1;
-                }
-                Relation::Eq => art += 1,
-            }
-        }
-        let ncols = n + slack + art;
-        let art0 = n + slack;
-        let width = ncols + 1;
-        let mut t = vec![0.0; m * width];
-        let mut basis = vec![usize::MAX; m];
-        let mut next_slack = n;
-        let mut next_art = art0;
-        let mut row_marker = vec![(usize::MAX, 1.0); m];
-        let mut row_sign = vec![1.0; m];
-
-        for (i, r) in lp.rows.iter().enumerate() {
-            let b_neg = r.rhs < 0.0;
-            let sign = if b_neg { -1.0 } else { 1.0 };
-            let rel = flip(r.rel, b_neg);
-            let row = &mut t[i * width..(i + 1) * width];
-            for (j, &v) in r.coeffs.iter().enumerate() {
-                row[j] = sign * v;
-            }
-            row[ncols] = sign * r.rhs;
-            row_sign[i] = sign;
-            match rel {
-                Relation::Le => {
-                    row[next_slack] = 1.0;
-                    basis[i] = next_slack;
-                    row_marker[i] = (next_slack, 1.0);
-                    next_slack += 1;
-                }
-                Relation::Ge => {
-                    row[next_slack] = -1.0;
-                    row_marker[i] = (next_slack, -1.0);
-                    next_slack += 1;
-                    row[next_art] = 1.0;
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-                Relation::Eq => {
-                    row[next_art] = 1.0;
-                    basis[i] = next_art;
-                    row_marker[i] = (next_art, 1.0);
-                    next_art += 1;
-                }
-            }
-        }
-        Tableau {
-            m,
-            ncols,
-            t,
-            basis,
-            art0,
-            row_marker,
-            row_sign,
-        }
-    }
-
-    #[inline]
-    fn at(&self, i: usize, j: usize) -> f64 {
-        self.t[i * (self.ncols + 1) + j]
-    }
-
-    #[inline]
-    fn rhs(&self, i: usize) -> f64 {
-        self.at(i, self.ncols)
-    }
-
-    fn pivot(&mut self, row: usize, col: usize) {
-        let width = self.ncols + 1;
-        let piv = self.t[row * width + col];
-        debug_assert!(piv.abs() > EPS);
-        let inv = 1.0 / piv;
-        for j in 0..width {
-            self.t[row * width + j] *= inv;
-        }
-        for i in 0..self.m {
-            if i == row {
-                continue;
-            }
-            let factor = self.t[i * width + col];
-            if factor.abs() <= EPS {
-                continue;
-            }
-            for j in 0..width {
-                let v = self.t[row * width + j];
-                self.t[i * width + j] -= factor * v;
-            }
-            // Kill residual round-off in the pivot column.
-            self.t[i * width + col] = 0.0;
-        }
-        self.basis[row] = col;
-    }
-
-    /// Runs simplex iterations minimizing `cost` (length `ncols`).
-    /// `allowed(j)` limits which columns may enter.
-    fn optimize<F: Fn(usize) -> bool>(&mut self, cost: &[f64], allowed: F) -> Result<(), LpError> {
-        let max_iter = 200 + 20 * (self.m + self.ncols);
-        let bland_after = 100 + 10 * (self.m + self.ncols);
-        for iter in 0..max_iter {
-            let bland = iter >= bland_after;
-            // Reduced costs r_j = cost_j - y · A_j with y_i = cost[basis_i].
-            let mut entering: Option<usize> = None;
-            let mut best = -EPS * 10.0;
-            for j in 0..self.ncols {
-                if !allowed(j) || self.basis.contains(&j) {
-                    continue;
-                }
-                let mut rj = cost[j];
-                for i in 0..self.m {
-                    let cb = cost[self.basis[i]];
-                    if !approx_zero(cb, 0.0) {
-                        rj -= cb * self.at(i, j);
-                    }
-                }
-                if rj < best {
-                    if bland {
-                        entering = Some(j);
-                        break;
-                    }
-                    best = rj;
-                    entering = Some(j);
-                }
-            }
-            let Some(e) = entering else {
-                return Ok(());
-            };
-            // Ratio test.
-            let mut leave: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for i in 0..self.m {
-                let a = self.at(i, e);
-                if a > EPS {
-                    let ratio = self.rhs(i) / a;
-                    let better = ratio < best_ratio - EPS
-                        || (ratio < best_ratio + EPS
-                            && leave.is_some_and(|l| self.basis[i] < self.basis[l]));
-                    if better {
-                        best_ratio = ratio;
-                        leave = Some(i);
-                    }
-                }
-            }
-            let Some(l) = leave else {
-                return Err(LpError::Unbounded);
-            };
-            self.pivot(l, e);
-        }
-        Err(LpError::IterationLimit)
-    }
-
-    fn solve(mut self, c: &[f64], n: usize) -> Result<LpSolution, LpError> {
-        // Phase 1: minimize the sum of artificials.
-        if self.art0 < self.ncols {
-            let mut cost1 = vec![0.0; self.ncols];
-            #[allow(clippy::needless_range_loop)] // j is a column id
-            for j in self.art0..self.ncols {
-                cost1[j] = 1.0;
-            }
-            self.optimize(&cost1, |_| true)?;
-            let phase1: f64 = (0..self.m)
-                .filter(|&i| self.basis[i] >= self.art0)
-                .map(|i| self.rhs(i))
-                .sum();
-            if phase1 > 1e-6 {
-                return Err(LpError::Infeasible);
-            }
-            // Drive artificials at zero level out of the basis when possible.
-            for i in 0..self.m {
-                if self.basis[i] >= self.art0 {
-                    if let Some(j) = (0..self.art0).find(|&j| self.at(i, j).abs() > 1e-7) {
-                        self.pivot(i, j);
-                    }
-                }
-            }
-        }
-
-        // Phase 2: minimize the true objective; artificials may not re-enter.
-        let mut cost2 = vec![0.0; self.ncols];
-        cost2[..n].copy_from_slice(c);
-        let art0 = self.art0;
-        self.optimize(&cost2, |j| j < art0)?;
-
-        let mut x = vec![0.0; n];
-        for i in 0..self.m {
-            if self.basis[i] < n {
-                x[self.basis[i]] = self.rhs(i).max(0.0);
-            }
-        }
-        let objective = c.iter().zip(&x).map(|(ci, xi)| ci * xi).sum();
-
-        // Duals from the reduced costs of each row's marker column:
-        // the marker is `coeff · e_row`, so r = -coeff · y_row (its own
-        // objective coefficient is zero in phase 2), and the original-row
-        // dual undoes the b >= 0 normalization sign.
-        let mut duals = vec![0.0; self.m];
-        #[allow(clippy::needless_range_loop)] // row is a constraint id
-        for row in 0..self.m {
-            let (col, coeff) = self.row_marker[row];
-            if col == usize::MAX {
-                continue;
-            }
-            let mut r = cost2[col];
-            for i in 0..self.m {
-                let cb = cost2[self.basis[i]];
-                if !approx_zero(cb, 0.0) {
-                    r -= cb * self.at(i, col);
-                }
-            }
-            duals[row] = self.row_sign[row] * (-r / coeff);
-        }
-        Ok(LpSolution {
-            x,
-            objective,
-            duals,
-        })
-    }
-}
-
-fn flip(rel: Relation, negate: bool) -> Relation {
-    if !negate {
-        return rel;
-    }
-    match rel {
-        Relation::Le => Relation::Ge,
-        Relation::Ge => Relation::Le,
-        Relation::Eq => Relation::Eq,
     }
 }
 

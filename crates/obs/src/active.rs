@@ -1,10 +1,12 @@
 //! Live probe implementations compiled when the `enabled` feature is on.
 //!
 //! All state lives in one process-wide registry behind a `Mutex`: counters,
-//! histograms (span durations are recorded under their span name) and the
-//! optional JSONL sink. Probes take the lock once per call; hot loops
-//! should batch with [`record_many`] / one [`counter_add`] per phase, which
-//! is how the workspace's instrumentation sites are written.
+//! histograms (span durations are recorded under their span name; a
+//! labelled series is keyed by its name and its one `(label, value)` pair,
+//! so recording into it formats nothing) and the optional JSONL sink.
+//! Probes take the lock once per call; hot loops should batch with
+//! [`record_many`] / one [`counter_add`] per phase, which is how the
+//! workspace's instrumentation sites are written.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -16,11 +18,20 @@ use std::time::Instant;
 
 use crate::hist::Histogram;
 use crate::wire::{encode, Event};
-use crate::Summary;
+use crate::{labelled_name, Summary};
+
+/// A histogram series: its probe name and, for a labelled series, its
+/// `(label, value)` pair.
+type Series = (&'static str, Option<(&'static str, usize)>);
+
+/// The name a series carries in a [`Summary`] and on the wire.
+fn series_name(&(name, label): &Series) -> String {
+    label.map_or_else(|| name.to_string(), |l| labelled_name(name, l))
+}
 
 struct Registry {
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    hists: BTreeMap<Series, Histogram>,
     sink: Option<Box<dyn Write + Send>>,
 }
 
@@ -130,7 +141,18 @@ pub fn gauge(name: &'static str, seq: u64, value: f64) {
 /// Records one value into the histogram `name`.
 pub fn record(name: &'static str, value: u64) {
     let mut reg = registry();
-    reg.hists.entry(name).or_default().record(value);
+    reg.hists.entry((name, None)).or_default().record(value);
+}
+
+/// Records one value into the series of histogram `name` labelled
+/// `label` (`("shard", 2)` is the series `name{shard="2"}`). Each label
+/// value is a series of its own; `/metrics` also renders their merge.
+pub fn record_labelled(name: &'static str, label: (&'static str, usize), value: u64) {
+    let mut reg = registry();
+    reg.hists
+        .entry((name, Some(label)))
+        .or_default()
+        .record(value);
 }
 
 /// Records a batch of values into the histogram `name`, taking the
@@ -140,7 +162,7 @@ pub fn record_many(name: &'static str, values: &[u64]) {
         return;
     }
     let mut reg = registry();
-    let h = reg.hists.entry(name).or_default();
+    let h = reg.hists.entry((name, None)).or_default();
     for &v in values {
         h.record(v);
     }
@@ -169,8 +191,8 @@ fn flush_locked(reg: &mut Registry) {
     let hists: Vec<Event> = reg
         .hists
         .iter()
-        .map(|(&name, h)| Event::Hist {
-            name: name.to_string(),
+        .map(|(series, h)| Event::Hist {
+            name: series_name(series),
             count: h.count(),
             p50: h.percentile(0.50),
             p95: h.percentile(0.95),
@@ -199,7 +221,7 @@ pub fn summary() -> Summary {
         hists: reg
             .hists
             .iter()
-            .map(|(&n, h)| (n.to_string(), h.clone()))
+            .map(|(series, h)| (series_name(series), h.clone()))
             .collect(),
     }
 }
@@ -257,7 +279,10 @@ impl Drop for Span {
                 .as_nanos(),
         );
         let mut reg = registry();
-        reg.hists.entry(self.name).or_default().record(dur_ns);
+        reg.hists
+            .entry((self.name, None))
+            .or_default()
+            .record(dur_ns);
         if reg.sink.is_some() {
             emit(
                 &mut reg,

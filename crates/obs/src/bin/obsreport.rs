@@ -2,19 +2,15 @@
 //!
 //! ```text
 //! obsreport <trace.jsonl | ->
-//! obsreport --catalog
 //! ```
 //!
 //! Reads the trace produced by a `--obs <path>` run (sweepbench,
 //! verify-run) — or standard input when the argument is `-` — and prints
 //! per-span count/p50/p95/p99/max/total, final counter totals, gauge series
-//! summaries and histogram snapshots. Malformed lines are counted and
-//! skipped, never fatal. Works regardless of whether this binary was built
-//! with the `enabled` feature: parsing and folding are always compiled.
-//!
-//! `--catalog` instead prints the markdown metrics catalog rendered from
-//! `mec_obs::probes::REGISTRY`; `cargo xtask metrics-doc` pipes this into
-//! `docs/METRICS.md`.
+//! summaries and histogram snapshots (one row per labelled series).
+//! Malformed lines are counted and skipped, never fatal. Works regardless
+//! of whether this binary was built with the `enabled` feature: parsing
+//! and folding are always compiled.
 
 #![forbid(unsafe_code)]
 
@@ -26,13 +22,9 @@ use mec_obs::Report;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let path = match args.as_slice() {
-        [p] if p == "--catalog" => {
-            print!("{}", mec_obs::probes::catalog_markdown());
-            return;
-        }
         [p] if p != "--help" && p != "-h" => p.clone(),
         _ => {
-            eprintln!("usage: obsreport <trace.jsonl | -> | obsreport --catalog");
+            eprintln!("usage: obsreport <trace.jsonl | ->");
             std::process::exit(2);
         }
     };

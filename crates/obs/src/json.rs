@@ -15,7 +15,9 @@
 //!   control characters) and may contain arbitrary Unicode.
 //!
 //! Nested containers are rejected by the parser — neither format
-//! produces them; every message is one flat object.
+//! produces them; every message is one flat object. Between tokens the
+//! parser skips any JSON whitespace (space, tab, CR, LF), so one object
+//! may also span lines, as the rows of a pretty-printed bench file do.
 
 use std::fmt;
 
@@ -219,7 +221,7 @@ pub fn parse_object(line: &str) -> Result<Vec<(String, Token)>, ParseError> {
 }
 
 fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(' ' | '\t')) {
+    while matches!(chars.peek(), Some(' ' | '\t' | '\r' | '\n')) {
         chars.next();
     }
 }
@@ -316,6 +318,13 @@ mod tests {
         assert!(get_str(&fields, "n").is_err());
         assert!(get_u64(&fields, "s").is_err());
         assert!(get(&fields, "missing").is_err());
+    }
+
+    #[test]
+    fn an_object_may_span_lines() {
+        let fields = parse_object("{\n  \"a\": \"x\",\r\n  \"b\": 2\n}").unwrap();
+        assert_eq!(get_str(&fields, "a").unwrap(), "x");
+        assert_eq!(get_u64(&fields, "b").unwrap(), 2);
     }
 
     #[test]

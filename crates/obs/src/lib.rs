@@ -6,9 +6,10 @@
 //! `enabled` cargo feature:
 //!
 //! * **off (default)** — every probe ([`counter_add`], [`span`], [`gauge`],
-//!   [`record`], ...) is an empty inlineable function, [`Span`] is a
-//!   zero-sized type and no global state is linked. Instrumented code calls
-//!   the probes unconditionally; the optimizer removes them.
+//!   [`record`], [`record_labelled`], ...) is an empty inlineable
+//!   function, [`Span`] is a zero-sized type and no global state is
+//!   linked. Instrumented code calls the probes unconditionally; the
+//!   optimizer removes them.
 //! * **on** — probes aggregate into a process-wide registry (counters and
 //!   [`Histogram`]s) and, when a sink is installed with [`install_file`] or
 //!   [`install_writer`], stream [`wire::Event`]s as JSON lines. [`flush`]
@@ -85,7 +86,8 @@ pub struct Summary {
     /// `(name, cumulative value)` per counter.
     pub counters: Vec<(String, u64)>,
     /// `(name, histogram)` per recorded distribution (includes span
-    /// durations under their span name).
+    /// durations under their span name). A labelled series is named by
+    /// [`labelled_name`], e.g. `serve.publish.ns{shard="0"}`.
     pub hists: Vec<(String, Histogram)>,
 }
 
@@ -101,6 +103,33 @@ impl Summary {
     /// Looks up a histogram by name.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
+    }
+}
+
+/// The name of the histogram series `base` labelled `key="value"` (see
+/// [`record_labelled`]): `base{key="value"}`, the label written the way
+/// Prometheus writes it.
+///
+/// ```
+/// assert_eq!(
+///     mec_obs::labelled_name("serve.publish.ns", ("shard", 1)),
+///     r#"serve.publish.ns{shard="1"}"#
+/// );
+/// ```
+#[must_use]
+pub fn labelled_name(base: &str, (key, value): (&str, usize)) -> String {
+    format!("{base}{{{key}=\"{value}\"}}")
+}
+
+/// Splits a series name into its probe name and its label text, the
+/// inverse of [`labelled_name`]: `serve.publish.ns{shard="1"}` →
+/// `("serve.publish.ns", Some("shard=\"1\""))`; an unlabelled name has
+/// no label text.
+#[must_use]
+pub fn split_labels(name: &str) -> (&str, Option<&str>) {
+    match name.split_once('{') {
+        Some((base, rest)) => (base, Some(rest.strip_suffix('}').unwrap_or(rest))),
+        None => (name, None),
     }
 }
 
@@ -127,14 +156,14 @@ macro_rules! obs_counter {
 mod active;
 #[cfg(feature = "enabled")]
 pub use active::{
-    counter_add, enabled, flush, gauge, install_file, install_writer, record, record_many, reset,
-    reset_histograms, shutdown, sink_installed, span, summary, Span,
+    counter_add, enabled, flush, gauge, install_file, install_writer, record, record_labelled,
+    record_many, reset, reset_histograms, shutdown, sink_installed, span, summary, Span,
 };
 
 #[cfg(not(feature = "enabled"))]
 mod noop;
 #[cfg(not(feature = "enabled"))]
 pub use noop::{
-    counter_add, enabled, flush, gauge, install_file, install_writer, record, record_many, reset,
-    reset_histograms, shutdown, sink_installed, span, summary, Span,
+    counter_add, enabled, flush, gauge, install_file, install_writer, record, record_labelled,
+    record_many, reset, reset_histograms, shutdown, sink_installed, span, summary, Span,
 };

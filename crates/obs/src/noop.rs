@@ -50,6 +50,11 @@ pub fn gauge(_name: &'static str, _seq: u64, _value: f64) {}
 #[inline(always)]
 pub fn record(_name: &'static str, _value: u64) {}
 
+/// Would record one value into the series of histogram `name` labelled
+/// `label`; does nothing here.
+#[inline(always)]
+pub fn record_labelled(_name: &'static str, _label: (&'static str, usize), _value: u64) {}
+
 /// Would record a batch of values into the histogram `name`; does nothing
 /// here (the iterator is not consumed).
 #[inline(always)]

@@ -11,12 +11,13 @@
 //! `probes` rule in `cargo xtask analyze` checks every *literal* probe
 //! name at every emit site in the workspace against it, so an
 //! unregistered name fails the build instead of vanishing from the
-//! report.
+//! report. The rule also checks that each call matches the probe's
+//! [`ProbeKind`], and it rejects a name computed at runtime outside this
+//! crate: every emitted name is a literal it can check.
 //!
-//! Names constructed at runtime (formatted or table-driven, like the
-//! `marketload.*.ns` mirror loop in `mec-serve`'s load generator) are
-//! invisible to that static check; they are registered here anyway so
-//! the inventory stays complete for human readers and for `obsreport`.
+//! A per-instance breakdown (one publish histogram per shard) is one
+//! registered probe recorded with a label ([`crate::record_labelled`]),
+//! not one name per instance; its help text names the label.
 //!
 //! Naming convention: `<subsystem>.<event>[.<qualifier>]`, lowercase,
 //! dot-separated; duration histograms carry a unit suffix (`.ns`,
@@ -33,8 +34,8 @@
 pub enum ProbeKind {
     /// Monotonic cumulative count (`counter_add`).
     Counter,
-    /// Value distribution (`record` / `record_many`), folded into a
-    /// log-bucketed histogram.
+    /// Value distribution (`record` / `record_many` /
+    /// `record_labelled`), folded into a log-bucketed histogram.
     Histogram,
     /// Timed section (`span` / `obs_span!`); durations land in a
     /// nanosecond histogram, so readers treat it like [`Self::Histogram`].
@@ -169,33 +170,6 @@ pub const REGISTRY: &[Probe] = &[
         kind: ProbeKind::Counter,
         help: "Bipartite rounding-graph slots built across GAP roundings.",
     },
-    // load generator (crates/serve load harness; the `.ns` histograms
-    // are emitted through a table, i.e. runtime-constructed)
-    Probe {
-        name: "marketload.join.ns",
-        kind: ProbeKind::Histogram,
-        help: "Client-observed join round-trip latency (load generator).",
-    },
-    Probe {
-        name: "marketload.leave.ns",
-        kind: ProbeKind::Histogram,
-        help: "Client-observed leave round-trip latency (load generator).",
-    },
-    Probe {
-        name: "marketload.query.ns",
-        kind: ProbeKind::Histogram,
-        help: "Client-observed query round-trip latency (load generator).",
-    },
-    Probe {
-        name: "marketload.rejected",
-        kind: ProbeKind::Counter,
-        help: "Join requests the daemon refused during the load run.",
-    },
-    Probe {
-        name: "marketload.update.ns",
-        kind: ProbeKind::Histogram,
-        help: "Client-observed update round-trip latency (load generator).",
-    },
     // serve daemon data plane (crates/serve)
     Probe {
         name: "serve.cache.hit",
@@ -245,30 +219,7 @@ pub const REGISTRY: &[Probe] = &[
     Probe {
         name: "serve.publish.ns",
         kind: ProbeKind::Histogram,
-        help: "View rebuild-and-publish latency (single-shard daemon).",
-    },
-    // per-shard publish latencies (shard index beyond s3 is
-    // runtime-constructed but follows the same pattern; `obsreport`
-    // and `/metrics` fold all of them back into one combined view)
-    Probe {
-        name: "serve.publish.s0.ns",
-        kind: ProbeKind::Histogram,
-        help: "View rebuild-and-publish latency on shard 0.",
-    },
-    Probe {
-        name: "serve.publish.s1.ns",
-        kind: ProbeKind::Histogram,
-        help: "View rebuild-and-publish latency on shard 1.",
-    },
-    Probe {
-        name: "serve.publish.s2.ns",
-        kind: ProbeKind::Histogram,
-        help: "View rebuild-and-publish latency on shard 2.",
-    },
-    Probe {
-        name: "serve.publish.s3.ns",
-        kind: ProbeKind::Histogram,
-        help: "View rebuild-and-publish latency on shard 3.",
+        help: "View publish latency after a write batch, one series per shard (label `shard`).",
     },
     Probe {
         name: "serve.quantum.moves",
@@ -356,9 +307,9 @@ pub fn lookup(name: &str) -> Option<&'static Probe> {
 /// Renders the registry as the markdown metrics catalog.
 ///
 /// This is the single source of truth behind `docs/METRICS.md`:
-/// `cargo xtask metrics-doc` regenerates the file from this function
-/// (via `obsreport --catalog`), and the `metrics_doc` sync test fails
-/// if the checked-in copy drifts from the registry.
+/// `cargo xtask metrics-doc` regenerates the file from this function,
+/// and the `metrics_doc` sync test fails if the checked-in copy drifts
+/// from the registry.
 #[must_use]
 pub fn catalog_markdown() -> String {
     let mut out = String::new();

@@ -10,12 +10,11 @@
 //! * **histograms** (including span durations, which aggregate under
 //!   their span name) render as `# TYPE <name> summary` — quantile
 //!   series at 0.5 / 0.95 / 0.99 plus `_sum` and `_count`;
-//! * per-shard histograms (`serve.publish.s<k>.ns`, the same convention
-//!   [`crate::report::shard_base`] folds offline) render under their
-//!   base name with a `shard="k"` label, plus one unlabeled aggregate
-//!   series merged *exactly* from the shard histograms — unlike the
-//!   count-weighted approximation in [`crate::report::Report::shard_folds`],
-//!   the live path has the raw buckets and merges them losslessly.
+//! * labelled series of one histogram ([`crate::record_labelled`], named
+//!   like `serve.publish.ns{shard="0"}`) render as one block under the
+//!   probe's name, one series per label value, plus one unlabelled
+//!   aggregate series merged *exactly*, bucket by bucket, from all of
+//!   them.
 //!
 //! Every probe registered in [`crate::probes::REGISTRY`] with counter or
 //! histogram/span kind appears in the output even before its first
@@ -27,8 +26,8 @@
 //!
 //! Metric names are sanitized to the Prometheus grammar (every byte
 //! outside `[a-zA-Z0-9_:]` becomes `_`, so `serve.publish.ns` exports
-//! as `serve_publish_ns`); label values are escaped per the format
-//! specification.
+//! as `serve_publish_ns`). A label is rendered as recorded: a literal
+//! label name and an integer value, which need no escaping.
 //!
 //! [Prometheus exposition format, version 0.0.4]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -37,8 +36,7 @@ use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
 use crate::probes::{self, ProbeKind};
-use crate::report::shard_base;
-use crate::Summary;
+use crate::{split_labels, Summary};
 
 /// Quantiles exported per histogram/span probe.
 const QUANTILES: &[(&str, f64)] = &[("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
@@ -46,8 +44,8 @@ const QUANTILES: &[(&str, f64)] = &[("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99
 /// Renders `summary` as Prometheus exposition text (version 0.0.4).
 ///
 /// Deterministic: output blocks are ordered by exported metric name, and
-/// per-shard series within a block by shard index. See the module docs
-/// for the mapping rules.
+/// labelled series within a block by their label text. See the module
+/// docs for the mapping rules.
 ///
 /// # Examples
 ///
@@ -61,8 +59,8 @@ const QUANTILES: &[(&str, f64)] = &[("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99
 #[must_use]
 pub fn render(summary: &Summary) -> String {
     // Start from the registry inventory (zero-filled), then overlay the
-    // live snapshot. Unregistered names that show up live (doc examples,
-    // runtime-constructed shard indices past s3) are still exported.
+    // live snapshot. Unregistered names that show up live (doc examples)
+    // are still exported.
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
     for p in probes::REGISTRY {
@@ -90,29 +88,24 @@ pub fn render(summary: &Summary) -> String {
         out.push_str(&format!("{metric} {v}\n"));
     }
 
-    // Group per-shard histograms under their base name; everything else
-    // is a one-series block of its own.
-    let mut blocks: BTreeMap<String, Vec<(Option<String>, &Histogram)>> = BTreeMap::new();
+    // Group the labelled series of a histogram under its name (`hists`
+    // is sorted, so each block's series come in label order).
+    let mut blocks: BTreeMap<&str, Vec<(Option<&str>, &Histogram)>> = BTreeMap::new();
     for (name, h) in &hists {
-        match shard_split(name) {
-            Some((base, shard)) => blocks.entry(base).or_default().push((Some(shard), h)),
-            None => blocks.entry(name.clone()).or_default().push((None, h)),
-        }
+        let (base, labels) = split_labels(name);
+        blocks.entry(base).or_default().push((labels, h));
     }
-    for (base, mut series) in blocks {
-        let metric = sanitize(&base);
-        header(&mut out, &metric, help_for(&base), "summary");
-        series.sort_by(|a, b| a.0.cmp(&b.0));
-        // The unlabeled series is the exact bucket-level merge of every
-        // shard plus anything recorded directly under the base name (a
-        // single-shard daemon emits `serve.publish.ns` itself), so one
-        // aggregate covers both layouts without duplicate series.
+    for (base, series) in blocks {
+        let metric = sanitize(base);
+        header(&mut out, &metric, help_for(base), "summary");
+        // The unlabelled series is the exact bucket-level merge of every
+        // labelled series plus anything recorded under the bare name, so
+        // one aggregate covers both without duplicate series.
         let mut merged = Histogram::new();
-        for (shard, h) in &series {
+        for (labels, h) in &series {
             merged.merge(h);
-            if let Some(k) = shard {
-                let label = format!("shard=\"{}\"", escape_label(k));
-                write_summary_series(&mut out, &metric, Some(&label), h);
+            if labels.is_some() {
+                write_summary_series(&mut out, &metric, *labels, h);
             }
         }
         write_summary_series(&mut out, &metric, None, &merged);
@@ -147,20 +140,12 @@ fn header(out: &mut String, metric: &str, help: &str, ty: &str) {
     out.push_str(&format!("# TYPE {metric} {ty}\n"));
 }
 
-/// Registered help text for `name`, falling back for runtime-constructed
-/// or example-only names.
+/// Registered help text for `name`, falling back for unregistered
+/// (example-only) names.
 fn help_for(name: &str) -> &'static str {
     probes::lookup(name)
         .map(|p| p.help)
-        .unwrap_or("Probe not in mec_obs::probes::REGISTRY (runtime-constructed name).")
-}
-
-/// `serve.publish.s2.ns` → `Some(("serve.publish.ns", "2"))`.
-fn shard_split(name: &str) -> Option<(String, String)> {
-    let base = shard_base(name)?;
-    let segs: Vec<&str> = name.split('.').collect();
-    let shard = segs[segs.len() - 2].strip_prefix('s')?;
-    Some((base, shard.to_string()))
+        .unwrap_or("Probe not in mec_obs::probes::REGISTRY.")
 }
 
 /// Maps a probe name onto the Prometheus metric-name grammar
@@ -186,14 +171,6 @@ fn sanitize(name: &str) -> String {
     out
 }
 
-/// Escapes a label value per the exposition format (`\\`, `\"`, `\n`).
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 /// Escapes `# HELP` text per the exposition format (`\\`, `\n`).
 fn escape_help(text: &str) -> String {
     text.replace('\\', "\\\\").replace('\n', "\\n")
@@ -211,10 +188,11 @@ mod tests {
         for v in [100u64, 200, 400, 800] {
             h.record(v);
         }
-        s.hists.push(("serve.publish.s0.ns".into(), h.clone()));
+        let shard = |k| crate::labelled_name("serve.publish.ns", ("shard", k));
+        s.hists.push((shard(0), h.clone()));
         let mut h1 = Histogram::new();
         h1.record(1_000_000);
-        s.hists.push(("serve.publish.s1.ns".into(), h1));
+        s.hists.push((shard(1), h1));
         s.hists.push(("serve.drain.batch".into(), h));
         s
     }
@@ -236,7 +214,7 @@ mod tests {
         assert!(text.contains("appro_total_count 0"));
         for p in probes::REGISTRY {
             if p.kind != ProbeKind::Gauge {
-                let metric = sanitize(&shard_base(p.name).unwrap_or_else(|| p.name.to_string()));
+                let metric = sanitize(p.name);
                 assert!(
                     text.contains(&format!("# TYPE {metric} ")),
                     "missing TYPE for {}",
@@ -247,12 +225,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_series_carry_labels_and_exact_aggregate() {
+    fn labelled_series_share_a_block_with_their_exact_aggregate() {
         let text = render(&sample());
         assert!(text.contains("serve_publish_ns_count{shard=\"0\"} 4"));
         assert!(text.contains("serve_publish_ns_count{shard=\"1\"} 1"));
         assert!(text.contains("serve_publish_ns{shard=\"0\",quantile=\"0.5\"}"));
-        // Unlabeled aggregate merges every shard exactly: 4 + 1 samples.
+        // Unlabelled aggregate merges every shard exactly: 4 + 1 samples.
         assert!(text.contains("serve_publish_ns_count 5"));
         assert!(text.contains(&format!(
             "serve_publish_ns_sum {}",
@@ -306,8 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn label_escaping() {
-        assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn sanitize_prefixes_names_that_cannot_start_a_metric() {
         assert_eq!(sanitize("9lives"), "_9lives");
         assert_eq!(sanitize(""), "_");
     }

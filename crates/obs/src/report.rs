@@ -9,7 +9,11 @@
 //!   max / total. Span durations are nanoseconds by convention and are
 //!   printed human-scaled (`1.23ms`).
 //! * **counter** / **hist** — these lines are *cumulative snapshots*
-//!   (emitted by `flush()`), so the last line per name wins.
+//!   (emitted by `flush()`), so the last line per name wins. Each
+//!   labelled series of a histogram (`serve.publish.ns{shard="0"}`) is a
+//!   row of its own: a snapshot carries percentiles, not buckets, so the
+//!   rows cannot be merged exactly (the live `/metrics` page renders the
+//!   exact merge).
 //! * **gauge** — a sampled series; reported as count / first / last /
 //!   min / max.
 
@@ -18,6 +22,7 @@ use std::fmt;
 use std::io::BufRead;
 
 use crate::hist::Histogram;
+use crate::split_labels;
 use crate::wire::{parse, Event};
 
 /// Snapshot statistics carried by a `hist` wire event.
@@ -154,70 +159,6 @@ impl Report {
         }
         Ok(report)
     }
-
-    /// Folds per-shard histogram snapshots back into one combined view.
-    ///
-    /// A sharded `mec-serve` daemon emits its publish latency under
-    /// per-shard names (`serve.publish.s0.ns` … `serve.publish.s3.ns`,
-    /// one histogram per writer thread). This groups every snapshot
-    /// whose penultimate dotted segment is `s<digits>` under the name
-    /// with that segment removed (`serve.publish.ns`) and merges the
-    /// group: counts sum, maxima take the max, and the percentile
-    /// columns are count-weighted means — an approximation, since exact
-    /// percentile merging needs the raw histograms, but a faithful
-    /// center-of-mass summary of where the shards' tails sit.
-    pub fn shard_folds(&self) -> BTreeMap<String, HistSnapshot> {
-        let mut folds: BTreeMap<String, Vec<&HistSnapshot>> = BTreeMap::new();
-        for (name, h) in &self.hists {
-            if let Some(base) = shard_base(name) {
-                folds.entry(base).or_default().push(h);
-            }
-        }
-        folds
-            .into_iter()
-            .map(|(base, group)| {
-                let count: u64 = group.iter().map(|h| h.count).sum();
-                let weighted = |pick: fn(&HistSnapshot) -> u64| {
-                    if count == 0 {
-                        return 0;
-                    }
-                    let sum: u128 = group
-                        .iter()
-                        .map(|h| u128::from(pick(h)) * u128::from(h.count))
-                        .sum();
-                    (sum / u128::from(count)).min(u128::from(u64::MAX)) as u64
-                };
-                let snap = HistSnapshot {
-                    count,
-                    p50: weighted(|h| h.p50),
-                    p95: weighted(|h| h.p95),
-                    p99: weighted(|h| h.p99),
-                    max: group.iter().map(|h| h.max).max().unwrap_or(0),
-                };
-                (base, snap)
-            })
-            .collect()
-    }
-}
-
-/// `serve.publish.s2.ns` → `Some("serve.publish.ns")`; names without a
-/// penultimate `s<digits>` segment fold nowhere.
-///
-/// Public because the Prometheus renderer ([`crate::prom`]) uses the
-/// same convention to turn per-shard series into `shard="k"` labels.
-pub fn shard_base(name: &str) -> Option<String> {
-    let segs: Vec<&str> = name.split('.').collect();
-    if segs.len() < 3 {
-        return None;
-    }
-    let shard = segs[segs.len() - 2];
-    let digits = shard.strip_prefix('s')?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let mut base: Vec<&str> = segs[..segs.len() - 2].to_vec();
-    base.push(segs[segs.len() - 1]);
-    Some(base.join("."))
 }
 
 /// Renders a nanosecond quantity with a human-friendly unit.
@@ -307,19 +248,20 @@ impl fmt::Display for Report {
             .iter()
             .filter(|(name, _)| !self.spans.contains_key(*name))
             .collect();
-        let folds = self.shard_folds();
-        if !hist_rows.is_empty() || !folds.is_empty() {
+        if !hist_rows.is_empty() {
             writeln!(
                 f,
                 "\n{:<32} {:>8} {:>10} {:>10} {:>10} {:>10}",
                 "histogram", "count", "p50", "p95", "p99", "max"
             )?;
             for (name, h) in hist_rows {
-                // A `.ns` suffix marks nanosecond-valued histograms (e.g.
-                // `serve.publish.ns`); scale those like span durations so
-                // the summary reads in ms/us, not ten-digit raw counts.
+                // A `.ns` suffix on the probe name marks nanosecond-valued
+                // histograms (e.g. `serve.publish.ns{shard="0"}`); scale
+                // those like span durations so the summary reads in ms/us,
+                // not ten-digit raw counts.
+                let ns = split_labels(name).0.ends_with(".ns");
                 let cell = |v: u64| {
-                    if name.ends_with(".ns") {
+                    if ns {
                         fmt_ns(v)
                     } else {
                         v.to_string()
@@ -329,28 +271,6 @@ impl fmt::Display for Report {
                     f,
                     "{:<32} {:>8} {:>10} {:>10} {:>10} {:>10}",
                     name,
-                    h.count,
-                    cell(h.p50),
-                    cell(h.p95),
-                    cell(h.p99),
-                    cell(h.max)
-                )?;
-            }
-            // Combined per-shard views (see [`Report::shard_folds`]):
-            // one `<base> (shards)` row folding every `<base>.s<k>.ns`
-            // histogram above it.
-            for (base, h) in &folds {
-                let cell = |v: u64| {
-                    if base.ends_with(".ns") {
-                        fmt_ns(v)
-                    } else {
-                        v.to_string()
-                    }
-                };
-                writeln!(
-                    f,
-                    "{:<32} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                    format!("{base} (shards)"),
                     h.count,
                     cell(h.p50),
                     cell(h.p95),
@@ -467,54 +387,25 @@ mod tests {
     }
 
     #[test]
-    fn shard_folds_merge_per_shard_publish_hists() {
+    fn labelled_series_are_one_row_each_scaled_by_their_unit() {
         let mut r = Report::new();
-        for (k, count, p50, max) in [(0u32, 30u64, 1_000u64, 9_000u64), (1, 10, 5_000, 50_000)] {
+        for (k, p50) in [(0usize, 1_000u64), (1, 5_000)] {
             r.add(Event::Hist {
-                name: format!("serve.publish.s{k}.ns"),
-                count,
+                name: crate::labelled_name("serve.publish.ns", ("shard", k)),
+                count: 10,
                 p50,
                 p95: p50 * 2,
                 p99: p50 * 3,
-                max,
+                max: p50 * 4,
             });
         }
-        // Not shard-shaped: stays out of the fold.
-        r.add(Event::Hist {
-            name: "serve.drain.batch".into(),
-            count: 4,
-            p50: 8,
-            p95: 16,
-            p99: 16,
-            max: 32,
-        });
-        let folds = r.shard_folds();
-        assert_eq!(folds.len(), 1);
-        let combined = folds["serve.publish.ns"];
-        assert_eq!(combined.count, 40);
-        // Count-weighted mean: (1000*30 + 5000*10) / 40 = 2000.
-        assert_eq!(combined.p50, 2_000);
-        assert_eq!(combined.max, 50_000);
         let text = format!("{r}");
-        assert!(
-            text.contains("serve.publish.ns (shards)"),
-            "missing folded row in:\n{text}"
-        );
-    }
-
-    #[test]
-    fn shard_base_rejects_non_shard_names() {
-        assert_eq!(
-            shard_base("serve.publish.s3.ns").as_deref(),
-            Some("serve.publish.ns")
-        );
-        assert_eq!(
-            shard_base("serve.publish.s12.ns").as_deref(),
-            Some("serve.publish.ns")
-        );
-        assert_eq!(shard_base("serve.publish.ns"), None);
-        assert_eq!(shard_base("serve.sx.ns"), None);
-        assert_eq!(shard_base("s0.ns"), None);
-        assert_eq!(shard_base("serve.s.ns"), None);
+        let rows: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("serve.publish.ns"))
+            .collect();
+        assert_eq!(rows.len(), 2, "one row per shard in:\n{text}");
+        assert!(rows[0].starts_with("serve.publish.ns{shard=\"0\"}") && rows[0].contains("1.0us"));
+        assert!(rows[1].starts_with("serve.publish.ns{shard=\"1\"}") && rows[1].contains("20.0us"));
     }
 }

@@ -114,3 +114,38 @@ fn gauges_without_sink_are_dropped() {
     let summary = mec_obs::summary();
     assert!(summary.counters.is_empty());
 }
+
+#[test]
+fn labelled_series_are_separate_and_keep_their_label_on_the_wire() {
+    let _guard = test_lock();
+    mec_obs::reset();
+    let buf = SharedBuf::default();
+    mec_obs::install_writer(Box::new(buf.clone()));
+
+    mec_obs::record("t.lab.ns", 1);
+    for (shard, v) in [(0, 10), (1, 20), (1, 30)] {
+        mec_obs::record_labelled("t.lab.ns", ("shard", shard), v);
+    }
+    let summary = mec_obs::summary();
+    let names: Vec<&str> = summary.hists.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "t.lab.ns",
+            r#"t.lab.ns{shard="0"}"#,
+            r#"t.lab.ns{shard="1"}"#
+        ]
+    );
+    assert_eq!(summary.hist(r#"t.lab.ns{shard="1"}"#).unwrap().count(), 2);
+
+    mec_obs::flush();
+    let report = Report::from_lines(buf.contents().as_bytes()).unwrap();
+    assert_eq!(report.hists[r#"t.lab.ns{shard="0"}"#].max, 10);
+    assert_eq!(report.hists[r#"t.lab.ns{shard="1"}"#].count, 2);
+    assert_eq!(
+        mec_obs::reset_histograms(),
+        3,
+        "each series is one histogram"
+    );
+    mec_obs::reset();
+}

@@ -39,6 +39,7 @@ fn probes_produce_no_events_and_no_state() {
     mec_obs::counter_add("noop.counter", 42);
     mec_obs::record("noop.hist", 7);
     mec_obs::record_many("noop.hist", &[1, 2, 3]);
+    mec_obs::record_labelled("noop.hist", ("shard", 0), 7);
     mec_obs::gauge("noop.gauge", 0, 1.5);
     {
         let _span = mec_obs::span("noop.span");

@@ -108,24 +108,19 @@ impl<T> Chan<T> {
         }
     }
 
-    /// Parks the receiver on `not_empty` until notified or `deadline`
-    /// (`None` waits indefinitely).
+    /// Parks the receiver on `not_empty` until notified or `deadline`.
     fn park<'a>(
         &self,
         mut st: MutexGuard<'a, ChanState<T>>,
-        deadline: Option<Instant>,
+        deadline: Instant,
     ) -> MutexGuard<'a, ChanState<T>> {
         st.receiver_parked = true;
-        st = match deadline {
-            None => wait_ok(&self.not_empty, st),
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                self.not_empty
-                    .wait_timeout(st, left)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        st = self
+            .not_empty
+            .wait_timeout(st, left)
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
         st.receiver_parked = false;
         st
     }
@@ -343,17 +338,16 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Blocks until a message arrives or every sender is gone.
-    pub fn recv(&self) -> Result<T, RecvTimeout> {
-        self.recv_until(None)
-    }
-
-    /// Blocks up to `timeout` for a message.
+    /// Blocks up to `timeout` for a message. Takes no claim: the drain
+    /// linger uses it while the writer already holds the claim.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeout::Timeout`] if `timeout` elapsed with nothing queued;
+    /// [`RecvTimeout::Disconnected`] when every sender is gone and the
+    /// buffer is empty.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeout> {
-        self.recv_until(Some(Instant::now() + timeout))
-    }
-
-    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeout> {
+        let deadline = Instant::now() + timeout;
         let mut st = lock_ok(&self.chan.state);
         loop {
             if let Some(v) = st.buf.pop_front() {
@@ -363,43 +357,7 @@ impl<T> Receiver<T> {
             if st.senders == 0 {
                 return Err(RecvTimeout::Disconnected);
             }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(RecvTimeout::Timeout);
-            }
-            st = self.chan.park(st, deadline);
-        }
-    }
-
-    /// Receives a *batch*: blocks until at least one message is available
-    /// (or `timeout` / disconnect), then drains everything queued — up to
-    /// `max` messages total — into `buf` without further blocking. One
-    /// lock acquisition and one wakeup are amortized over the whole
-    /// batch. Returns the number of messages appended and the queue
-    /// depth *before* the drain. Takes no claim.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeout::Timeout`] if `timeout` elapsed with nothing queued
-    /// (never with `timeout: None`, which waits indefinitely);
-    /// [`RecvTimeout::Disconnected`] when every sender is gone and the
-    /// buffer is empty.
-    pub fn recv_batch(
-        &self,
-        buf: &mut Vec<T>,
-        max: usize,
-        timeout: Option<Duration>,
-    ) -> Result<(usize, usize), RecvTimeout> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        fuzz();
-        let mut st = lock_ok(&self.chan.state);
-        loop {
-            if !st.buf.is_empty() {
-                return Ok(st.take(&self.chan, buf, max));
-            }
-            if st.senders == 0 {
-                return Err(RecvTimeout::Disconnected);
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
+            if Instant::now() >= deadline {
                 return Err(RecvTimeout::Timeout);
             }
             st = self.chan.park(st, deadline);
@@ -439,7 +397,7 @@ impl<T> Receiver<T> {
                 seen = st.claims;
                 deadline = now + tick;
             }
-            st = self.chan.park(st, Some(deadline));
+            st = self.chan.park(st, deadline);
         }
     }
 
@@ -556,13 +514,15 @@ fn wait_ok<'a, T>(
 mod tests {
     use super::*;
 
+    const WAIT: Duration = Duration::from_secs(5);
+
     #[test]
     fn send_recv_fifo() {
         let (tx, rx) = bounded(4);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(rx.recv_timeout(WAIT), Ok(1));
+        assert_eq!(rx.recv_timeout(WAIT), Ok(2));
     }
 
     #[test]
@@ -582,7 +542,7 @@ mod tests {
         let tx2 = tx.clone();
         drop(tx);
         drop(tx2);
-        assert_eq!(rx.recv(), Err(RecvTimeout::Disconnected));
+        assert_eq!(rx.recv_timeout(WAIT), Err(RecvTimeout::Disconnected));
     }
 
     #[test]
@@ -598,15 +558,16 @@ mod tests {
         tx.send(1).unwrap();
         let t = std::thread::spawn(move || tx.send(2)); // lint: allow(thread-spawn)
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv(), Ok(1)); // frees the slot, unblocks the sender
-        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(rx.recv_timeout(WAIT), Ok(1)); // frees the slot, unblocks the sender
+        assert_eq!(rx.recv_timeout(WAIT), Ok(2));
         t.join().unwrap().unwrap();
     }
 
-    /// `bounded_blocks_and_resumes` with a batch drain: a send blocked
-    /// on a full queue is woken by the `recv_batch` that makes room.
+    /// `bounded_blocks_and_resumes` with the writer's batch drain: a send
+    /// blocked on a full queue is woken by the `claim_batch` that makes
+    /// room.
     #[test]
-    fn bounded_blocks_and_resumes_on_recv_batch() {
+    fn bounded_blocks_and_resumes_on_claim_batch() {
         let (tx, rx) = bounded(1);
         tx.send(1).unwrap();
         let t = std::thread::spawn(move || tx.send(2)); // lint: allow(thread-spawn)
@@ -614,9 +575,11 @@ mod tests {
             std::thread::yield_now();
         }
         let mut buf = Vec::new();
-        let wait = Some(Duration::from_secs(5));
-        assert_eq!(rx.recv_batch(&mut buf, 8, wait), Ok((1, 1)));
-        assert_eq!(rx.recv_batch(&mut buf, 8, wait), Ok((1, 1)));
+        let one = Claimed::Batch { taken: 1, depth: 1 };
+        assert_eq!(rx.claim_batch(&mut buf, 8, WAIT), one);
+        rx.release(false);
+        assert_eq!(rx.claim_batch(&mut buf, 8, WAIT), one);
+        rx.release(false);
         assert_eq!(buf, vec![1, 2]);
         t.join().unwrap().unwrap();
     }
@@ -705,53 +668,37 @@ mod tests {
         let (tx, rx) = bounded(1);
         tx.try_send(1).unwrap();
         assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv_timeout(WAIT), Ok(1));
         tx.try_send(3).unwrap();
         drop(rx);
         assert_eq!(tx.try_send(4), Err(TrySendError::Closed(4)));
     }
 
     #[test]
-    fn recv_batch_drains_everything_queued() {
+    fn claim_batch_drains_everything_queued() {
         let (tx, rx) = bounded(8);
         for k in 0..5 {
             tx.send(k).unwrap();
         }
         let mut buf = Vec::new();
-        let (n, depth) = rx
-            .recv_batch(&mut buf, usize::MAX, Some(Duration::from_secs(1)))
-            .unwrap();
-        assert_eq!((n, depth), (5, 5));
+        let got = rx.claim_batch(&mut buf, usize::MAX, WAIT);
+        assert_eq!(got, Claimed::Batch { taken: 5, depth: 5 });
         assert_eq!(buf, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn recv_batch_respects_max_and_reports_depth() {
+    fn claim_batch_respects_max_and_reports_depth() {
         let (tx, rx) = bounded(8);
         for k in 0..6 {
             tx.send(k).unwrap();
         }
         let mut buf = Vec::new();
-        let (n, depth) = rx.recv_batch(&mut buf, 4, None).unwrap();
-        assert_eq!((n, depth), (4, 6));
-        let (n, depth) = rx.recv_batch(&mut buf, 4, None).unwrap();
-        assert_eq!((n, depth), (2, 2));
+        let got = rx.claim_batch(&mut buf, 4, WAIT);
+        assert_eq!(got, Claimed::Batch { taken: 4, depth: 6 });
+        rx.release(false);
+        let got = rx.claim_batch(&mut buf, 4, WAIT);
+        assert_eq!(got, Claimed::Batch { taken: 2, depth: 2 });
         assert_eq!(buf, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn recv_batch_times_out_and_disconnects() {
-        let (tx, rx) = bounded::<u32>(1);
-        let mut buf = Vec::new();
-        assert_eq!(
-            rx.recv_batch(&mut buf, 8, Some(Duration::from_millis(5))),
-            Err(RecvTimeout::Timeout)
-        );
-        drop(tx);
-        assert_eq!(
-            rx.recv_batch(&mut buf, 8, Some(Duration::from_millis(5))),
-            Err(RecvTimeout::Disconnected)
-        );
     }
 
     #[test]
@@ -768,18 +715,20 @@ mod tests {
 /// Interleaving models of the channel protocol, run under the loom
 /// stand-in's schedule perturbation (`--features loom-model`; the TSan
 /// CI cell watches the same tests for data races). The `fuzz()` points
-/// in `send`/`try_send`/`recv_batch` give each iteration a different
+/// in `send`/`try_send`/`claim_batch` give each iteration a different
 /// ordering of competing senders against the draining receiver.
 #[cfg(all(test, feature = "loom-model"))]
 mod loom_model_tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Many senders racing a batching receiver over a tiny buffer:
-    /// every message arrives exactly once, each sender's sequence stays
-    /// in order, and no batch exceeds its `max`.
+    /// Many blocking senders racing the writer's claim-and-release
+    /// receiver over a tiny buffer: every message arrives exactly once,
+    /// each sender's sequence stays in order, and no batch exceeds its
+    /// `max`. The tick is long enough that only a push's notify wakes
+    /// the receiver.
     #[test]
-    fn recv_batch_loses_and_reorders_nothing() {
+    fn claim_batch_loses_and_reorders_nothing() {
         loom::model(|| {
             const SENDERS: usize = 3;
             const PER_SENDER: usize = 16;
@@ -805,9 +754,12 @@ mod loom_model_tests {
             let mut batch = Vec::new();
             let mut total = 0;
             while total < SENDERS * PER_SENDER {
-                let (take, _depth) = rx
-                    .recv_batch(&mut batch, 4, Some(Duration::from_secs(5)))
-                    .expect("all messages must arrive before timeout/disconnect");
+                let Claimed::Batch { taken: take, .. } =
+                    rx.claim_batch(&mut batch, 4, Duration::from_secs(60))
+                else {
+                    panic!("a whole tick passed with messages still to come");
+                };
+                rx.release(false);
                 assert!(take <= 4, "batch exceeded max: {take}");
                 total += take;
                 for (s, seq) in batch.drain(..) {
@@ -869,15 +821,13 @@ mod loom_model_tests {
                 .collect();
             drop(tx);
 
-            let mut batch = Vec::new();
             let mut total = 0;
             loop {
-                match rx.recv_batch(&mut batch, usize::MAX, Some(Duration::from_secs(5))) {
-                    Ok((take, _)) => total += take,
+                match rx.recv_timeout(Duration::from_secs(5)) {
+                    Ok(_) => total += 1,
                     Err(RecvTimeout::Disconnected) => break,
                     Err(RecvTimeout::Timeout) => panic!("senders wedged"),
                 }
-                batch.clear();
             }
             let sent: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
             assert_eq!(total, sent);

@@ -18,10 +18,8 @@
 //! first epoch's latencies.
 //!
 //! Latencies are recorded per op type into always-compiled
-//! [`mec_obs::Histogram`]s (nanosecond unit), so the report works
-//! without any cargo feature; building with `--features obs`
-//! additionally streams the same measurements into the observability
-//! trace.
+//! [`mec_obs::Histogram`]s (nanosecond unit), so the report carries the
+//! exact per-op distributions without any cargo feature.
 
 use std::time::{Duration, Instant};
 
@@ -311,20 +309,6 @@ pub fn run_load(addr: &str, providers: usize, cfg: &LoadConfig) -> std::io::Resu
         report.query.merge(&r.query);
         report.rejected += r.rejected;
     }
-    // Mirror the merged distributions into the obs registry so a trace
-    // built with `--features obs` carries them too (no-ops otherwise).
-    for (name, op) in [
-        ("marketload.join.ns", &report.join),
-        ("marketload.leave.ns", &report.leave),
-        ("marketload.update.ns", &report.update),
-        ("marketload.query.ns", &report.query),
-    ] {
-        for q in [0.50, 0.95, 0.99] {
-            mec_obs::record(name, op.latency.percentile(q));
-        }
-        mec_obs::counter_add(name, op.latency.count());
-    }
-    mec_obs::counter_add("marketload.rejected", report.rejected);
     Ok(report)
 }
 

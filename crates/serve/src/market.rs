@@ -344,29 +344,6 @@ pub(crate) struct ShardCtx {
     /// Snapshot file; `None` disables `snapshot`/`restore` and the final
     /// drain snapshot.
     pub(crate) snapshot_path: Option<PathBuf>,
-    /// Interned probe name for this shard's publish latency.
-    pub(crate) publish_probe: &'static str,
-}
-
-/// Literal per-shard publish probes (the common shard counts); higher
-/// indices intern a leaked name once per shard thread.
-const PUBLISH_PROBES: [&str; 4] = [
-    "serve.publish.s0.ns",
-    "serve.publish.s1.ns",
-    "serve.publish.s2.ns",
-    "serve.publish.s3.ns",
-];
-
-/// The publish-latency probe of shard `index` of `shards`: the plain
-/// `serve.publish.ns` at one shard, `serve.publish.s<k>.ns` otherwise.
-pub(crate) fn publish_probe(index: usize, shards: usize) -> &'static str {
-    if shards == 1 {
-        "serve.publish.ns"
-    } else if let Some(name) = PUBLISH_PROBES.get(index).copied() {
-        name
-    } else {
-        Box::leak(format!("serve.publish.s{index}.ns").into_boxed_str())
-    }
 }
 
 impl ShardCtx {
@@ -1787,7 +1764,8 @@ impl Shard {
         book.touched.swap(0, 1);
         book.touched[0].clear();
         if let Some(t0) = t0 {
-            mec_obs::record(self.ctx.publish_probe, t0.elapsed().as_nanos() as u64);
+            let ns = t0.elapsed().as_nanos() as u64;
+            mec_obs::record_labelled("serve.publish.ns", ("shard", self.ctx.index), ns);
         }
     }
 

@@ -57,6 +57,13 @@ use crate::market::MarketOutcome;
 use crate::proto::{self, Response};
 use crate::shard::{BootState, ShardSet};
 
+/// Bound of each shard's command queue (backpressure for writers).
+const QUEUE_LEN: usize = 1024;
+
+/// Maximum simultaneous client connections; past it a connection is
+/// answered with an error frame and closed.
+const MAX_CONNECTIONS: usize = 512;
+
 /// Boot configuration of [`serve`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -69,14 +76,10 @@ pub struct ServerConfig {
     /// manifest here pointing at per-shard slice files; boot understands
     /// both formats regardless of the configured shard count.
     pub snapshot_path: Option<PathBuf>,
-    /// Bound of each shard's command queue (backpressure for writers).
-    pub queue_cap: usize,
     /// Event-loop I/O threads; 0 sizes the fleet from the machine
     /// (`available_parallelism`, capped at 4 — the shard threads are the
     /// write bottleneck, extra I/O threads past that just add contention).
     pub io_threads: usize,
-    /// Maximum simultaneous client connections.
-    pub max_connections: usize,
     /// Market shards (writer threads), each owning one topology region.
     /// 1 (the default) runs one writer over the whole market; clamped to
     /// the cloudlet count.
@@ -98,9 +101,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             snapshot_path: None,
-            queue_cap: 1024,
             io_threads: 0,
-            max_connections: 512,
             shards: 1,
             regions: None,
             admin_addr: None,
@@ -193,7 +194,7 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         boot,
         cfg.shards,
         cfg.regions.as_ref(),
-        cfg.queue_cap,
+        QUEUE_LEN,
         cfg.snapshot_path.clone(),
         demand.clone(),
         io_count,
@@ -289,14 +290,13 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         admin = Some(crate::admin::spawn_admin(admin_l, shared).map_err(|e| abandon(e, 0))?);
     }
 
-    let max_connections = cfg.max_connections;
     let stop_a = stop.clone();
     // Acceptor: owns the listener; exits when the stop flag flips.
     // lint: allow(thread-spawn)
     let acceptor = std::thread::Builder::new()
         .name("acceptor".to_string())
         .spawn(move || {
-            accept_loop(&listener, &io_shared, &stop_a, &live, max_connections);
+            accept_loop(&listener, &io_shared, &stop_a, &live);
         })
         .map_err(|e| abandon(e, 0))?;
 
@@ -316,7 +316,6 @@ fn accept_loop(
     io_shared: &[Arc<IoShared>],
     stop: &AtomicBool,
     live: &AtomicUsize,
-    max_connections: usize,
 ) {
     let mut next = 0usize;
     for stream in listener.incoming() {
@@ -326,7 +325,7 @@ fn accept_loop(
         let Ok(stream) = stream else { continue };
         // Frames are small request/response pairs; never batch them.
         let _ = stream.set_nodelay(true);
-        if live.load(Ordering::SeqCst) >= max_connections {
+        if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             let mut s = stream;
             let payload = proto::encode_response(&Response::Error {
                 msg: "server at connection capacity".to_string(),

@@ -50,7 +50,7 @@ use mec_obs::json;
 
 use crate::chan::{self, lock_ok, OneReceiver, Receiver, Sender};
 use crate::demand::DemandTracker;
-use crate::market::{publish_probe, Command, MarketOutcome, Shard, ShardCtx};
+use crate::market::{Command, MarketOutcome, Shard, ShardCtx};
 use crate::proto::Response;
 use crate::view::{MarketView, SharedView};
 
@@ -572,7 +572,8 @@ pub(crate) struct ShardSet {
 
 impl ShardSet {
     /// Boots `shards` writers (clamped to the cloudlet count) over
-    /// `boot`. `regions` is the cloudlet→shard map (`None` derives a
+    /// `boot`, each behind a command queue of `queue_len` messages.
+    /// `regions` is the cloudlet→shard map (`None` derives a
     /// contiguous split); `io_senders` counts the I/O-side senders whose
     /// exit drains the set (an in-process driver counts as one until it
     /// calls [`ShardSet::shutdown`]).
@@ -584,7 +585,7 @@ impl ShardSet {
         boot: BootState,
         shards: usize,
         regions: Option<&Vec<usize>>,
-        queue_cap: usize,
+        queue_len: usize,
         snapshot_path: Option<PathBuf>,
         demand: Arc<DemandTracker>,
         io_senders: usize,
@@ -619,7 +620,7 @@ impl ShardSet {
         let gauges = Arc::new(ShardGauges::new(shards));
         let coord = Arc::new(Coordinator::new(shards, region_of, epoch0));
         let io_live = Arc::new(AtomicUsize::new(io_senders));
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| chan::bounded(queue_cap)).unzip();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| chan::bounded(queue_len)).unzip();
         let newest = seqs.iter().copied().max().unwrap_or(0);
         let mut slots = Vec::with_capacity(shards);
         for k in 0..shards {
@@ -651,7 +652,6 @@ impl ShardSet {
                 io_live: io_live.clone(),
                 demand: demand.clone(),
                 snapshot_path: snapshot_path.clone(),
-                publish_probe: publish_probe(k, shards),
             };
             let state = GameState::owned(market.clone(), shard_profile);
             let mut shard = Shard::new(state, shard_active, seq, ctx);
@@ -1023,11 +1023,9 @@ mod loom_model_tests {
             let source = loom::thread::spawn(move || {
                 loom::fuzz_yield();
                 src_tx.send(Msg::Reserve { provider: 0 }).unwrap();
-                let mut buf = Vec::new();
-                grant_rx
-                    .recv_batch(&mut buf, 1, Some(Duration::from_secs(5)))
+                let granted = grant_rx
+                    .recv_timeout(Duration::from_secs(5))
                     .expect("grant must arrive");
-                let granted = buf[0];
                 if granted {
                     loom::fuzz_yield();
                     src_tx.send(Msg::Commit { provider: 0 }).unwrap();
@@ -1048,47 +1046,44 @@ mod loom_model_tests {
             let mut reserved: Vec<usize> = Vec::new();
             let mut admitted = 0usize;
             let mut granted_at_target = None;
-            let mut buf = Vec::new();
             // Expected messages: Reserve + Join, plus Commit iff granted.
             let mut expect = 2usize;
             let mut seen = 0usize;
             while seen < expect {
-                let (n, _depth) = target_rx
-                    .recv_batch(&mut buf, 4, Some(Duration::from_secs(5)))
+                let msg = target_rx
+                    .recv_timeout(Duration::from_secs(5))
                     .expect("all protocol messages must arrive");
-                seen += n;
-                for msg in buf.drain(..) {
-                    match msg {
-                        Msg::Reserve { provider } => {
-                            let free = CAP - placed.len() - reserved.len();
-                            let ok = free >= 1;
-                            if ok {
-                                reserved.push(provider);
-                                expect += 1; // the commit is now coming
-                            }
-                            granted_at_target = Some(ok);
-                            grant_tx.send(ok).unwrap();
+                seen += 1;
+                match msg {
+                    Msg::Reserve { provider } => {
+                        let free = CAP - placed.len() - reserved.len();
+                        let ok = free >= 1;
+                        if ok {
+                            reserved.push(provider);
+                            expect += 1; // the commit is now coming
                         }
-                        Msg::Join { provider } => {
-                            // Admission counts reservations as used
-                            // capacity — the invariant under test.
-                            if CAP - placed.len() - reserved.len() >= 1 {
-                                placed.push(provider);
-                                admitted += 1;
-                            }
-                        }
-                        Msg::Commit { provider } => {
-                            reserved.retain(|p| *p != provider);
+                        granted_at_target = Some(ok);
+                        grant_tx.send(ok).unwrap();
+                    }
+                    Msg::Join { provider } => {
+                        // Admission counts reservations as used
+                        // capacity — the invariant under test.
+                        if CAP - placed.len() - reserved.len() >= 1 {
                             placed.push(provider);
+                            admitted += 1;
                         }
                     }
-                    assert!(
-                        placed.len() + reserved.len() <= CAP,
-                        "cloudlet oversubscribed: {} placed + {} reserved > {CAP}",
-                        placed.len(),
-                        reserved.len()
-                    );
+                    Msg::Commit { provider } => {
+                        reserved.retain(|p| *p != provider);
+                        placed.push(provider);
+                    }
                 }
+                assert!(
+                    placed.len() + reserved.len() <= CAP,
+                    "cloudlet oversubscribed: {} placed + {} reserved > {CAP}",
+                    placed.len(),
+                    reserved.len()
+                );
             }
 
             let granted = source.join().unwrap();

@@ -20,9 +20,9 @@
 //!   completion-mailbox and inbox locks and the claimed shard's lock
 //!   the design *does* allow carry `// lint: allow(io-blocking)`
 //!   markers with their justification);
-//! * `.recv(` / `.recv_timeout(` / `.recv_batch(` — channel receives
-//!   (the market thread owns those; I/O threads get completions pushed
-//!   to them);
+//! * `.recv(` / `.recv_timeout(` / `.claim_batch(` — channel receives
+//!   (the shard's writer thread owns those; I/O threads get completions
+//!   pushed to them);
 //! * `.wait(` / `.wait_timeout(` — condvar waits;
 //! * `.read_exact(` / `.read_to_end(` / `.read_to_string(` /
 //!   `.write_all(` — the read/write shapes that loop until satisfied
@@ -44,7 +44,7 @@ const BLOCKING_METHODS: &[&str] = &[
     "lock",
     "recv",
     "recv_timeout",
-    "recv_batch",
+    "claim_batch",
     "wait",
     "wait_timeout",
     "read_exact",

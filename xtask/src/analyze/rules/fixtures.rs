@@ -337,7 +337,7 @@ mod tests {
     },
     Fixture {
         rule: "probes",
-        title: "registered names and computed names are both fine",
+        title: "a registered name fits; a computed name beside it fires",
         files: &[
             (
                 "crates/obs/src/probes.rs",
@@ -348,7 +348,43 @@ mod tests {
                 "pub fn admit(name: &str) {\n    mec_obs::counter_add(\"serve.join.admitted\", 1);\n    mec_obs::record(name, 1);\n    obs_counter!(\"serve.join.admitted\", 1);\n}\n",
             ),
         ],
+        expect: 1,
+    },
+    Fixture {
+        rule: "probes",
+        title: "every call at its probe's kind, the labelled one with a literal label, is quiet",
+        files: &[
+            ("crates/obs/src/probes.rs", "//! Probe registry.\npub const REGISTRY: &[Probe] = &[\n    Probe {\n        name: \"serve.join.admitted\",\n        kind: ProbeKind::Counter,\n        help: \"Admitted joins.\",\n    },\n    Probe {\n        name: \"serve.publish.ns\",\n        kind: ProbeKind::Histogram,\n        help: \"Publish latency (label `shard`).\",\n    },\n    Probe {\n        name: \"serve.turn\",\n        kind: ProbeKind::Span,\n        help: \"One turn.\",\n    },\n];\n"),
+            (
+                "crates/serve/src/market.rs",
+                "pub fn turn(k: usize, ns: u64) {\n    obs_span!(\"serve.turn\");\n    mec_obs::counter_add(\"serve.join.admitted\", 1);\n    mec_obs::record(\"serve.publish.ns\", ns);\n    mec_obs::record_labelled(\"serve.publish.ns\", (\"shard\", k), ns);\n}\n",
+            ),
+        ],
         expect: 0,
+    },
+    Fixture {
+        rule: "probes",
+        title: "a counter recorded as a histogram and a histogram timed as a span fire",
+        files: &[
+            ("crates/obs/src/probes.rs", "//! Probe registry.\npub const REGISTRY: &[Probe] = &[\n    Probe {\n        name: \"serve.join.admitted\",\n        kind: ProbeKind::Counter,\n        help: \"Admitted joins.\",\n    },\n    Probe {\n        name: \"serve.publish.ns\",\n        kind: ProbeKind::Histogram,\n        help: \"Publish latency (label `shard`).\",\n    },\n    Probe {\n        name: \"serve.turn\",\n        kind: ProbeKind::Span,\n        help: \"One turn.\",\n    },\n];\n"),
+            (
+                "crates/serve/src/market.rs",
+                "pub fn admit(ns: u64) {\n    mec_obs::record(\"serve.join.admitted\", ns);\n    mec_obs::counter_add(\"serve.join.admitted\", 1);\n    let _t = mec_obs::span(\"serve.publish.ns\");\n}\n",
+            ),
+        ],
+        expect: 2,
+    },
+    Fixture {
+        rule: "probes",
+        title: "a per-shard name held in a field fires, as does a computed label name",
+        files: &[
+            ("crates/obs/src/probes.rs", "//! Probe registry.\npub const REGISTRY: &[Probe] = &[\n    Probe {\n        name: \"serve.join.admitted\",\n        kind: ProbeKind::Counter,\n        help: \"Admitted joins.\",\n    },\n    Probe {\n        name: \"serve.publish.ns\",\n        kind: ProbeKind::Histogram,\n        help: \"Publish latency (label `shard`).\",\n    },\n    Probe {\n        name: \"serve.turn\",\n        kind: ProbeKind::Span,\n        help: \"One turn.\",\n    },\n];\n"),
+            (
+                "crates/serve/src/market.rs",
+                "impl Shard {\n    pub fn publish(&self, key: &'static str, ns: u64) {\n        mec_obs::record(self.probe_name, ns);\n        mec_obs::record_labelled(\"serve.publish.ns\", (key, self.index), ns);\n    }\n}\n",
+            ),
+        ],
+        expect: 2,
     },
     // --------------------------------------------------------------- panics
     Fixture {

@@ -16,13 +16,17 @@
 //!                                   exceeds any eviction baseline's on any
 //!                                   trace of the scenarios bench artifact
 //! cargo xtask metrics-doc           regenerate docs/METRICS.md from the
-//!                                   probe registry (obsreport --catalog)
+//!                                   probe registry (mec-obs)
 //! ```
 //!
 //! See [`analyze`] for the engine and the rule registry, [`lint`] for
 //! the legacy three-rule subset and the `// lint: allow(<rule>)` escape
 //! hatch, and [`tailgate`] for the tail-latency gate CI applies to the
 //! marketload smoke report.
+//!
+//! xtask's one dependency is the workspace's `mec-obs`, which has none of
+//! its own: `tailgate` reads reports with its JSON reader and
+//! `metrics-doc` renders its probe registry.
 
 #![forbid(unsafe_code)]
 
@@ -108,45 +112,10 @@ fn cmd_tailgate_scale(args: &[String]) {
     ));
 }
 
-/// Regenerates `docs/METRICS.md` from `mec_obs::probes::REGISTRY` by
-/// shelling out to `obsreport --catalog` (the registry lives in mec-obs;
-/// xtask itself stays dependency-free).
+/// Regenerates `docs/METRICS.md` from `mec_obs::probes::REGISTRY`.
 fn cmd_metrics_doc() {
-    let root = repo_root();
-    let out = std::process::Command::new(env!("CARGO"))
-        .args([
-            "run",
-            "-q",
-            "-p",
-            "mec-obs",
-            "--bin",
-            "obsreport",
-            "--",
-            "--catalog",
-        ])
-        .current_dir(&root)
-        .output();
-    let out = match out {
-        Ok(o) if o.status.success() && !o.stdout.is_empty() => o.stdout,
-        Ok(o) => {
-            eprintln!(
-                "xtask metrics-doc: obsreport --catalog failed:\n{}",
-                String::from_utf8_lossy(&o.stderr)
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("xtask metrics-doc: cannot run cargo: {e}");
-            std::process::exit(1);
-        }
-    };
-    let path = root.join("docs/METRICS.md");
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("xtask metrics-doc: cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
+    let out = mec_obs::probes::catalog_markdown();
+    let path = repo_root().join("docs/METRICS.md");
     if let Err(e) = std::fs::write(&path, &out) {
         eprintln!("xtask metrics-doc: cannot write {}: {e}", path.display());
         std::process::exit(1);

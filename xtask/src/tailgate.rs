@@ -24,26 +24,32 @@
 //!   GDSF). A vacuous comparison — missing traces, missing policies,
 //!   zero-request rows — fails loudly, matching the scale gate.
 //!
-//! The parser is deliberately minimal: each report is one flat JSON
-//! object written by `LoadReport::to_json` / `DrainReport::to_json`, so
-//! scanning for `"key":` and reading the number after it is exact, not
-//! heuristic. xtask stays dependency-free.
+//! Every report row is one flat JSON object (`LoadReport::to_json`,
+//! `DrainReport::to_json`, a `sweepbench scenarios` result), read with
+//! the workspace's one JSON reader, [`mec_obs::json::parse_object`], and
+//! its typed getters. `mec-obs` has no dependencies, so xtask still
+//! builds from the workspace alone.
 
 use std::path::Path;
 
-/// Reads `"<key>": <number>` out of a flat JSON object.
-fn extract_number(json: &str, key: &str) -> Result<f64, String> {
-    let needle = format!("\"{key}\":");
-    let at = json
-        .find(&needle)
-        .ok_or_else(|| format!("no \"{key}\" field in report"))?;
-    let rest = &json[at + needle.len()..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated value for \"{key}\""))?;
-    let raw = rest[..end].trim();
-    raw.parse::<f64>()
-        .map_err(|_| format!("\"{key}\" is not a number: {raw:?}"))
+use mec_obs::json::{self, Token};
+
+/// The fields of one parsed report row.
+type Row = Vec<(String, Token)>;
+
+/// Parses one flat JSON object.
+fn parse_row(text: &str) -> Result<Row, String> {
+    json::parse_object(text).map_err(|e| e.to_string())
+}
+
+/// A numeric field of a parsed row.
+fn number(row: &Row, key: &str) -> Result<f64, String> {
+    json::get_f64(row, key).map_err(|e| e.to_string())
+}
+
+/// An integer field of a parsed row.
+fn count(row: &Row, key: &str) -> Result<u64, String> {
+    json::get_u64(row, key).map_err(|e| e.to_string())
 }
 
 /// The gate verdict for one op on one row of a report.
@@ -84,15 +90,18 @@ pub fn check(json: &str, op: &str, max_ratio: f64) -> Result<Vec<Verdict>, Strin
     rows.iter()
         .enumerate()
         .map(|(k, line)| {
-            let field =
-                |key: String| extract_number(line, &key).map_err(|e| format!("row {}: {e}", k + 1));
-            Ok(Verdict {
-                row: k + 1,
-                op: op.to_string(),
-                ratio: field(format!("{op}_p99_p50"))?,
-                count: field(format!("{op}_count"))? as u64,
-                max_ratio,
-            })
+            let verdict = |row: Row| -> Result<Verdict, String> {
+                Ok(Verdict {
+                    row: k + 1,
+                    op: op.to_string(),
+                    ratio: number(&row, &format!("{op}_p99_p50"))?,
+                    count: count(&row, &format!("{op}_count"))?,
+                    max_ratio,
+                })
+            };
+            parse_row(line)
+                .and_then(verdict)
+                .map_err(|e| format!("row {}: {e}", k + 1))
         })
         .collect()
 }
@@ -173,14 +182,12 @@ impl ScaleVerdict {
 /// Fails when either report lacks `shards`/`write_ops_per_sec` or they
 /// do not parse.
 pub fn check_scale(base: &str, sharded: &str, min_ratio: f64) -> Result<ScaleVerdict, String> {
+    let (base, sharded) = (parse_row(base)?, parse_row(sharded)?);
     Ok(ScaleVerdict {
-        shards: (
-            extract_number(base, "shards")? as u64,
-            extract_number(sharded, "shards")? as u64,
-        ),
+        shards: (count(&base, "shards")?, count(&sharded, "shards")?),
         ops: (
-            extract_number(base, "write_ops_per_sec")?,
-            extract_number(sharded, "write_ops_per_sec")?,
+            number(&base, "write_ops_per_sec")?,
+            number(&sharded, "write_ops_per_sec")?,
         ),
         min_ratio,
     })
@@ -242,26 +249,10 @@ pub struct ScenarioRow {
     pub social_cost: f64,
 }
 
-/// Reads `"<key>": "<string>"` out of a flat JSON object.
-fn extract_string(json: &str, key: &str) -> Result<String, String> {
-    let needle = format!("\"{key}\":");
-    let at = json
-        .find(&needle)
-        .ok_or_else(|| format!("no \"{key}\" field in row"))?;
-    let rest = json[at + needle.len()..].trim_start();
-    let inner = rest
-        .strip_prefix('"')
-        .ok_or_else(|| format!("\"{key}\" is not a string"))?;
-    let end = inner
-        .find('"')
-        .ok_or_else(|| format!("unterminated string for \"{key}\""))?;
-    Ok(inner[..end].to_string())
-}
-
 /// Splits the artifact's `"results": [ {...}, {...} ]` array into its
-/// row objects. Rows are flat (no nested braces), so scanning brace
-/// pairs after the `"results"` key is exact, matching the shape
-/// `sweepbench scenarios` writes.
+/// row objects and parses each. Rows are flat (no nested braces), so
+/// scanning brace pairs after the `"results"` key is exact, matching the
+/// shape `sweepbench scenarios` writes.
 fn scenario_rows(json: &str) -> Result<Vec<ScenarioRow>, String> {
     let at = json
         .find("\"results\"")
@@ -269,16 +260,16 @@ fn scenario_rows(json: &str) -> Result<Vec<ScenarioRow>, String> {
     let mut rest = &json[at..];
     let mut rows = Vec::new();
     while let Some(open) = rest.find('{') {
-        let body = &rest[open + 1..];
-        let close = body.find('}').ok_or("unterminated row object")?;
-        let row = &body[..close];
+        let close = open + rest[open..].find('}').ok_or("unterminated row object")?;
+        let row = parse_row(&rest[open..=close])?;
+        let text = |key: &str| json::get_str(&row, key).map_err(|e| e.to_string());
         rows.push(ScenarioRow {
-            trace: extract_string(row, "trace")?,
-            policy: extract_string(row, "policy")?,
-            requests: extract_number(row, "requests")? as u64,
-            social_cost: extract_number(row, "social_cost")?,
+            trace: text("trace")?.to_string(),
+            policy: text("policy")?.to_string(),
+            requests: count(&row, "requests")?,
+            social_cost: number(&row, "social_cost")?,
         });
-        rest = &body[close + 1..];
+        rest = &rest[close + 1..];
     }
     Ok(rows)
 }
@@ -390,7 +381,7 @@ mod tests {
     #[test]
     fn missing_field_is_an_error() {
         assert!(check(REPORT, "leave", 5.0).is_err());
-        assert!(extract_number(REPORT, "nope").is_err());
+        assert!(number(&parse_row(REPORT).unwrap(), "nope").is_err());
         assert!(check("\n\n", "join", 5.0).is_err());
     }
 
@@ -417,9 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn extracts_trailing_field_before_brace() {
-        let json = r#"{"a":1,"b_p99_p50":3.25}"#;
-        let x = extract_number(json, "b_p99_p50").unwrap();
+    fn reads_the_trailing_field_before_the_brace() {
+        let row = parse_row(r#"{"a":1,"b_p99_p50":3.25}"#).unwrap();
+        let x = number(&row, "b_p99_p50").unwrap();
         assert!((x - 3.25).abs() < 1e-12);
     }
 
