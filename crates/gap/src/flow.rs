@@ -8,8 +8,9 @@
 //! in CSR form — rather than a general graph.
 //!
 //! Each augmentation runs Dijkstra on reduced costs from one source with
-//! residual supply (the lowest-index one) and stops as soon as the sink
-//! `t` settles. Potentials are then raised by `min(dist[v], dist[t])` for
+//! residual supply (the first one added; the caller picks the order) and
+//! stops as soon as the popped key reaches `dist[t]`, the sink's tentative
+//! distance. Potentials are then raised by `min(dist[v], dist[t])` for
 //! every node, unreached nodes by `dist[t]`. That keeps every residual
 //! reduced cost non-negative despite the early exit: no node is raised by
 //! more than `dist[t]`, which is what every unsettled node gets, so an arc
@@ -23,12 +24,22 @@
 //! dual solution of the transportation LP, which is how the relaxation
 //! reads its capacity prices ([`crate::lp_relax`]). Every forward arc keeps
 //! a non-negative reduced cost, and an arc carrying flow has reduced
-//! cost 0. The sink's potential never falls behind a bin's once that bin
-//! carries load: the augmentation that first loads a bin leaves its sink
-//! arc tight, and afterwards the sink is raised by `dist[t]` while no bin
-//! is raised by more. A bin with room left keeps its sink arc's reduced
-//! cost `pi[bin] - pi[t]` non-negative. So a bin that is neither empty nor
-//! full sits exactly at the sink's potential.
+//! cost 0. No bin ever rises above the sink: all start at 0, and each
+//! search raises the sink by `dist[t]` and no node by more. A bin's load
+//! never falls (a path adds load only at its last bin), so its sink arc
+//! is residual from the start until the bin fills, and its reduced cost
+//! `pi[bin] - pi[t]` stays non-negative all that time. So every bin with
+//! room sits exactly at the sink's potential, and a full bin at or below
+//! it.
+//!
+//! That makes an earlier stop exact. A popped bin relaxes its sink arc
+//! before its reverse arcs, so the first bin with room that a search pops
+//! fixes `dist[t]` at its own key, and the search ends there. Settling
+//! the nodes tied at that key, as a search that runs until the sink pops
+//! does, would change nothing: from a key `≥ dist[t]` they could only set
+//! tentative distances `≥ dist[t]`, which the `min(dist[v], dist[t])`
+//! update ignores, and they could re-route no node already settled. So
+//! the stop leaves every flow, potential and cost bit as it was.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -146,10 +157,14 @@ impl Transportation {
 
     /// Routes as much supply as the capacities admit, at minimum cost.
     ///
-    /// Items are served in index order; one that can no longer reach any
-    /// bin with room keeps its residual supply (the result's `routed` then
-    /// falls short of the total supply, and callers decide whether that is
-    /// an error).
+    /// Items are served in the order they were added; one that can no
+    /// longer reach any bin with room keeps its residual supply (the
+    /// result's `routed` then falls short of the total supply, and callers
+    /// decide whether that is an error). The cost is optimal in any order,
+    /// but the order sets how many searches it takes.
+    ///
+    /// Records the counters `gap.flow.searches` (shortest-path searches)
+    /// and `gap.flow.settled` (nodes whose arcs a search scanned).
     pub fn solve(&self) -> TransportFlow {
         let n = self.supply.len();
         let m = self.capacity.len();
@@ -174,10 +189,12 @@ impl Transportation {
         let mut heap = BinaryHeap::new();
         let mut routed = 0.0;
         let mut total_cost = 0.0;
+        let (mut searches, mut settled) = (0u64, 0u64);
 
         for src in 0..n {
             let mut residual = self.supply[src];
             while residual > EPS {
+                searches += 1;
                 dist.fill(f64::INFINITY);
                 dist[src] = 0.0;
                 heap.clear();
@@ -185,16 +202,17 @@ impl Transportation {
                     dist: 0.0,
                     node: src,
                 });
-                let mut reached = false;
                 while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+                    // Every node nearer than the sink has settled, so
+                    // `dist[sink]` is final (module docs).
+                    if d >= dist[sink] {
+                        break;
+                    }
                     if d > dist[u] + EPS {
                         continue;
                     }
-                    if u == sink {
-                        reached = true;
-                        break;
-                    }
-                    let mut relax = |v: usize, rc: f64, via: usize| {
+                    settled += 1;
+                    let mut relax = |dist: &mut [f64], v: usize, rc: f64, via: usize| {
                         debug_assert!(rc > -1e-6, "negative reduced cost {rc}");
                         let nd = d + rc.max(0.0);
                         if nd < dist[v] - EPS {
@@ -206,23 +224,26 @@ impl Transportation {
                     if u < n {
                         for a in self.start[u]..self.start[u + 1] {
                             let v = n + self.bin[a];
-                            relax(v, self.cost[a] + pi[u] - pi[v], a);
+                            relax(&mut dist, v, self.cost[a] + pi[u] - pi[v], a);
                         }
                     } else {
                         let j = u - n;
+                        if self.capacity[j] - load[j] > EPS {
+                            relax(&mut dist, sink, pi[u] - pi[sink], j);
+                            if d >= dist[sink] {
+                                break;
+                            }
+                        }
                         for &a in &carried[j] {
                             let v = item_of[a];
-                            relax(v, pi[u] - pi[v] - self.cost[a], a);
-                        }
-                        if self.capacity[j] - load[j] > EPS {
-                            relax(sink, pi[u] - pi[sink], j);
+                            relax(&mut dist, v, pi[u] - pi[v] - self.cost[a], a);
                         }
                     }
                 }
-                if !reached {
+                let dt = dist[sink];
+                if !dt.is_finite() {
                     break; // No bin with room is reachable from `src`.
                 }
-                let dt = dist[sink];
                 for (p, d) in pi.iter_mut().zip(&dist) {
                     *p += d.min(dt);
                 }
@@ -273,6 +294,8 @@ impl Transportation {
                 residual -= push;
             }
         }
+        mec_obs::counter_add("gap.flow.searches", searches);
+        mec_obs::counter_add("gap.flow.settled", settled);
         TransportFlow {
             routed,
             cost: total_cost,

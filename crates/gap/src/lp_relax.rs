@@ -30,10 +30,21 @@
 //! forward arc: `c_ij / w_i + π_i − π_j ≥ 0` gives
 //! `c_ij − u_i + w_i (π_t − π_j) ≥ 0`, and `p_j` is at least `π_t − π_j`.
 //! The duality gap is zero: arcs carrying flow are tight; a bin with room
-//! left has `π_j ≥ π_t`, so its price is 0; and a bin carrying load has
-//! `π_j ≤ π_t`, so the clamp only ever zeroes the price of an empty bin
-//! (see the [`crate::flow`] module docs). [`crate::verify::check_relaxation`]
-//! re-checks all of this from the raw instance data.
+//! left has `π_j = π_t`, so its price is 0; and no bin sits above the
+//! sink, so the clamp only absorbs rounding (see the [`crate::flow`]
+//! module docs). [`crate::verify::check_relaxation`] re-checks all of
+//! this from the raw instance data.
+//!
+//! The flow serves its sources in the order they are added, and the
+//! optimum does not depend on that order, but the work does. So the
+//! sources go in decreasing order of *regret*, the spread of an item's
+//! cost per unit weight, `(max_j c_ij − min_j c_ij) / w_i` over its
+//! admissible bins, with ties in index order. This is Vogel's rule for
+//! transportation problems: the items with the most to lose claim their
+//! cheap bins first, so later searches displace fewer of them. On the
+//! `lcf_solve` benchmark market it cuts the searches by 30 %, and the
+//! settled nodes by 40 % on top of the flow's own exact stop (DESIGN.md
+//! §3d).
 
 use crate::flow::Transportation;
 use crate::instance::GapInstance;
@@ -97,8 +108,9 @@ impl FractionalSolution {
 ///
 /// A weightless item is assigned integrally to its cheapest admissible
 /// bin up front; every other item becomes a source of the transportation
-/// flow. With the `verify` cargo feature enabled, the solution is
-/// certified by [`crate::verify::check_relaxation`] before it is returned.
+/// flow, highest regret first. With the `verify` cargo feature enabled,
+/// the solution is certified by [`crate::verify::check_relaxation`]
+/// before it is returned.
 ///
 /// # Errors
 ///
@@ -116,13 +128,8 @@ pub fn solve_relaxation(inst: &GapInstance) -> Result<FractionalSolution, GapErr
     let mut objective = 0.0;
     let mut item_duals = vec![0.0; n];
 
-    let mut net = Transportation::new((0..m).map(|j| inst.capacity(j)).collect());
-    // The instance item behind every flow source, in source order, and the
-    // item, bin and weight behind every arc, in arc order.
-    let mut sources = Vec::new();
-    let mut arc_pairs = Vec::new();
-    let mut total_supply = 0.0;
-
+    // The items that become flow sources, with their regret.
+    let mut regret = Vec::new();
     for (i, dual) in item_duals.iter_mut().enumerate() {
         let w = inst.weight(i);
         let bins = (0..m).filter(|&j| inst.is_allowed(i, j));
@@ -141,8 +148,26 @@ pub fn solve_relaxation(inst: &GapInstance) -> Result<FractionalSolution, GapErr
             *dual = inst.cost(i, best);
             continue;
         }
+        let (lo, hi) = bins
+            .map(|j| inst.cost(i, j))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), c| {
+                (lo.min(c), hi.max(c))
+            });
+        regret.push(((hi - lo) / w, i));
+    }
+    // Highest regret first; the sort is stable, so ties keep index order.
+    regret.sort_by(|a, b| b.0.total_cmp(&a.0));
+
+    let mut net = Transportation::new((0..m).map(|j| inst.capacity(j)).collect());
+    // The instance item behind every flow source, in source order, and the
+    // item, bin and weight behind every arc, in arc order.
+    let sources: Vec<usize> = regret.into_iter().map(|(_, i)| i).collect();
+    let mut arc_pairs = Vec::new();
+    let mut total_supply = 0.0;
+    for &i in &sources {
+        let w = inst.weight(i);
+        let bins = (0..m).filter(|&j| inst.is_allowed(i, j));
         total_supply += w;
-        sources.push(i);
         arc_pairs.extend(bins.clone().map(|j| (i, j, w)));
         net.add_item(w, bins.map(|j| (j, inst.cost(i, j) / w)));
     }

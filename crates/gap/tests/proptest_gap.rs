@@ -11,10 +11,16 @@
 //!   duals pass the `verify::check_relaxation` certificate (with
 //!   `--features mec-lp/verify` every oracle solve is itself certified
 //!   optimal);
-//! * the `verify::check_assignment` certifier accepts every rounded output.
+//! * the `verify::check_assignment` certifier accepts every rounded output;
+//! * the relaxation does not depend on the order of the items: a permuted
+//!   instance reaches the same objective and passes the certificate, and
+//!   where the optimum is a vertex (Appro-shaped, distinct weights) the
+//!   same support with the same fractions; the transportation flow's cost
+//!   does not depend on the order its sources are added either.
 
 mod oracle;
 
+use mec_gap::flow::Transportation;
 use mec_gap::{
     check_assignment, check_relaxation, exact, greedy, lp_relax, shmoys_tardos, GapInstance,
     FORBIDDEN,
@@ -262,5 +268,137 @@ proptest! {
             "simplex {} vs transportation {}", lp, tp.objective);
         let violations = check_relaxation(&inst, &tp, 1e-9);
         prop_assert!(violations.is_empty(), "certificate: {violations:?}");
+    }
+}
+
+/// A permutation of `0..n` drawn from sort keys (`keys.len() >= n`).
+fn permutation(keys: &[u32], n: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.sort_by_key(|&i| keys[i]);
+    perm
+}
+
+/// `inst` with its items reordered: item `k` of the result is item
+/// `perm[k]` of `inst`.
+fn permuted(inst: &GapInstance, perm: &[usize]) -> GapInstance {
+    let mut out = GapInstance::new(inst.items(), inst.bins());
+    for (k, &i) in perm.iter().enumerate() {
+        out.set_item_weight(k, inst.weight(i));
+        for j in 0..inst.bins() {
+            out.set_cost(k, j, inst.cost(i, j));
+        }
+    }
+    for j in 0..inst.bins() {
+        out.set_capacity(j, inst.capacity(j));
+    }
+    out
+}
+
+/// `(item, bin, fraction)` triples sorted by item, then bin.
+type Support = Vec<(usize, usize, f64)>;
+
+/// Relaxes `inst` and its permutation by `perm`, and checks what holds in
+/// any order: the objectives agree within 1e-9 relative, and the permuted
+/// solution passes the relaxation certificate at 1e-9. Returns both
+/// supports, the permuted one mapped back to `inst`'s items.
+fn relax_in_both_orders(inst: &GapInstance, perm: &[usize]) -> (Support, Support) {
+    let base = lp_relax::solve_relaxation(inst).unwrap();
+    let shuffled_inst = permuted(inst, perm);
+    let shuffled = lp_relax::solve_relaxation(&shuffled_inst).unwrap();
+    let tol = 1e-9 * base.objective.abs().max(1.0);
+    assert!(
+        (base.objective - shuffled.objective).abs() <= tol,
+        "objective {} in index order, {} permuted",
+        base.objective,
+        shuffled.objective
+    );
+    let violations = check_relaxation(&shuffled_inst, &shuffled, 1e-9);
+    assert!(
+        violations.is_empty(),
+        "permuted certificate: {violations:?}"
+    );
+    let mut a = base.fractions;
+    let mut b: Support = shuffled
+        .fractions
+        .into_iter()
+        .map(|(k, j, f)| (perm[k], j, f))
+        .collect();
+    a.sort_by_key(|&(i, j, _)| (i, j));
+    b.sort_by_key(|&(i, j, _)| (i, j));
+    (a, b)
+}
+
+/// Whether the items that enter the flow (positive weight) all weigh
+/// differently. Two items of one weight can trade slots of one cloudlet at
+/// no cost (each pays `base + p_c·(2k−1)` for its slot either way), so
+/// their optimum is a face, not a vertex, and its support is not unique.
+fn distinct_positive_weights(weights: &[f64]) -> bool {
+    let mut w: Vec<f64> = weights.iter().copied().filter(|&w| w > 0.0).collect();
+    w.sort_by(f64::total_cmp);
+    w.windows(2).all(|p| p[0] < p[1])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Permuting the items moves neither the objective nor the
+    /// certificate.
+    #[test]
+    fn relaxation_is_independent_of_item_order(
+        r in rand_inst(),
+        keys in proptest::collection::vec(0u32..1 << 20, 8),
+    ) {
+        let inst = build(&r);
+        relax_in_both_orders(&inst, &permutation(&keys, r.items));
+    }
+
+    /// Sources added in any order route the same supply at the same cost
+    /// (capacity covers the supply, so the min-cost flow is unique in
+    /// cost).
+    #[test]
+    fn transportation_cost_is_independent_of_source_order(
+        r in rand_inst(),
+        keys in proptest::collection::vec(0u32..1 << 20, 8),
+    ) {
+        let inst = build(&r);
+        let solve = |order: &[usize]| {
+            let mut t = Transportation::new((0..r.bins).map(|j| inst.capacity(j)).collect());
+            for &i in order {
+                let w = r.weights[i];
+                t.add_item(w, (0..r.bins).map(|j| (j, r.costs[i * r.bins + j] / w)));
+            }
+            t.solve()
+        };
+        let a = solve(&(0..r.items).collect::<Vec<_>>());
+        let b = solve(&permutation(&keys, r.items));
+        let total: f64 = r.weights.iter().sum();
+        prop_assert!((a.routed - total).abs() < 1e-9 && (b.routed - total).abs() < 1e-9);
+        prop_assert!((a.cost - b.cost).abs() <= 1e-9 * a.cost.abs().max(1.0),
+            "cost {} in index order, {} shuffled", a.cost, b.cost);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On Appro-shaped instances the relaxation's optimum is a vertex
+    /// when the weights differ: a permuted instance then returns the same
+    /// support, mapped back through the permutation, with fractions within
+    /// 1e-9. With equal weights (the uniform variant) only the objective
+    /// and the certificate are order-free.
+    #[test]
+    fn relaxation_support_is_independent_of_item_order_on_appro_shaped(
+        r in appro_shaped(),
+        keys in proptest::collection::vec(0u32..1 << 20, 60),
+    ) {
+        let inst = build_appro_shaped(&r);
+        let (a, b) = relax_in_both_orders(&inst, &permutation(&keys, r.weights.len()));
+        if distinct_positive_weights(&r.weights) {
+            prop_assert_eq!(a.len(), b.len(), "support sizes differ: {:?} vs {:?}", a, b);
+            for (x, y) in a.iter().zip(&b) {
+                prop_assert!(x.0 == y.0 && x.1 == y.1 && (x.2 - y.2).abs() <= 1e-9,
+                    "index order {:?}, permuted {:?}", x, y);
+            }
+        }
     }
 }

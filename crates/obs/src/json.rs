@@ -63,7 +63,9 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Error describing why a line failed to parse.
+/// Error describing why a line failed to parse. Its message names no
+/// caller: the same reader parses traces, wire frames, snapshots and
+/// bench reports.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     msg: String,
@@ -78,7 +80,7 @@ impl ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace parse error: {}", self.msg)
+        write!(f, "malformed JSON: {}", self.msg)
     }
 }
 
@@ -325,6 +327,21 @@ mod tests {
         let fields = parse_object("{\n  \"a\": \"x\",\r\n  \"b\": 2\n}").unwrap();
         assert_eq!(get_str(&fields, "a").unwrap(), "x");
         assert_eq!(get_u64(&fields, "b").unwrap(), 2);
+    }
+
+    #[test]
+    fn errors_say_malformed_json_whatever_the_caller() {
+        let Err(e) = parse_object(r#"{"op":}"#) else {
+            panic!("a field without a value parsed");
+        };
+        assert_eq!(
+            e.to_string(),
+            "malformed JSON: expected string or number value"
+        );
+        let Err(e) = get(&parse_object("{}").unwrap(), "k") else {
+            panic!("a missing field was found");
+        };
+        assert_eq!(e.to_string(), "malformed JSON: missing field `k`");
     }
 
     #[test]

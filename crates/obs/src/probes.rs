@@ -156,6 +156,16 @@ pub const REGISTRY: &[Probe] = &[
     },
     // GAP rounding (crates/gap)
     Probe {
+        name: "gap.flow.searches",
+        kind: ProbeKind::Counter,
+        help: "Shortest-path searches of the transportation flow (relaxation and rounding).",
+    },
+    Probe {
+        name: "gap.flow.settled",
+        kind: ProbeKind::Counter,
+        help: "Nodes settled (arcs scanned) by the transportation flow's searches.",
+    },
+    Probe {
         name: "gap.lp_relax",
         kind: ProbeKind::Span,
         help: "Time solving the fractional GAP relaxation.",

@@ -832,6 +832,17 @@ mod tests {
         assert!(parse_request("not json").is_err());
     }
 
+    /// The wire error for a malformed frame names the fault, not another
+    /// consumer of the JSON reader.
+    #[test]
+    fn malformed_request_errors_describe_the_json() {
+        for payload in [r#"{"op":}"#, "not json", r#"{"op":"join"}"#] {
+            let msg = parse_request(payload).unwrap_err().to_string();
+            assert!(msg.starts_with("malformed JSON: "), "{payload}: {msg}");
+            assert!(!msg.contains("trace"), "{payload}: {msg}");
+        }
+    }
+
     #[test]
     fn error_response_decodes_from_ok_zero() {
         let r = parse_response(r#"{"ok":0,"error":"boom"}"#).unwrap();
