@@ -39,10 +39,10 @@ where
     let next = AtomicUsize::new(0);
     let f = &f;
     let next = &next;
-    let mut results: Vec<Option<R>> = crossbeam::thread::scope(|scope| {
+    let mut results: Vec<Option<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Each worker claims the next unprocessed index until the
                     // items run out, returning (index, result) pairs.
                     let mut out = Vec::new();
@@ -63,8 +63,7 @@ where
             }
         }
         results
-    })
-    .expect("crossbeam scope failed");
+    });
     results
         .iter_mut()
         .map(|slot| slot.take().expect("sweep item not processed"))

@@ -10,7 +10,7 @@ use crate::model::Market;
 use crate::strategy::{Placement, Profile};
 
 /// Additive decomposition of the social cost (Eq. 6).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Total congestion charges `Σ_i (α_i+β_i)·σ_i²`.
     pub congestion: f64,
@@ -52,7 +52,7 @@ pub fn cost_breakdown(market: &Market, profile: &Profile) -> CostBreakdown {
 }
 
 /// Load-balance diagnostics of a placement.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadBalance {
     /// Cloudlets hosting at least one cached service.
     pub used_cloudlets: usize,

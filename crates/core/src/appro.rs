@@ -365,18 +365,17 @@ pub fn appro(market: &Market, config: &ApproConfig) -> Result<ApproSolution, Cor
         }
     } else {
         let rows_per = n.div_ceil(workers);
-        crossbeam::thread::scope(|s| {
+        // A pricing worker's panic propagates when the scope joins it.
+        std::thread::scope(|s| {
             for (w, chunk) in cost_matrix.chunks_mut(rows_per * nbins).enumerate() {
                 let price_row = &price_row;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (k, row) in chunk.chunks_mut(nbins).enumerate() {
                         price_row(w * rows_per + k, row);
                     }
                 });
             }
-        })
-        // lint: allow(panics) — propagate pricing-worker panics to the caller.
-        .expect("pricing scope panicked");
+        });
     }
     for l in market.providers() {
         let w = normalized_weight(market, l, a_max, b_max);

@@ -233,11 +233,11 @@ fn is_nash_with(state: &GameState<'_>, movable: &[bool], workers: usize) -> bool
         return check_range(0, n);
     }
     let chunk = n.div_ceil(workers);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let check_range = &check_range;
-                s.spawn(move |_| check_range(w * chunk, ((w + 1) * chunk).min(n)))
+                s.spawn(move || check_range(w * chunk, ((w + 1) * chunk).min(n)))
             })
             .collect();
         handles
@@ -246,8 +246,6 @@ fn is_nash_with(state: &GameState<'_>, movable: &[bool], workers: usize) -> bool
             // re-raises it on the caller rather than deadlocking the scope.
             .all(|h| h.join().expect("nash verification worker panicked"))
     })
-    // lint: allow(panics) — propagate worker panics to the caller.
-    .expect("nash verification scope panicked")
 }
 
 /// Scans `lo..hi` for the movable provider with the largest improving gain.
@@ -295,10 +293,10 @@ fn scan_best_move_with(
         return scan_range(state, movable, 0, n);
     }
     let chunk = n.div_ceil(workers);
-    let partials = crossbeam::thread::scope(|s| {
+    let partials = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                s.spawn(move |_| scan_range(state, movable, w * chunk, ((w + 1) * chunk).min(n)))
+                s.spawn(move || scan_range(state, movable, w * chunk, ((w + 1) * chunk).min(n)))
             })
             .collect();
         handles
@@ -307,9 +305,7 @@ fn scan_best_move_with(
             // re-raises it on the caller rather than deadlocking the scope.
             .map(|h| h.join().expect("max-gain scan worker panicked"))
             .collect::<Vec<_>>()
-    })
-    // lint: allow(panics) — propagate worker panics to the caller.
-    .expect("max-gain scan scope panicked");
+    });
     // Merging chunk partials in ascending id order with a strict `>` keeps
     // the earliest maximum — exactly what the sequential scan picks — so the
     // dynamics are deterministic regardless of worker count.

@@ -84,8 +84,7 @@ pub use local_search::{social_local_search, LocalSearchResult};
 pub use model::{CloudletSpec, Market, MarketBuilder, ProviderId, ProviderSpec};
 pub use poa::{best_poa_bound, estimate_poa, market_poa_bound, poa_bound, PoaEstimate};
 pub use snapshot::{
-    encode_snapshot, encode_snapshot_sharded, load_snapshot, parse_snapshot, save_snapshot,
-    save_snapshot_sharded, MarketSnapshot, ShardMeta, SnapshotError,
+    encode_snapshot, load_snapshot, parse_snapshot, save_snapshot, MarketSnapshot, SnapshotError,
 };
 pub use state::GameState;
 pub use strategy::{Placement, Profile};

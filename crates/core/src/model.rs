@@ -22,9 +22,7 @@ use mec_num::approx_zero;
 use mec_topology::CloudletId;
 
 /// Identifier of a network service provider (dense index into the market).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProviderId(pub usize);
 
 impl ProviderId {
@@ -42,7 +40,7 @@ impl std::fmt::Display for ProviderId {
 }
 
 /// Static description of one cloudlet (resources and congestion pricing).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudletSpec {
     /// Computing capacity `C(CL_i)` (VM units).
     pub compute_capacity: f64,
@@ -85,7 +83,7 @@ impl CloudletSpec {
 }
 
 /// Static description of one provider's service (demands and base costs).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderSpec {
     /// Total computing demand `a_l · r_l` (VM units).
     pub compute_demand: f64,
@@ -490,14 +488,6 @@ mod tests {
             .provider(ProviderSpec::new(1.0, 1.0, 1.0, 1.0))
             .update_cost_matrix(vec![0.1, 0.2])
             .build();
-    }
-
-    #[test]
-    fn specs_are_serde_data_structures() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<CloudletSpec>();
-        assert_serde::<ProviderSpec>();
-        assert_serde::<ProviderId>();
     }
 
     #[test]

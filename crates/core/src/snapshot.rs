@@ -54,28 +54,6 @@ pub struct MarketSnapshot {
     pub profile: Profile,
     /// Which providers were active (admitted) at snapshot time.
     pub active: Vec<bool>,
-    /// Shard metadata when this file is one slice of a coordinated
-    /// multi-shard snapshot; `None` for a whole-market snapshot.
-    pub shard: Option<ShardMeta>,
-}
-
-/// Identifies one shard's slice inside a coordinated snapshot set.
-///
-/// Every shard of a set writes the *full* market (specs are shared) but
-/// owns only a subset of providers; `owned` records that subset so a
-/// restore can rebuild the provider→shard routing table. `epoch` is the
-/// coordinator-assigned stamp shared by every file of one consistent
-/// set — files from different epochs must never be mixed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMeta {
-    /// Coordinator epoch shared by all files of one snapshot set.
-    pub epoch: u64,
-    /// This shard's index in `0..count`.
-    pub index: usize,
-    /// Number of shards in the set.
-    pub count: usize,
-    /// Provider-ownership mask (indexed by provider id).
-    pub owned: Vec<bool>,
 }
 
 /// Why a snapshot failed to load or save.
@@ -123,32 +101,6 @@ impl From<json::ParseError> for SnapshotError {
 
 /// Encodes a snapshot as JSONL text (ends with a newline).
 pub fn encode_snapshot(seq: u64, market: &Market, profile: &Profile, active: &[bool]) -> String {
-    encode_with(seq, market, profile, active, None)
-}
-
-/// Encodes one shard's slice of a coordinated snapshot set.
-///
-/// Identical to [`encode_snapshot`] plus a `shard` record carrying the
-/// coordinator epoch and the provider-ownership mask. The format version
-/// is unchanged: the record is optional, so old readers of whole-market
-/// snapshots are unaffected and [`parse_snapshot`] accepts both shapes.
-pub fn encode_snapshot_sharded(
-    seq: u64,
-    market: &Market,
-    profile: &Profile,
-    active: &[bool],
-    shard: &ShardMeta,
-) -> String {
-    encode_with(seq, market, profile, active, Some(shard))
-}
-
-fn encode_with(
-    seq: u64,
-    market: &Market,
-    profile: &Profile,
-    active: &[bool],
-    shard: Option<&ShardMeta>,
-) -> String {
     let n = market.provider_count();
     let m = market.cloudlet_count();
     let mut out = String::with_capacity(64 * (2 * n + m + 2));
@@ -157,22 +109,6 @@ fn encode_with(
         "{{\"type\":\"mec-snapshot\",\"version\":{SNAPSHOT_VERSION},\"seq\":{seq},\
          \"cloudlets\":{m},\"providers\":{n}}}\n"
     ));
-    if let Some(s) = shard {
-        let mask: String = (0..n)
-            .map(|l| {
-                if s.owned.get(l).copied().unwrap_or(false) {
-                    '1'
-                } else {
-                    '0'
-                }
-            })
-            .collect();
-        out.push_str(&format!(
-            "{{\"type\":\"shard\",\"epoch\":{},\"index\":{},\"count\":{},\"owned\":\"{mask}\"}}\n",
-            s.epoch, s.index, s.count
-        ));
-        records += 1;
-    }
     for i in market.cloudlets() {
         let c = market.cloudlet(i);
         out.push_str(&format!(
@@ -287,7 +223,6 @@ pub fn parse_snapshot(text: &str) -> Result<MarketSnapshot, SnapshotError> {
     let mut providers: Vec<Option<ProviderSpec>> = vec![None; n];
     let mut updates: Vec<Option<Vec<f64>>> = vec![None; n];
     let mut placements: Vec<Option<(Placement, bool)>> = vec![None; n];
-    let mut shard: Option<ShardMeta> = None;
     let mut records = 1u64;
     let mut saw_end = false;
 
@@ -351,27 +286,6 @@ pub fn parse_snapshot(text: &str) -> Result<MarketSnapshot, SnapshotError> {
                 let active = json::get_u64(&fields, "active")? != 0;
                 *slot = Some((at, active));
             }
-            "shard" => {
-                if shard.is_some() {
-                    return Err(corrupt("duplicate shard record"));
-                }
-                let epoch = json::get_u64(&fields, "epoch")?;
-                let index = json::get_usize(&fields, "index")?;
-                let count = json::get_usize(&fields, "count")?;
-                if count == 0 || index >= count {
-                    return Err(corrupt(format!("shard index {index} of {count}")));
-                }
-                let mask = json::get_str(&fields, "owned")?;
-                if mask.len() != n || mask.bytes().any(|b| b != b'0' && b != b'1') {
-                    return Err(corrupt("shard ownership mask malformed"));
-                }
-                shard = Some(ShardMeta {
-                    epoch,
-                    index,
-                    count,
-                    owned: mask.bytes().map(|b| b == b'1').collect(),
-                });
-            }
             "end" => {
                 let claimed = json::get_u64(&fields, "records")?;
                 if claimed != records {
@@ -413,7 +327,6 @@ pub fn parse_snapshot(text: &str) -> Result<MarketSnapshot, SnapshotError> {
         market,
         profile,
         active,
-        shard,
     })
 }
 
@@ -479,32 +392,6 @@ pub fn save_snapshot(
 ) -> Result<(), SnapshotError> {
     use std::io::Write;
     let text = encode_snapshot(seq, market, profile, active);
-    let tmp = tmp_path(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Atomically writes one shard's slice of a coordinated snapshot set
-/// (same tmp + fsync + rename discipline as [`save_snapshot`]).
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Io`] if any filesystem step fails.
-pub fn save_snapshot_sharded(
-    path: &Path,
-    seq: u64,
-    market: &Market,
-    profile: &Profile,
-    active: &[bool],
-    shard: &ShardMeta,
-) -> Result<(), SnapshotError> {
-    use std::io::Write;
-    let text = encode_snapshot_sharded(seq, market, profile, active, shard);
     let tmp = tmp_path(path);
     {
         let mut f = std::fs::File::create(&tmp)?;
@@ -668,35 +555,6 @@ mod tests {
                 other => panic!("{m} x {n}: expected Corrupt, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn shard_record_round_trips_and_stays_optional() {
-        let m = market();
-        let p = profile();
-        let meta = ShardMeta {
-            epoch: 9,
-            index: 1,
-            count: 3,
-            owned: vec![false, true, true],
-        };
-        let text = encode_snapshot_sharded(5, &m, &p, &[true, true, false], &meta);
-        let snap = parse_snapshot(&text).unwrap();
-        assert_eq!(snap.shard, Some(meta));
-        assert_eq!(snap.seq, 5);
-
-        // Whole-market snapshots carry no shard record.
-        let plain = parse_snapshot(&encode_snapshot(5, &m, &p, &[true; 3])).unwrap();
-        assert_eq!(plain.shard, None);
-
-        // A malformed mask is corruption, not a panic.
-        let bad = text.replace("\"owned\":\"011\"", "\"owned\":\"01x\"");
-        assert!(matches!(
-            parse_snapshot(&bad),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        let short = text.replace("\"owned\":\"011\"", "\"owned\":\"01\"");
-        assert!(parse_snapshot(&short).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Blessed floating-point comparison helpers.
 //!
-//! Raw `f64 ==`/`!=` comparisons are banned by `cargo xtask lint` (rule
+//! Raw `f64 ==`/`!=` comparisons are banned by `cargo xtask analyze` (rule
 //! `float-cmp`): most of them are latent bugs that only surface once pivot
 //! ordering, summation order, or compiler flags change the last few ulps of
 //! a value. Every float comparison in the workspace goes through this crate

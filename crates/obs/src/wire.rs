@@ -1,9 +1,9 @@
 //! The JSONL wire format for observability events.
 //!
 //! Every event is one JSON object per line. The encoder and the parser are
-//! hand-rolled (no serde) and always compiled — `obsreport` must be able to
-//! read traces regardless of whether the reading binary was built with the
-//! `enabled` feature. The escaping and number rules live in the shared
+//! hand-rolled, with no serialization framework, and always compiled —
+//! `obsreport` must be able to read traces regardless of whether the
+//! reading binary was built with the `enabled` feature. The escaping and number rules live in the shared
 //! [`crate::json`] module (one home for every JSONL format in the
 //! workspace, including the `mec-serve` protocol), so the format
 //! round-trips exactly: lossless `u64`, shortest round-trip `f64` with

@@ -29,7 +29,7 @@ use mec_core::model::Market;
 use crate::chan;
 use crate::demand::DemandTracker;
 use crate::market::{Command, Reply};
-use crate::shard::{BootState, ShardSet};
+use crate::shard::{fresh, ShardSet};
 
 /// Knobs of [`drain_bench`].
 #[derive(Debug, Clone)]
@@ -140,7 +140,7 @@ pub fn drain_bench(
     // writer sees saturation depth from its first batch to its last. No
     // I/O side notes queries, so the demand tracker stays inert.
     let mut set = ShardSet::boot(
-        BootState::fresh(market),
+        fresh(market),
         cfg.shards,
         regions.as_ref(),
         cfg.commands + 2,

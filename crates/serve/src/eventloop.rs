@@ -70,7 +70,7 @@ use crate::chan::{lock_ok, Sender, TrySendError};
 use crate::demand::DemandTracker;
 use crate::market::{self, composite_stats, Command, Shard};
 use crate::proto::{self, FrameDecoder, Request, Response};
-use crate::shard::{CoordKind, CoordOp, Coordinator, DrainOp, Router, ShardGauges};
+use crate::shard::{CoordKind, CoordOp, DrainOp, Router, ShardGauges};
 use crate::view::SharedView;
 
 /// Stop reading from a connection whose unsent output exceeds this
@@ -221,8 +221,6 @@ pub(crate) struct IoShared {
     pub router: Arc<Router>,
     /// Per-shard queue-depth/write gauges folded into composite stats.
     pub gauges: Arc<ShardGauges>,
-    /// Shared epoch allocator for coordinated snapshot/restore fan-outs.
-    pub coord: Arc<Coordinator>,
     /// Per-provider query counters: every answered query is noted here,
     /// and the shard writers fold the counts into demand EWMAs at each
     /// maintenance quantum (demand-driven re-caching).
@@ -635,9 +633,10 @@ fn dispatch(
         conn: conn_id,
         req: req_id,
     };
-    if matches!(req, Request::Shutdown)
-        || (shared.shards() > 1 && matches!(req, Request::Snapshot | Request::Restore))
-    {
+    if matches!(
+        req,
+        Request::Shutdown | Request::Snapshot | Request::Restore
+    ) {
         fan_out_admin(conn, req_id, &req, reply, shared, backlog);
         return;
     }
@@ -659,10 +658,10 @@ fn dispatch(
     backlog.push_back((shard, cmd)); // lint: allow(growth) — same BACKLOG_PAUSE bound as above
 }
 
-/// Fans an admin request out to every shard queue: `shutdown` becomes a
-/// drain barrier (one member per shard, at any shard count), and on a
-/// sharded daemon `snapshot` and `restore` become a coordinated two-phase
-/// op (prepare now; the last prepare-acker enqueues the apply fan-out).
+/// Fans an admin request out to every shard queue, at any shard count:
+/// `shutdown` becomes a drain barrier (one member per shard), and
+/// `snapshot` and `restore` become a coordinated two-phase op (prepare
+/// now; the last prepare-acker enqueues the apply fan-out).
 /// The single client reply travels inside the shared op and the last
 /// shard to complete answers it, so the connection sees exactly one
 /// response in request order.
@@ -689,12 +688,7 @@ fn fan_out_admin(
     } else {
         CoordKind::Restore
     };
-    let op = Arc::new(CoordOp::new(
-        kind,
-        shared.coord.next_epoch(),
-        shared.shards(),
-        reply,
-    ));
+    let op = Arc::new(CoordOp::new(kind, shared.shards(), reply));
     for k in 0..shared.shards() {
         backlog.push_back((k, Command::Prepare { op: op.clone() })); // lint: allow(growth) — BACKLOG_PAUSE bound
     }

@@ -261,13 +261,13 @@ pub fn run_load(addr: &str, providers: usize, cfg: &LoadConfig) -> std::io::Resu
         cfg.sessions
     );
     let started = Instant::now();
-    let results: Vec<std::io::Result<SessionResult>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<std::io::Result<SessionResult>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.sessions)
             .map(|s| {
                 // Split [0, providers) into near-equal contiguous slices.
                 let lo = s * providers / cfg.sessions;
                 let hi = (s + 1) * providers / cfg.sessions;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Staggered start: spread the connection setup so the
                     // accept queue never sees the whole fleet at once.
                     let offset = cfg.stagger * s as u32;
@@ -285,8 +285,7 @@ pub fn run_load(addr: &str, providers: usize, cfg: &LoadConfig) -> std::io::Resu
                 Err(e) => std::panic::resume_unwind(e),
             })
             .collect()
-    })
-    .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    });
 
     let elapsed = started.elapsed();
     let mut report = LoadReport {

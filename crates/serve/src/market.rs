@@ -78,8 +78,7 @@ use std::time::{Duration, Instant};
 
 use mec_core::game::IMPROVEMENT_TOL;
 use mec_core::{
-    load_snapshot, save_snapshot, save_snapshot_sharded, GameState, MarketSnapshot, Placement,
-    Profile, ProviderId, ShardMeta,
+    load_snapshot, save_snapshot, GameState, MarketSnapshot, Placement, Profile, ProviderId,
 };
 use mec_topology::CloudletId;
 
@@ -87,10 +86,7 @@ use crate::chan::{lock_ok, Claimed, OneSender, Receiver, Sender, TrySendError};
 use crate::demand::{demand_order, DemandEwma, DemandTracker};
 use crate::eventloop::Completions;
 use crate::proto::{Request, Response, StatsReport};
-use crate::shard::{
-    parse_manifest, shard_snapshot_path, write_manifest, CoordKind, CoordOp, Coordinator, DrainOp,
-    Manifest, Router, ShardGauges,
-};
+use crate::shard::{CoordKind, CoordOp, Coordinator, DrainOp, Router, ShardGauges};
 use crate::view::{MarketView, SharedView};
 
 /// Improving moves allowed per maintenance quantum.
@@ -185,16 +181,6 @@ pub enum Command {
         /// Reply route.
         reply: Reply,
     },
-    /// Write the snapshot file now.
-    Snapshot {
-        /// Reply route.
-        reply: Reply,
-    },
-    /// Reload state from the snapshot file.
-    Restore {
-        /// Reply route.
-        reply: Reply,
-    },
     /// (cross-shard) A join handed over from another shard. Ownership has
     /// already transferred to the receiver; the provider's authoritative
     /// demands ride along so the receiver can sync its market copy.
@@ -249,13 +235,14 @@ pub enum Command {
         /// Provider id.
         provider: usize,
     },
-    /// (coordinated) Phase 1 of a multi-shard snapshot/restore: pause
-    /// migrations and ack once in-flight handoffs have resolved.
+    /// (coordinated) Phase 1 of a snapshot/restore, one member per shard:
+    /// pause migrations and ack once in-flight handoffs have resolved.
     Prepare {
         /// The coordinated operation.
         op: Arc<CoordOp>,
     },
-    /// (coordinated) Phase 2: write/load this shard's slice.
+    /// (coordinated) Phase 2: add this shard's part to the cut, or take
+    /// its part of the loaded file.
     Apply {
         /// The coordinated operation.
         op: Arc<CoordOp>,
@@ -279,10 +266,10 @@ impl Command {
     }
 }
 
-/// Builds the market command for a single-shard request. Reads are
-/// answered from the view and `shutdown` fans out as a [`DrainOp`], so
-/// neither reaches this point; asking for a command for one returns the
-/// error response to send instead.
+/// Builds the market command for a client write. Reads are answered
+/// from the view, and `snapshot`, `restore` and `shutdown` fan out to
+/// every shard, so none of them reaches this point; asking for a command
+/// for one returns the error response to send instead.
 pub fn command_for(req: Request, reply: Reply) -> Result<Command, Response> {
     Ok(match req {
         Request::Join { provider, cloudlet } => Command::Join {
@@ -301,12 +288,13 @@ pub fn command_for(req: Request, reply: Reply) -> Result<Command, Response> {
             bandwidth,
             reply,
         },
-        Request::Snapshot => Command::Snapshot { reply },
-        Request::Restore => Command::Restore { reply },
-        Request::Query { .. } | Request::Stats | Request::Shutdown => {
+        Request::Query { .. }
+        | Request::Stats
+        | Request::Snapshot
+        | Request::Restore
+        | Request::Shutdown => {
             return Err(Response::Error {
-                msg: "reads are answered from the view and shutdown fans out as a drain"
-                    .to_string(),
+                msg: "reads are answered from the view and admin requests fan out".to_string(),
             })
         }
     })
@@ -342,7 +330,7 @@ pub(crate) struct ShardCtx {
     /// demand EWMAs at quantum start.
     pub(crate) demand: Arc<DemandTracker>,
     /// Snapshot file; `None` disables `snapshot`/`restore` and the final
-    /// drain snapshot.
+    /// drain snapshot, and no shard builds a cut.
     pub(crate) snapshot_path: Option<PathBuf>,
 }
 
@@ -907,52 +895,21 @@ impl Shard {
             }
             Command::Apply { op } => {
                 self.book.paused = false;
-                let done = match op.kind {
-                    CoordKind::Snapshot => self.write_shard_slice(op.epoch),
-                    CoordKind::Restore => self.load_my_slice().map(|snap| {
-                        if let Some(meta) = &snap.shard {
-                            for (p, owned) in meta.owned.iter().enumerate() {
-                                if *owned {
-                                    self.ctx.router.set_owner(p, self.ctx.index);
-                                }
+                // A failed op changes no shard: the file did not load, or
+                // a shard is draining.
+                if !op.failed() {
+                    match op.kind {
+                        CoordKind::Snapshot => self.add_to_cut(&op.cut),
+                        CoordKind::Restore => {
+                            if let Some(snap) = lock_ok(&op.cut).as_ref() {
+                                self.restore(snap);
                             }
                         }
-                        self.restore(snap);
-                        op.fold_seq(self.book.seq);
-                    }),
-                };
-                if let Err(msg) = done {
-                    op.push_error(msg);
+                    }
                 }
                 self.book.applied.push(op);
             }
             Command::DrainAll { op } => return Some(op),
-            Command::Restore { reply } => {
-                let resp = if self.ctx.shards > 1 {
-                    // Sharded daemons restore through the coordinated
-                    // Prepare/Apply fan-out.
-                    error("sharded restore must go through the coordinator")
-                } else {
-                    match self.ctx.snapshot_path.as_deref().map(load_snapshot) {
-                        None => error(NO_SNAPSHOT),
-                        Some(Ok(snap)) => {
-                            let seq = snap.seq;
-                            self.restore(snap);
-                            Response::Restored { seq }
-                        }
-                        Some(Err(e)) => error(&format!("restore failed: {e}")),
-                    }
-                };
-                self.book.acks.push((reply, resp));
-            }
-            Command::Snapshot { reply } => {
-                let resp = if self.ctx.shards > 1 {
-                    error("sharded snapshot must go through the coordinator")
-                } else {
-                    self.write_snapshot()
-                };
-                self.book.acks.push((reply, resp));
-            }
         }
         None
     }
@@ -971,14 +928,27 @@ impl Shard {
         }
     }
 
-    /// Rewinds the shard to a loaded snapshot (or slice): state, admission
-    /// mask and seq are replaced in place; the demand EWMAs carry over.
-    fn restore(&mut self, snap: MarketSnapshot) {
+    /// Rewinds the shard to its part of a whole-market snapshot, by the
+    /// ownership rule boot uses ([`Coordinator::part_of`]). In the router
+    /// it takes the providers the snapshot assigns to it and hands each
+    /// other provider it owns to its snapshot owner, so a shard still to
+    /// apply never sees a command for a provider restored elsewhere. Its
+    /// state, admission mask and seq are replaced in place; the demand
+    /// EWMAs carry over.
+    fn restore(&mut self, snap: &MarketSnapshot) {
+        let (k, coord, router) = (self.ctx.index, &self.ctx.coord, &self.ctx.router);
+        for p in 0..snap.active.len() {
+            let owner = coord.owner_in(snap, p);
+            if owner == k || router.owner(p) == k {
+                router.set_owner(p, owner);
+            }
+        }
+        let (profile, active, seq) = coord.part_of(snap, k);
         self.release(None);
-        self.state = GameState::owned(snap.market, snap.profile);
-        self.book.active = snap.active;
+        self.state = GameState::owned(snap.market.clone(), profile);
+        self.book.active = active;
         self.book.members = Members::new(&self.state, &self.book.active);
-        self.book.seq = snap.seq;
+        self.book.seq = seq;
         self.book.dirt.all = true;
         self.book.touched[0].all = true;
         self.book.cursor = 0;
@@ -1224,14 +1194,41 @@ impl Shard {
         self.book.seq += 1;
     }
 
-    /// Acks a prepare; the last shard to ack fans the apply out to
-    /// everyone (through its outbound, so per-target FIFO holds).
+    /// Acks a prepare; the last shard to ack loads the file a restore
+    /// needs, once for every shard, then fans the apply out to everyone
+    /// (through its outbound, so per-target FIFO holds).
     fn complete_prepare(&mut self, op: &Arc<CoordOp>) {
-        if op.ack_prepare() {
-            for k in 0..self.ctx.shards {
-                self.send_peer(k, Command::Apply { op: op.clone() });
-            }
+        if !op.ack_prepare() {
+            return;
         }
+        match (self.ctx.snapshot_path.as_deref(), op.kind) {
+            (None, _) => op.push_error(NO_SNAPSHOT.to_string()),
+            (Some(path), CoordKind::Restore) => match self.load_restorable(path) {
+                Ok(snap) => *lock_ok(&op.cut) = Some(snap),
+                Err(msg) => op.push_error(format!("restore failed: {msg}")),
+            },
+            (Some(_), CoordKind::Snapshot) => {}
+        }
+        for k in 0..self.ctx.shards {
+            self.send_peer(k, Command::Apply { op: op.clone() });
+        }
+    }
+
+    /// Loads the snapshot at `path` for a live restore: it must cover
+    /// this daemon's cloudlets and providers, whose router, region map
+    /// and demand counters are sized at boot.
+    fn load_restorable(&self, path: &Path) -> Result<MarketSnapshot, String> {
+        let snap = load_snapshot(path).map_err(|e| e.to_string())?;
+        let (m, n) = (self.ctx.coord.regions().len(), self.state.len());
+        let market = &snap.market;
+        if (market.cloudlet_count(), market.provider_count()) != (m, n) {
+            return Err(format!(
+                "snapshot covers {} cloudlets and {} providers, daemon runs {m} and {n}",
+                market.cloudlet_count(),
+                market.provider_count()
+            ));
+        }
+        Ok(snap)
     }
 
     /// Fires deferred prepare-acks once the outgoing handoff has resolved.
@@ -1244,51 +1241,30 @@ impl Shard {
         }
     }
 
-    fn snapshot_base(&self) -> Result<&Path, String> {
-        self.ctx
-            .snapshot_path
-            .as_deref()
-            .ok_or_else(|| NO_SNAPSHOT.to_string())
-    }
-
-    /// Writes this shard's slice of the epoch-`epoch` snapshot set.
-    fn write_shard_slice(&self, epoch: u64) -> Result<(), String> {
-        let base = self.snapshot_base()?;
-        let meta = ShardMeta {
-            epoch,
-            index: self.ctx.index,
-            count: self.ctx.shards,
-            owned: (0..self.state.len())
-                .map(|p| self.ctx.router.owner(p) == self.ctx.index)
-                .collect(),
-        };
-        save_snapshot_sharded(
-            &shard_snapshot_path(base, epoch, self.ctx.index),
-            self.book.seq,
-            self.state.market(),
-            self.state.profile(),
-            &self.book.active,
-            &meta,
-        )
-        .map_err(|e| format!("shard {} snapshot failed: {e}", self.ctx.index))
-    }
-
-    /// Loads this shard's slice of the newest manifest-complete snapshot
-    /// set.
-    fn load_my_slice(&self) -> Result<MarketSnapshot, String> {
-        let base = self.snapshot_base()?;
-        let text =
-            std::fs::read_to_string(base).map_err(|e| format!("restore failed: {base:?}: {e}"))?;
-        let manifest = parse_manifest(&text)
-            .ok_or_else(|| "snapshot path holds no shard manifest".to_string())?;
-        if manifest.shards != self.ctx.shards {
-            return Err(format!(
-                "snapshot set has {} shards, daemon runs {}; restart to re-partition",
-                manifest.shards, self.ctx.shards
-            ));
+    /// Adds this shard's part to a whole-market cut: its seq, and each
+    /// owned provider's placement, admission flag and demand (each shard's
+    /// market copy tracks updates only for its own providers). The first
+    /// shard to add starts the cut from its market copy, every provider
+    /// remote and inactive; at one shard the cut is the shard's state.
+    fn add_to_cut(&self, cut: &Mutex<Option<MarketSnapshot>>) {
+        let market = self.state.market();
+        let n = self.state.len();
+        let mut cut = lock_ok(cut);
+        let cut = cut.get_or_insert_with(|| MarketSnapshot {
+            seq: 0,
+            market: market.clone(),
+            profile: Profile::all_remote(n),
+            active: vec![false; n],
+        });
+        cut.seq += self.book.seq;
+        for p in (0..n).filter(|&p| self.ctx.owns(p)) {
+            let l = ProviderId(p);
+            let spec = market.provider(l);
+            cut.market
+                .set_provider_demand(l, spec.compute_demand, spec.bandwidth_demand);
+            cut.profile.set(l, self.state.placement(l));
+            cut.active[p] = self.book.active[p];
         }
-        load_snapshot(&shard_snapshot_path(base, manifest.epoch, self.ctx.index))
-            .map_err(|e| format!("shard {} restore failed: {e}", self.ctx.index))
     }
 
     /// Periodic cross-shard rebalance, piggybacked on idle housekeeping
@@ -1513,22 +1489,6 @@ impl Shard {
         Response::Updated {
             cost: self.state.provider_cost(l),
             evicted,
-        }
-    }
-
-    fn write_snapshot(&self) -> Response {
-        let Ok(path) = self.snapshot_base() else {
-            return error(NO_SNAPSHOT);
-        };
-        match save_snapshot(
-            path,
-            self.book.seq,
-            self.state.market(),
-            self.state.profile(),
-            &self.book.active,
-        ) {
-            Ok(()) => Response::Snapshotted { seq: self.book.seq },
-            Err(e) => error(&format!("snapshot failed: {e}")),
         }
     }
 
@@ -1892,37 +1852,21 @@ impl Shard {
         }
     }
 
-    /// The drain snapshot: one shard writes the whole-market file; a
-    /// sharded writer writes its slice of the drain-epoch set, and the
-    /// last shard to finish writes the manifest.
+    /// The drain snapshot: every shard adds its part to the
+    /// coordinator's cut, and the last to finish writes it.
     fn write_final_snapshot(&self) -> Result<(), String> {
         let Some(path) = self.ctx.snapshot_path.as_deref() else {
             return Ok(());
         };
-        if self.ctx.shards == 1 {
-            return save_snapshot(
-                path,
-                self.book.seq,
-                self.state.market(),
-                self.state.profile(),
-                &self.book.active,
-            )
-            .map_err(|e| format!("final snapshot failed: {e}"));
-        }
         let coord = &self.ctx.coord;
-        let epoch = coord.drain_epoch();
-        let wrote = self.write_shard_slice(epoch);
-        if wrote.is_err() {
-            coord.mark_drain_failed();
+        self.add_to_cut(&coord.cut);
+        if !coord.arrive_finished() {
+            return Ok(());
         }
-        if coord.arrive_finished() && !coord.drain_failed() {
-            let manifest = Manifest {
-                epoch,
-                shards: self.ctx.shards,
-            };
-            write_manifest(path, &manifest).map_err(|e| format!("final manifest failed: {e}"))?;
+        match lock_ok(&coord.cut).take() {
+            Some(cut) => save_cut(path, &cut).map_err(|e| format!("final snapshot failed: {e}")),
+            None => Ok(()),
         }
-        wrote.map_err(|msg| format!("final snapshot failed: {msg}"))
     }
 
     #[cfg(feature = "verify")]
@@ -2002,34 +1946,28 @@ fn unknown_provider(provider: usize) -> Response {
     error(&format!("unknown provider {provider}"))
 }
 
-/// Acks an apply; the last shard answers the client — and, for a clean
-/// snapshot, writes the manifest first (manifest last on disk, so a crash
-/// leaves either the previous complete set or the new one).
+/// Writes a whole-market cut to `path` (tmp + fsync + rename).
+fn save_cut(path: &Path, cut: &MarketSnapshot) -> Result<(), mec_core::SnapshotError> {
+    save_snapshot(path, cut.seq, &cut.market, &cut.profile, &cut.active)
+}
+
+/// Acks an apply; the last shard answers the client — for a snapshot,
+/// after it has written the cut.
 fn complete_apply(op: &Arc<CoordOp>, snapshot_path: Option<&Path>) {
     if !op.ack_apply() {
         return;
     }
     let errors = op.take_errors();
     let Some(reply) = op.take_reply() else { return };
-    let resp = if !errors.is_empty() {
-        error(&errors.join("; "))
-    } else {
-        match op.kind {
-            CoordKind::Snapshot => match snapshot_path {
-                Some(base) => match write_manifest(
-                    base,
-                    &Manifest {
-                        epoch: op.epoch,
-                        shards: op.shards,
-                    },
-                ) {
-                    Ok(()) => Response::Snapshotted { seq: op.epoch },
-                    Err(e) => error(&format!("manifest write failed: {e}")),
-                },
-                None => error(NO_SNAPSHOT),
-            },
-            CoordKind::Restore => Response::Restored { seq: op.seq() },
-        }
+    let cut = lock_ok(&op.cut).take();
+    let resp = match (op.kind, cut, snapshot_path) {
+        _ if !errors.is_empty() => error(&errors.join("; ")),
+        (CoordKind::Snapshot, Some(cut), Some(path)) => match save_cut(path, &cut) {
+            Ok(()) => Response::Snapshotted { seq: cut.seq },
+            Err(e) => error(&format!("snapshot failed: {e}")),
+        },
+        (CoordKind::Restore, Some(snap), _) => Response::Restored { seq: snap.seq },
+        _ => error(NO_SNAPSHOT),
     };
     reply.send(resp);
 }
@@ -2096,8 +2034,6 @@ pub(crate) fn refuse(cmd: Command) {
         Command::Join { reply, .. }
         | Command::Leave { reply, .. }
         | Command::Update { reply, .. }
-        | Command::Snapshot { reply }
-        | Command::Restore { reply }
         | Command::JoinForward { reply, .. } => reply.send(draining()),
         // Cross-shard bookkeeping has no client waiting on it.
         Command::MigrateReserve { .. }
@@ -2133,7 +2069,7 @@ mod tests {
     use super::*;
     use crate::chan;
     use crate::demand::DEMAND_EWMA_ALPHA;
-    use crate::shard::{BootState, ShardSet};
+    use crate::shard::{fresh, ShardSet};
     use mec_core::model::{CloudletSpec, Market, ProviderSpec};
 
     fn tiny_market(providers: usize) -> Market {
@@ -2149,16 +2085,7 @@ mod tests {
     /// A one-shard set over a fresh `market`, its queue sized for `queue`
     /// commands plus the drain.
     fn one_shard(market: Market, queue: usize, demand: Arc<DemandTracker>) -> ShardSet {
-        ShardSet::boot(
-            BootState::fresh(market),
-            1,
-            None,
-            queue + 1,
-            None,
-            demand,
-            1,
-        )
-        .unwrap()
+        ShardSet::boot(fresh(market), 1, None, queue + 1, None, demand, 1).unwrap()
     }
 
     /// Drives a one-shard writer: every command is enqueued before the
@@ -2341,10 +2268,20 @@ mod tests {
 
     #[test]
     fn snapshot_without_path_is_an_error() {
-        let market = tiny_market(1);
-        let (s_tx, s_rx) = chan::oneshot();
-        let (_, _) = drive(market, vec![Command::Snapshot { reply: s_tx.into() }]);
-        assert!(matches!(s_rx.recv(), Some(Response::Error { .. })));
+        for kind in [CoordKind::Snapshot, CoordKind::Restore] {
+            let mut set = one_shard(tiny_market(1), 1, Arc::new(DemandTracker::disabled()));
+            let (tx, rx) = chan::oneshot();
+            let op = Arc::new(CoordOp::new(kind, 1, tx.into()));
+            set.txs[0]
+                .send(Command::Prepare { op })
+                .map_err(|_| ())
+                .unwrap();
+            set.start(|| {}).unwrap();
+            assert_eq!(rx.recv(), Some(error(NO_SNAPSHOT)), "{kind:?}");
+            let sd = set.shutdown();
+            set.join();
+            assert_eq!(sd.recv(), Some(Response::Draining));
+        }
     }
 
     #[test]
@@ -2500,8 +2437,10 @@ mod tests {
         router: Arc<Router>,
         /// The booted market: each provider's demand to shrink back to.
         base: Market,
-        /// A consistent capture of every shard and the ownership map.
-        saved: Option<(Vec<usize>, Vec<MarketSnapshot>)>,
+        /// This run's snapshot file.
+        path: PathBuf,
+        /// The cut the file at `path` holds, while it holds one.
+        saved: Option<MarketSnapshot>,
         /// The I/O side's query counters, shared with every shard.
         demand: Arc<DemandTracker>,
         /// Queries noted per provider and not yet folded.
@@ -2516,15 +2455,28 @@ mod tests {
 
     impl Sim {
         fn boot(market: Market, profile: Profile, active: Vec<bool>, shards: usize) -> Sim {
+            static RUNS: AtomicUsize = AtomicUsize::new(0);
             let base = market.clone();
             let n = market.provider_count();
             let demand = Arc::new(DemandTracker::new(n));
+            let path = std::env::temp_dir().join(format!(
+                "mec-sim-{}-{}.snap",
+                std::process::id(),
+                RUNS.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_file(&path);
+            let boot = MarketSnapshot {
+                seq: 0,
+                market,
+                profile,
+                active,
+            };
             let mut set = ShardSet::boot(
-                BootState::whole(market, profile, active, 0),
+                boot,
                 shards,
                 None,
                 4096,
-                None,
+                Some(path.clone()),
                 demand.clone(),
                 1,
             )
@@ -2536,6 +2488,7 @@ mod tests {
                 txs: set.txs.clone(),
                 router: set.router.clone(),
                 base,
+                path,
                 saved: None,
                 demand,
                 pending: vec![0; n],
@@ -2632,6 +2585,89 @@ mod tests {
             }
         }
 
+        /// The whole-market cut the shards hold now: each provider's
+        /// placement, admission flag and demand from the shard the router
+        /// names, and the sum of the shard seqs (the `stats` seq).
+        fn cut(&self) -> MarketSnapshot {
+            let n = self.base.provider_count();
+            let mut cut = MarketSnapshot {
+                seq: self.shards.iter().map(|(s, _)| s.book.seq).sum(),
+                market: self.base.clone(),
+                profile: Profile::all_remote(n),
+                active: vec![false; n],
+            };
+            for p in 0..n {
+                let l = ProviderId(p);
+                let shard = &self.shards[self.router.owner(p)].0;
+                let (compute, bandwidth) = self.demand(p);
+                cut.market.set_provider_demand(l, compute, bandwidth);
+                cut.profile.set(l, shard.state.placement(l));
+                cut.active[p] = shard.book.active[p];
+            }
+            cut
+        }
+
+        /// Everything a failed restore must leave as it was: the router,
+        /// and each shard's seq, placements, admission flags and demands.
+        fn capture(&self) -> String {
+            let owners: Vec<usize> = (0..self.router.len())
+                .map(|p| self.router.owner(p))
+                .collect();
+            let shards: Vec<String> = self
+                .shards
+                .iter()
+                .map(|(s, _)| {
+                    let demands: Vec<_> = s
+                        .state
+                        .market()
+                        .providers()
+                        .map(|l| s.state.market().provider(l).clone())
+                        .collect();
+                    format!(
+                        "{} {:?} {:?} {demands:?}",
+                        s.book.seq,
+                        s.state.profile(),
+                        s.book.active
+                    )
+                })
+                .collect();
+            format!("{owners:?} {shards:?}")
+        }
+
+        /// Sends a snapshot or restore op through every shard's queue,
+        /// runs it to its reply with no quantum, and returns the reply.
+        fn coordinated(&mut self, kind: CoordKind) -> Response {
+            let (tx, rx) = chan::oneshot();
+            let op = Arc::new(CoordOp::new(kind, self.txs.len(), tx.into()));
+            for k in 0..self.txs.len() {
+                self.send(k, Command::Prepare { op: op.clone() });
+            }
+            self.pump(0);
+            rx.recv().expect("the last shard to apply answers")
+        }
+
+        /// A restore: from the saved cut, every provider's placement,
+        /// admission flag and demand, and the seq, equal the cut's; with
+        /// no file to load, it fails and changes nothing.
+        fn restore(&mut self) {
+            let before = self.capture();
+            let resp = self.coordinated(CoordKind::Restore);
+            match self.saved.clone() {
+                Some(saved) => {
+                    assert_eq!(resp, Response::Restored { seq: saved.seq });
+                    assert_same_cut(&self.cut(), &saved);
+                }
+                None => {
+                    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+                    assert_eq!(
+                        self.capture(),
+                        before,
+                        "a failed restore changed the shards"
+                    );
+                }
+            }
+        }
+
         /// One random step: `(kind, provider, cloudlet, budget)`. The
         /// budget picks the move bound of the turns' quanta; 0 skips
         /// them, so dirt piles up across steps.
@@ -2644,7 +2680,7 @@ mod tests {
             // A view held since the last step is released when this one
             // ends.
             let _released = self.held.take();
-            match kind % 13 {
+            match kind % 14 {
                 0 => self.send(
                     owner,
                     Command::Join {
@@ -2667,7 +2703,7 @@ mod tests {
                 // overflows) ...
                 3 | 4 => {
                     let spec = self.base.provider(ProviderId(p));
-                    let grow = if kind % 13 == 3 { 100.0 } else { 1.0 };
+                    let grow = if kind % 14 == 3 { 100.0 } else { 1.0 };
                     self.send(
                         owner,
                         Command::Update {
@@ -2736,30 +2772,20 @@ mod tests {
                         );
                     }
                 }
+                // A snapshot writes the shards' cut, at the `stats` seq.
                 9 => {
-                    let owners = (0..n).map(|q| self.router.owner(q)).collect();
-                    let slices = self
-                        .shards
-                        .iter()
-                        .map(|(s, _)| MarketSnapshot {
-                            seq: s.book.seq,
-                            market: s.state.market().clone(),
-                            profile: s.state.profile().clone(),
-                            active: s.book.active.clone(),
-                            shard: None,
-                        })
-                        .collect();
-                    self.saved = Some((owners, slices));
+                    let cut = self.cut();
+                    let resp = self.coordinated(CoordKind::Snapshot);
+                    assert_eq!(resp, Response::Snapshotted { seq: cut.seq });
+                    assert_same_cut(&load_snapshot(&self.path).unwrap(), &cut);
+                    self.saved = Some(cut);
                 }
-                10 => {
-                    if let Some((owners, slices)) = self.saved.clone() {
-                        for (q, &k) in owners.iter().enumerate() {
-                            self.router.set_owner(q, k);
-                        }
-                        for ((shard, _), snap) in self.shards.iter_mut().zip(slices) {
-                            shard.restore(snap);
-                        }
-                    }
+                10 => self.restore(),
+                // A restore after the file is gone fails.
+                13 => {
+                    let _ = std::fs::remove_file(&self.path);
+                    self.saved = None;
+                    self.restore();
                 }
                 // `c + 1` queries for `p`, folded by whichever shard owns
                 // `p` at its next quantum ...
@@ -2776,6 +2802,34 @@ mod tests {
                 assert_members(shard);
                 assert_view(shard);
                 self.assert_ewma(k);
+                let capacity =
+                    mec_core::check_capacity(shard.state.market(), shard.state.profile());
+                assert!(capacity.is_empty(), "shard {k}: {capacity:?}");
+            }
+            self.assert_one_owner();
+        }
+
+        /// The router names each provider's one owner: no other shard
+        /// holds it active or cached, and the owner caches it only in its
+        /// own region.
+        fn assert_one_owner(&self) {
+            for p in 0..self.base.provider_count() {
+                let owner = self.router.owner(p);
+                for (k, (shard, _)) in self.shards.iter().enumerate() {
+                    let at = shard.state.placement(ProviderId(p));
+                    if k != owner {
+                        assert!(
+                            !shard.book.active[p] && at == Placement::Remote,
+                            "provider {p} is owned by shard {owner} but held by shard {k}"
+                        );
+                    } else if let Placement::Cloudlet(c) = at {
+                        assert_eq!(
+                            self.region(c.index()),
+                            k,
+                            "provider {p} cached outside its owner's region"
+                        );
+                    }
+                }
             }
         }
 
@@ -2794,6 +2848,28 @@ mod tests {
                 let nash = shard.certify_region_nash();
                 assert!(nash.is_empty(), "{nash:?}");
             }
+        }
+    }
+
+    impl Drop for Sim {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+
+    /// `got` holds `want`'s seq, and each provider's placement, admission
+    /// flag and demand, bit for bit.
+    fn assert_same_cut(got: &MarketSnapshot, want: &MarketSnapshot) {
+        assert_eq!(got.seq, want.seq, "seq");
+        assert_eq!(got.profile, want.profile, "placements");
+        assert_eq!(got.active, want.active, "admission flags");
+        for l in want.market.providers() {
+            let (a, b) = (got.market.provider(l), want.market.provider(l));
+            assert_eq!(
+                (a.compute_demand.to_bits(), a.bandwidth_demand.to_bits()),
+                (b.compute_demand.to_bits(), b.bandwidth_demand.to_bits()),
+                "demand of {l}"
+            );
         }
     }
 
@@ -2863,6 +2939,27 @@ mod tests {
         );
     }
 
+    /// A shard that has applied a restore hands the router entries it
+    /// holds for providers the file gives another shard to that shard,
+    /// so until the other shard applies, their commands go there and
+    /// not to a shard that no longer holds them.
+    #[test]
+    fn a_restored_shard_hands_its_other_providers_to_their_owners() {
+        // Provider 0 homes to shard 0; the file caches it at cloudlet 1,
+        // in shard 1's region.
+        let mut sim = Sim::boot(tiny_market(2), Profile::all_remote(2), vec![false; 2], 2);
+        let mut file = sim.cut();
+        file.profile
+            .set(ProviderId(0), Placement::Cloudlet(CloudletId(1)));
+        file.active[0] = true;
+        let (tx, _rx) = chan::oneshot();
+        let op = Arc::new(CoordOp::new(CoordKind::Restore, 2, tx.into()));
+        *lock_ok(&op.cut) = Some(file);
+        assert_eq!(sim.router.owner(0), 0);
+        assert!(sim.shards[0].0.step(Command::Apply { op }).is_none());
+        assert_eq!(sim.router.owner(0), 1);
+    }
+
     /// Renormalising the EWMAs' shared scale rewrites every entry, so the
     /// publishes after it must rewrite every view entry too.
     #[test]
@@ -2885,20 +2982,24 @@ mod tests {
         /// publish: on small tight markets at one to four shards (at most
         /// one per cloudlet), random joins (pinned and not), leaves,
         /// evicting updates and their undoing, reservations and aborts,
-        /// landed handoffs, restores, noted queries and views held by a
-        /// reader, with quanta of 1, 2 or [`EPOCH_MOVES`] moves between
-        /// them. After every step each
-        /// published view must equal a fresh build and carry the
-        /// reference EWMAs; every quantum that leaves the dirt clean must
-        /// survive a full best-response sweep over its region, and the
-        /// drained shards must be capacity-feasible and Nash over their
-        /// regions.
+        /// landed handoffs, noted queries, views held by a reader, and
+        /// snapshots and restores through the real queues and file —
+        /// including a restore after the file is deleted — with quanta of
+        /// 1, 2 or [`EPOCH_MOVES`] moves between them. After every step
+        /// each published view must equal a fresh build and carry the
+        /// reference EWMAs, every shard must be capacity-feasible, and
+        /// the router must name the one shard holding each provider; a
+        /// snapshot must write the shards' cut at the `stats` seq, a
+        /// restore must reproduce it, and a failed restore must change
+        /// nothing. Every quantum that leaves the dirt clean must survive
+        /// a full best-response sweep over its region, and the drained
+        /// shards must be capacity-feasible and Nash over their regions.
         #[test]
         fn clean_dirt_is_always_an_equilibrium(
             shards in 1usize..5,
             cloudlets in proptest::collection::vec((1u8..4, 1u8..10), 2..5),
             providers in proptest::collection::vec((1u8..3, 0u8..6, 2u8..12, 0u8..7), 3..9),
-            ops in proptest::collection::vec((0u8..13, 0usize..16, 0usize..8, 0u8..4), 1..60),
+            ops in proptest::collection::vec((0u8..14, 0usize..16, 0usize..8, 0u8..4), 1..60),
         ) {
             let mut b = Market::builder();
             for &(slots, price) in &cloudlets {

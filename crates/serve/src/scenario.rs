@@ -33,7 +33,7 @@ use crate::chan::{self, Sender};
 use crate::demand::DemandTracker;
 use crate::market::{Command, Reply};
 use crate::proto::Response;
-use crate::shard::{BootState, ShardSet};
+use crate::shard::{fresh, ShardSet};
 use crate::view::{MarketView, SharedView};
 
 /// How long [`run_scenario`] waits for the writer to reach equilibrium
@@ -108,17 +108,9 @@ pub fn run_scenario(market: Market, trace: &Trace) -> ScenarioReport {
     let demand = Arc::new(DemandTracker::new(n));
     // Queue sized for one epoch's worth of churn plus the drain; this
     // driver is the writer's one I/O-side sender.
-    let mut set = ShardSet::boot(
-        BootState::fresh(market),
-        1,
-        None,
-        n + 8,
-        None,
-        demand.clone(),
-        1,
-    )
-    // lint: allow(panics) — one shard needs no region map, so boot cannot fail.
-    .expect("one-shard boot has no region map to reject");
+    let mut set = ShardSet::boot(fresh(market), 1, None, n + 8, None, demand.clone(), 1)
+        // lint: allow(panics) — one shard needs no region map, so boot cannot fail.
+        .expect("one-shard boot has no region map to reject");
     let tx = set.txs[0].clone();
     let view = set.views[0].clone();
     set.start(|| {})

@@ -34,10 +34,10 @@
 //! published before the listener accepts, and `shutdown` is a coordinated
 //! drain with one member per shard. Teardown is signalled by the
 //! `io_live` counter of I/O threads (each writer holds its own and its
-//! peers' senders, so its queue never disconnects). With `shards == 1`
-//! `snapshot`/`restore` act on one whole-market file; with `shards > 1`
-//! they fan out as coordinated two-phase ops (see [`crate::shard`]) over
-//! per-shard slice sets behind a manifest.
+//! peers' senders, so its queue never disconnects). `snapshot` and
+//! `restore` fan out as coordinated two-phase ops (see [`crate::shard`])
+//! over one whole-market file at every shard count; boot restores the
+//! same file through the same ownership rule.
 //!
 //! Every daemon thread is named by its role — `shard-<k>`, `io-<k>`,
 //! `acceptor`, `admin` — so per-thread CPU can be read apart. An
@@ -55,7 +55,7 @@ use crate::demand::DemandTracker;
 use crate::eventloop::{run_io, Completions, IoShared};
 use crate::market::MarketOutcome;
 use crate::proto::{self, Response};
-use crate::shard::{BootState, ShardSet};
+use crate::shard::{boot_state, ShardSet};
 
 /// Bound of each shard's command queue (backpressure for writers).
 const QUEUE_LEN: usize = 1024;
@@ -72,9 +72,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Snapshot file. If it exists at boot, the daemon restores market,
     /// placements and admission state from it (crash recovery) instead of
-    /// using the market passed to [`serve`]. A sharded daemon writes a
-    /// manifest here pointing at per-shard slice files; boot understands
-    /// both formats regardless of the configured shard count.
+    /// using the market passed to [`serve`]. The file is one whole-market
+    /// snapshot at every shard count, so a daemon boots from a file
+    /// written at any shard count.
     pub snapshot_path: Option<PathBuf>,
     /// Event-loop I/O threads; 0 sizes the fleet from the machine
     /// (`available_parallelism`, capped at 4 — the shard threads are the
@@ -182,7 +182,7 @@ impl ServerHandle {
 /// snapshot-restore I/O or corruption errors, and failed thread spawns
 /// (the threads already started are then told to exit).
 pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
-    let boot = BootState::load(market, cfg.snapshot_path.as_deref())?;
+    let boot = boot_state(market, cfg.snapshot_path.as_deref())?;
     let n = boot.market.provider_count();
     let io_count = cfg.io_thread_count();
     // One demand tracker daemon-wide: every I/O thread notes queries into
@@ -225,7 +225,6 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             views: shards.views.clone(),
             router: shards.router.clone(),
             gauges: shards.gauges.clone(),
-            coord: shards.coord.clone(),
             demand: demand.clone(),
             addr,
         }));

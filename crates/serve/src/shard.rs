@@ -1,7 +1,6 @@
 //! Shard plumbing for the partitioned market: the `ShardSet` every
-//! caller boots its writers through, provider→shard routing, coordinated
-//! multi-shard snapshot/restore/drain state, per-shard gauges, and the
-//! manifest codec.
+//! caller boots its writers through, provider→shard routing, the
+//! coordinated snapshot/restore/drain state, and per-shard gauges.
 //!
 //! The market is partitioned by *topology region*: each shard owns a
 //! disjoint set of cloudlets (a spatial cluster from
@@ -26,18 +25,24 @@
 //! two-phase reserve→commit migration handoff) is debited on the target's
 //! own thread, so concurrent admissions can never oversubscribe.
 //!
-//! # Coordinated snapshots
+//! # Snapshots
 //!
-//! A multi-shard snapshot is two-phase: a *prepare* fan-out pauses new
-//! migrations and waits for every in-flight handoff to resolve (each
-//! shard defers its prepare-ack until its outgoing migration has sent
-//! `commit` or `abort`), then an *apply* fan-out has every shard write
-//! `<path>.e<E>.s<k>` stamped with a shared coordinator epoch. The shard
-//! that completes last writes the manifest at `<path>` — manifest last,
-//! so a crash leaves either the previous complete set or the new one.
-//! Because a commit is enqueued on the target's FIFO queue *before* the
-//! source acks prepare, and the apply command is enqueued *after* every
-//! ack, every migrated provider lands in exactly one shard file.
+//! A snapshot is one whole-market [`MarketSnapshot`] file at every shard
+//! count, and boot and a live `restore` split it among the shards by one
+//! rule: a cached provider belongs to its cloudlet's region, any other
+//! to its home shard `p % N`. Both verbs are two-phase ops: a *prepare*
+//! fan-out pauses new migrations and waits for every in-flight handoff to
+//! resolve (each shard defers its prepare-ack until its outgoing
+//! migration has sent `commit` or `abort`), then an *apply* fan-out has
+//! every shard act. For a snapshot, each shard adds its owned providers
+//! and its seq to one cut the op carries, and the last to apply writes
+//! the cut with tmp + fsync + rename. For a restore, the shard that
+//! completes prepare loads the file once, and each shard takes its part
+//! at apply. Because a commit is enqueued on the target's FIFO queue
+//! *before* the source acks prepare, and the apply command is enqueued
+//! *after* every ack, every migrated provider lands in the cut exactly
+//! once. The drain builds its cut the same way, behind the
+//! coordinator's finish barrier.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,16 +51,12 @@ use std::thread::JoinHandle;
 
 use mec_core::model::Market;
 use mec_core::{load_snapshot, GameState, MarketSnapshot, Placement, Profile, ProviderId};
-use mec_obs::json;
 
 use crate::chan::{self, lock_ok, OneReceiver, Receiver, Sender};
 use crate::demand::DemandTracker;
 use crate::market::{Command, MarketOutcome, Shard, ShardCtx};
 use crate::proto::Response;
 use crate::view::{MarketView, SharedView};
-
-/// Sentinel for "no drain epoch assigned yet" (see [`Coordinator`]).
-const NO_EPOCH: u64 = u64::MAX;
 
 /// Lock-free provider→shard ownership map.
 ///
@@ -97,8 +98,8 @@ impl Router {
     }
 
     /// Reassigns provider `p` to shard `s`. Call only from the thread of
-    /// the shard that currently owns `p` (or during a coordinated
-    /// restore, from the shard whose slice owns `p`).
+    /// the shard that currently owns `p` (or during a restore, from the
+    /// shard the snapshot assigns `p` to).
     pub fn set_owner(&self, p: usize, s: usize) {
         if let Some(a) = self.owner.get(p) {
             a.store(s, Ordering::Relaxed);
@@ -161,31 +162,23 @@ pub struct Coordinator {
     pub shards: usize,
     /// Cloudlet→shard region map, fixed at boot ([`Self::regions`]).
     regions: Vec<usize>,
-    /// Next snapshot epoch (monotonic; assigned at dispatch time).
-    epoch: AtomicU64,
-    /// Epoch of the final drain snapshot set, assigned once by whichever
-    /// thread initiates the drain ([`NO_EPOCH`] until then).
-    drain_epoch: AtomicU64,
     /// Shards past their last cross-shard send during a drain.
     quiesced: AtomicUsize,
-    /// Shards that have not yet written their final drain snapshot.
+    /// Shards that have not yet added their part to the drain's cut.
     unfinished: AtomicUsize,
-    /// Set when any shard fails to write its final slice; the last shard
-    /// then skips the manifest so the previous complete set stays live.
-    drain_failed: std::sync::atomic::AtomicBool,
+    /// The drain's whole-market cut, built by the finishing shards.
+    pub(crate) cut: Mutex<Option<MarketSnapshot>>,
 }
 
 impl Coordinator {
     /// A coordinator for `shards` shards over the given region map.
-    pub fn new(shards: usize, regions: Vec<usize>, epoch0: u64) -> Coordinator {
+    pub fn new(shards: usize, regions: Vec<usize>) -> Coordinator {
         Coordinator {
             shards,
             regions,
-            epoch: AtomicU64::new(epoch0),
-            drain_epoch: AtomicU64::new(NO_EPOCH),
             quiesced: AtomicUsize::new(0),
             unfinished: AtomicUsize::new(shards),
-            drain_failed: std::sync::atomic::AtomicBool::new(false),
+            cut: Mutex::new(None),
         }
     }
 
@@ -197,28 +190,30 @@ impl Coordinator {
         &self.regions
     }
 
-    /// Allocates the next snapshot epoch.
-    pub fn next_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
+    /// The shard that owns provider `p` of the whole-market state `snap`,
+    /// by the one rule boot and restore share: a cached provider belongs
+    /// to its cloudlet's region, where its capacity is accounted; any
+    /// other provider to its home shard `p % shards`.
+    pub(crate) fn owner_in(&self, snap: &MarketSnapshot, p: usize) -> usize {
+        match snap.profile.placement(ProviderId(p)) {
+            Placement::Cloudlet(c) => self.regions[c.index()],
+            Placement::Remote => p % self.shards,
+        }
     }
 
-    /// The drain epoch, assigning it on first call (any thread may race;
-    /// exactly one allocation wins and everyone sees it).
-    pub fn drain_epoch(&self) -> u64 {
-        let cur = self.drain_epoch.load(Ordering::Acquire);
-        if cur != NO_EPOCH {
-            return cur;
+    /// Shard `k`'s part of `snap`: the placement and admission flag of
+    /// each provider it owns ([`Self::owner_in`]), every other provider
+    /// remote and inactive, and its seq. Shard 0 takes the state's seq
+    /// and the others start at 0, so the shard seqs sum to it.
+    pub(crate) fn part_of(&self, snap: &MarketSnapshot, k: usize) -> (Profile, Vec<bool>, u64) {
+        let n = snap.active.len();
+        let mut profile = Profile::all_remote(n);
+        let mut active = vec![false; n];
+        for p in (0..n).filter(|&p| self.owner_in(snap, p) == k) {
+            profile.set(ProviderId(p), snap.profile.placement(ProviderId(p)));
+            active[p] = snap.active[p];
         }
-        let fresh = self.next_epoch();
-        match self.drain_epoch.compare_exchange(
-            NO_EPOCH,
-            fresh,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => fresh,
-            Err(winner) => winner,
-        }
+        (profile, active, if k == 0 { snap.seq } else { 0 })
     }
 
     /// Marks the calling shard as quiesced (no further cross-shard sends
@@ -232,69 +227,54 @@ impl Coordinator {
         self.quiesced.load(Ordering::Acquire) >= self.shards
     }
 
-    /// Marks the calling shard's final snapshot as written; returns
-    /// `true` for the last shard (which writes the manifest).
+    /// Marks the calling shard's part of the drain's cut as added;
+    /// returns `true` for the last shard, which writes the cut.
     pub fn arrive_finished(&self) -> bool {
         self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1
-    }
-
-    /// Records that some shard failed to write its final slice.
-    pub fn mark_drain_failed(&self) {
-        self.drain_failed.store(true, Ordering::Release);
-    }
-
-    /// `true` if any shard failed its final slice (no manifest then).
-    pub fn drain_failed(&self) -> bool {
-        self.drain_failed.load(Ordering::Acquire)
     }
 }
 
 /// What a two-phase coordinated operation does in its apply phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordKind {
-    /// Write a consistent multi-shard snapshot set.
+    /// Write the shards' cut to the snapshot file.
     Snapshot,
-    /// Rewind every shard to the newest consistent snapshot set.
+    /// Rewind every shard to its part of the snapshot file.
     Restore,
 }
 
 /// One in-flight coordinated snapshot/restore: prepare fan-out, apply
-/// fan-out, and the single client reply.
+/// fan-out, the whole-market state it carries, and the single client
+/// reply.
 ///
 /// Shards interact through [`CoordOp::ack_prepare`] /
 /// [`CoordOp::ack_apply`]; whichever shard arrives last at each barrier
-/// drives the next step (enqueue the apply fan-out; write the manifest
-/// and answer the client).
+/// drives the next step (load the file and enqueue the apply fan-out;
+/// write the cut and answer the client).
 pub struct CoordOp {
     /// Snapshot vs. restore.
     pub kind: CoordKind,
-    /// Coordinator epoch stamped on every file of the set (snapshot), or
-    /// a dispatch stamp (restore).
-    pub epoch: u64,
-    /// Number of participating shards (recorded in the manifest).
-    pub shards: usize,
     prepare_left: AtomicUsize,
     apply_left: AtomicUsize,
+    /// The cut the applying shards build (snapshot), or the file the
+    /// shard completing prepare loaded (restore).
+    pub(crate) cut: Mutex<Option<MarketSnapshot>>,
     /// Client reply, taken by the shard that completes the apply phase.
     reply: Mutex<Option<crate::market::Reply>>,
     /// Errors collected across shards; a non-empty set fails the op.
     errors: Mutex<Vec<String>>,
-    /// Restored seq, maxed across shards (restore only).
-    seq: AtomicU64,
 }
 
 impl CoordOp {
     /// A fresh op awaiting `shards` prepare-acks and apply-acks.
-    pub fn new(kind: CoordKind, epoch: u64, shards: usize, reply: crate::market::Reply) -> CoordOp {
+    pub fn new(kind: CoordKind, shards: usize, reply: crate::market::Reply) -> CoordOp {
         CoordOp {
             kind,
-            epoch,
-            shards,
             prepare_left: AtomicUsize::new(shards),
             apply_left: AtomicUsize::new(shards),
+            cut: Mutex::new(None),
             reply: Mutex::new(Some(reply)),
             errors: Mutex::new(Vec::new()),
-            seq: AtomicU64::new(0),
         }
     }
 
@@ -305,7 +285,7 @@ impl CoordOp {
     }
 
     /// Acks the apply phase; `true` for the last shard, which writes the
-    /// manifest (snapshot) and answers the client.
+    /// cut (snapshot) and answers the client.
     pub fn ack_apply(&self) -> bool {
         self.apply_left.fetch_sub(1, Ordering::AcqRel) == 1
     }
@@ -315,14 +295,10 @@ impl CoordOp {
         lock_ok(&self.errors).push(msg);
     }
 
-    /// Folds a restored shard seq into the op (client sees the max).
-    pub fn fold_seq(&self, seq: u64) {
-        self.seq.fetch_max(seq, Ordering::AcqRel);
-    }
-
-    /// The folded restore seq.
-    pub fn seq(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
+    /// `true` once any shard has failed the op: the shards still to
+    /// apply then leave their state as it is.
+    pub fn failed(&self) -> bool {
+        !lock_ok(&self.errors).is_empty()
     }
 
     /// Takes the accumulated errors (empty means success).
@@ -409,132 +385,34 @@ pub(crate) fn region_map(
     Ok(r.clone())
 }
 
-/// Boot state recovered from disk (or a fresh market): the merged global
-/// market, placements, admission mask, the seq of each restored slice,
-/// the epoch to seed the snapshot coordinator with, and any per-provider
-/// ownership claims a sharded snapshot set recorded.
-pub(crate) struct BootState {
-    pub(crate) market: Market,
-    profile: Profile,
-    active: Vec<bool>,
-    /// Seq of each slice of a restored set, in shard order; one entry for
-    /// a fresh boot or a whole-market file.
-    seqs: Vec<u64>,
-    epoch0: u64,
-    claim: Vec<Option<usize>>,
-}
-
-impl BootState {
-    /// A fresh all-remote boot from `market`.
-    pub(crate) fn fresh(market: Market) -> BootState {
-        let n = market.provider_count();
-        BootState::whole(market, Profile::all_remote(n), vec![false; n], 0)
-    }
-
-    /// A boot from one whole-market state.
-    pub(crate) fn whole(
-        market: Market,
-        profile: Profile,
-        active: Vec<bool>,
-        seq: u64,
-    ) -> BootState {
-        let n = market.provider_count();
-        BootState {
-            market,
-            profile,
-            active,
-            seqs: vec![seq],
-            epoch0: 0,
-            claim: vec![None; n],
-        }
-    }
-
-    /// Restores boot state from `path` if a snapshot exists there: either
-    /// a sharded manifest (merge every slice of the newest consistent set)
-    /// or a whole-market file. No snapshot means a fresh all-remote boot
-    /// from the caller's market.
-    pub(crate) fn load(market: Market, path: Option<&Path>) -> std::io::Result<BootState> {
-        let Some(path) = path.filter(|p| p.exists()) else {
-            return Ok(BootState::fresh(market));
-        };
-        let text = std::fs::read_to_string(path)?;
-        let Some(manifest) = parse_manifest(&text) else {
-            // Whole-market snapshot: the file *is* the market state.
-            let snap = load_snapshot(path).map_err(|e| restore_err(path, &e))?;
-            return Ok(BootState::whole(
-                snap.market,
-                snap.profile,
-                snap.active,
-                snap.seq,
-            ));
-        };
-        let mut slices = Vec::with_capacity(manifest.shards);
-        for k in 0..manifest.shards {
-            let slice_path = shard_snapshot_path(path, manifest.epoch, k);
-            slices.push(load_snapshot(&slice_path).map_err(|e| restore_err(&slice_path, &e))?);
-        }
-        Ok(BootState::merge_slices(slices, manifest.epoch))
-    }
-
-    /// Merges the slices of one coordinated snapshot set into a global
-    /// boot state. Each slice is authoritative for the providers its
-    /// ownership mask claims: their placement, admission flag, and demand
-    /// vector come from the owning slice (each shard's market copy tracks
-    /// `update`s only for its own providers). Claim conflicts — possible
-    /// when a crash lands between a join-forward's ownership transfer and
-    /// the peer's slice write — resolve in favor of an *active* claim: the
-    /// claimant actually holding the provider in its game state is
-    /// unique, because migrations are quiesced while slices are written.
-    fn merge_slices(slices: Vec<MarketSnapshot>, epoch: u64) -> BootState {
-        let mut slices = slices.into_iter();
-        // The manifest loader rejects empty snapshot sets before this call.
-        // lint: allow(panics)
-        let first = slices.next().expect("manifest guarantees >= 1 shard");
-        let n = first.market.provider_count();
-        let mut out = BootState {
-            seqs: Vec::new(),
-            epoch0: epoch,
-            ..BootState::fresh(first.market.clone())
-        };
-        let mut fold = |k: usize, snap: &MarketSnapshot| {
-            out.seqs.push(snap.seq);
-            let Some(meta) = snap.shard.as_ref() else {
-                return;
-            };
-            for p in 0..n {
-                if !meta.owned.get(p).copied().unwrap_or(false) {
-                    continue;
-                }
-                if out.claim[p].is_some() && (out.active[p] || !snap.active[p]) {
-                    // Keep an active claim; an inactive double-claim is a
-                    // converged Remote/inactive copy on both sides.
-                    continue;
-                }
-                out.claim[p] = Some(k);
-                out.active[p] = snap.active[p];
-                out.profile
-                    .set(ProviderId(p), snap.profile.placement(ProviderId(p)));
-                let spec = snap.market.provider(ProviderId(p));
-                out.market.set_provider_demand(
-                    ProviderId(p),
-                    spec.compute_demand,
-                    spec.bandwidth_demand,
-                );
-            }
-        };
-        fold(0, &first);
-        for (k, snap) in slices.enumerate() {
-            fold(k + 1, &snap);
-        }
-        out
+/// A fresh boot state over `market`: every provider remote and
+/// inactive, at seq 0.
+pub(crate) fn fresh(market: Market) -> MarketSnapshot {
+    let n = market.provider_count();
+    MarketSnapshot {
+        seq: 0,
+        market,
+        profile: Profile::all_remote(n),
+        active: vec![false; n],
     }
 }
 
-fn restore_err(path: &Path, e: &dyn std::fmt::Display) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("restoring {}: {e}", path.display()),
-    )
+/// The boot state: the snapshot at `path` if one exists there, else a
+/// fresh boot from the caller's market.
+///
+/// # Errors
+///
+/// Returns an unreadable or corrupt snapshot as `InvalidData`.
+pub(crate) fn boot_state(market: Market, path: Option<&Path>) -> std::io::Result<MarketSnapshot> {
+    let Some(path) = path.filter(|p| p.exists()) else {
+        return Ok(fresh(market));
+    };
+    load_snapshot(path).map_err(|e| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("restoring {}: {e}", path.display()),
+        )
+    })
 }
 
 /// One booted set of shard writers and everything they share with the
@@ -582,7 +460,7 @@ impl ShardSet {
     ///
     /// Returns an invalid region map as `InvalidInput`.
     pub(crate) fn boot(
-        boot: BootState,
+        boot: MarketSnapshot,
         shards: usize,
         regions: Option<&Vec<usize>>,
         queue_len: usize,
@@ -590,57 +468,22 @@ impl ShardSet {
         demand: Arc<DemandTracker>,
         io_senders: usize,
     ) -> std::io::Result<ShardSet> {
-        let BootState {
-            market,
-            profile,
-            active,
-            seqs,
-            epoch0,
-            claim,
-        } = boot;
-        let n = market.provider_count();
-        let m = market.cloudlet_count();
+        let n = boot.market.provider_count();
+        let m = boot.market.cloudlet_count();
         let shards = shards.clamp(1, m.max(1));
-        let region_of = region_map(regions, m, shards)?;
+        let coord = Arc::new(Coordinator::new(shards, region_map(regions, m, shards)?));
         let router = Arc::new(Router::new(n, shards));
-        for (p, &claimed) in claim.iter().enumerate() {
-            // Restored/derived ownership: a cached provider belongs to its
-            // cloudlet's region (capacity is accounted there); a remote
-            // one keeps its snapshot claim when still valid, else its home
-            // shard.
-            let owner = match profile.placement(ProviderId(p)) {
-                Placement::Cloudlet(c) => region_of[c.index()],
-                Placement::Remote => claimed.filter(|&k| k < shards).unwrap_or(p % shards),
-            };
-            router.set_owner(p, owner);
+        for p in 0..n {
+            router.set_owner(p, coord.owner_in(&boot, p));
         }
         let views: Vec<Arc<SharedView>> = (0..shards)
             .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
             .collect();
         let gauges = Arc::new(ShardGauges::new(shards));
-        let coord = Arc::new(Coordinator::new(shards, region_of, epoch0));
         let io_live = Arc::new(AtomicUsize::new(io_senders));
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| chan::bounded(queue_len)).unzip();
-        let newest = seqs.iter().copied().max().unwrap_or(0);
         let mut slots = Vec::with_capacity(shards);
         for k in 0..shards {
-            // This shard's slice of the boot state: owned providers carry
-            // their restored placement and admission flag, everyone else
-            // is Remote/inactive (their owner's slice carries them).
-            let mut shard_profile = Profile::all_remote(n);
-            let mut shard_active = vec![false; n];
-            for p in (0..n).filter(|&p| router.owner(p) == k) {
-                shard_active[p] = active[p];
-                shard_profile.set(ProviderId(p), profile.placement(ProviderId(p)));
-            }
-            // A set restored at this shard count resumes each shard at its
-            // own slice's seq, as a live restore does; a whole-market file
-            // or a re-partitioned set starts every shard at the newest.
-            let seq = if seqs.len() == shards {
-                seqs[k]
-            } else {
-                newest
-            };
             let ctx = ShardCtx {
                 index: k,
                 shards,
@@ -653,8 +496,9 @@ impl ShardSet {
                 demand: demand.clone(),
                 snapshot_path: snapshot_path.clone(),
             };
-            let state = GameState::owned(market.clone(), shard_profile);
-            let mut shard = Shard::new(state, shard_active, seq, ctx);
+            let (profile, active, seq) = coord.part_of(&boot, k);
+            let state = GameState::owned(boot.market.clone(), profile);
+            let mut shard = Shard::new(state, active, seq, ctx);
             shard.publish();
             slots.push(Arc::new(Mutex::new(shard)));
         }
@@ -773,97 +617,6 @@ impl ShardSet {
     }
 }
 
-/// Path of shard `k`'s slice in the epoch-`epoch` snapshot set.
-pub fn shard_snapshot_path(base: &Path, epoch: u64, k: usize) -> PathBuf {
-    let mut os = base.as_os_str().to_os_string();
-    os.push(format!(".e{epoch}.s{k}"));
-    PathBuf::from(os)
-}
-
-/// A parsed snapshot-set manifest: the epoch and shard count of the
-/// newest complete set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Manifest {
-    /// Epoch of the set the manifest points at.
-    pub epoch: u64,
-    /// Number of shard files in the set.
-    pub shards: usize,
-}
-
-/// Encodes a manifest as one JSON line.
-pub fn encode_manifest(m: &Manifest) -> String {
-    format!(
-        "{{\"type\":\"mec-manifest\",\"epoch\":{},\"shards\":{}}}\n",
-        m.epoch, m.shards
-    )
-}
-
-/// Parses manifest text; `None` if it is not a manifest (e.g. a plain
-/// whole-market snapshot lives at the same path in 1-shard deployments).
-pub fn parse_manifest(text: &str) -> Option<Manifest> {
-    let first = text.lines().next()?;
-    let fields = json::parse_object(first).ok()?;
-    if json::get_str(&fields, "type").ok()? != "mec-manifest" {
-        return None;
-    }
-    let epoch = json::get_u64(&fields, "epoch").ok()?;
-    let shards = json::get_usize(&fields, "shards").ok()?;
-    (shards > 0).then_some(Manifest { epoch, shards })
-}
-
-/// Atomically writes the manifest at `base` (tmp + fsync + rename, the
-/// same discipline as the snapshot files it points at), then garbage
-/// collects shard files from older epochs.
-///
-/// # Errors
-///
-/// Returns the I/O error if the write fails; GC failures are ignored
-/// (stale files are harmless, the manifest is authoritative).
-pub fn write_manifest(base: &Path, m: &Manifest) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut tmp = base.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(encode_manifest(m).as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, base)?;
-    gc_older_epochs(base, m.epoch);
-    Ok(())
-}
-
-/// Removes `<base>.e<E>.s<k>` files with `E < keep_epoch`.
-fn gc_older_epochs(base: &Path, keep_epoch: u64) {
-    let Some(dir) = base.parent() else { return };
-    let dir = if dir.as_os_str().is_empty() {
-        Path::new(".")
-    } else {
-        dir
-    };
-    let Some(stem) = base.file_name().and_then(|s| s.to_str()) else {
-        return;
-    };
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(stem).and_then(|r| r.strip_prefix(".e")) else {
-            continue;
-        };
-        // `<epoch>.s<k>` — parse the epoch, ignore anything else.
-        let Some((epoch, _)) = rest.split_once(".s") else {
-            continue;
-        };
-        if epoch.parse::<u64>().is_ok_and(|e| e < keep_epoch) {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,57 +645,9 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trip_and_plain_snapshot_rejection() {
-        let m = Manifest {
-            epoch: 12,
-            shards: 4,
-        };
-        assert_eq!(parse_manifest(&encode_manifest(&m)), Some(m));
-        assert_eq!(
-            parse_manifest("{\"type\":\"mec-snapshot\",\"version\":1}"),
-            None
-        );
-        assert_eq!(parse_manifest(""), None);
-        assert_eq!(
-            parse_manifest("{\"type\":\"mec-manifest\",\"epoch\":1,\"shards\":0}"),
-            None
-        );
-    }
-
-    #[test]
-    fn manifest_write_gcs_older_epochs_only() {
-        let dir = std::env::temp_dir().join(format!("mec-shard-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("state.snap");
-        for (e, k) in [(1u64, 0usize), (1, 1), (2, 0), (2, 1)] {
-            std::fs::write(shard_snapshot_path(&base, e, k), "x").unwrap();
-        }
-        write_manifest(
-            &base,
-            &Manifest {
-                epoch: 2,
-                shards: 2,
-            },
-        )
-        .unwrap();
-        assert!(!shard_snapshot_path(&base, 1, 0).exists());
-        assert!(!shard_snapshot_path(&base, 1, 1).exists());
-        assert!(shard_snapshot_path(&base, 2, 0).exists());
-        assert!(shard_snapshot_path(&base, 2, 1).exists());
-        assert_eq!(
-            parse_manifest(&std::fs::read_to_string(&base).unwrap()),
-            Some(Manifest {
-                epoch: 2,
-                shards: 2
-            })
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn coord_op_barriers_fire_exactly_once() {
         let (tx, _rx) = crate::chan::oneshot();
-        let op = CoordOp::new(CoordKind::Snapshot, 3, 3, tx.into());
+        let op = CoordOp::new(CoordKind::Snapshot, 3, tx.into());
         assert!(!op.ack_prepare());
         assert!(!op.ack_prepare());
         assert!(op.ack_prepare(), "third ack completes the barrier");
@@ -961,15 +666,6 @@ mod tests {
         g.add_migrations(1, 1);
         assert_eq!(g.migrations(1), 3);
         assert_eq!(g.migrations(0), 0);
-    }
-
-    #[test]
-    fn drain_epoch_is_assigned_once() {
-        let c = Coordinator::new(2, vec![0, 1], 5);
-        let e = c.drain_epoch();
-        assert_eq!(e, 6);
-        assert_eq!(c.drain_epoch(), e, "second caller sees the same epoch");
-        assert!(c.next_epoch() > e);
     }
 }
 

@@ -259,7 +259,7 @@ fn restore_request_rewinds_live_state() {
 }
 
 #[test]
-fn kill9_mid_migration_restores_from_shard_slices() {
+fn kill9_mid_migration_restores_from_the_snapshot_file() {
     let dir = std::env::temp_dir().join(format!("mec-serve-it-{}-{}", std::process::id(), line!()));
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let snap = dir.join("market.snap");
@@ -267,19 +267,7 @@ fn kill9_mid_migration_restores_from_shard_slices() {
     // Two shards over the two-cloudlet market: the contiguous region map
     // gives shard 0 cloudlet 0 and shard 1 cloudlet 1. Providers home to
     // shard `p % 2`.
-    let boot_sharded = |market: Market| {
-        let cfg = ServerConfig {
-            snapshot_path: Some(snap.clone()),
-            shards: 2,
-            ..ServerConfig::default()
-        };
-        let handle = serve(market, &cfg).expect("boot");
-        let client = Client::connect(handle.addr()).expect("connect");
-        client
-            .set_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        (handle, client)
-    };
+    let boot_sharded = |market: Market| boot_shards(market, &snap, 2);
 
     let (handle, mut client) = boot_sharded(two_slot_market(6));
     // Providers 0 and 2 (home shard 0) fill shard 0's cloudlet; provider
@@ -304,72 +292,39 @@ fn kill9_mid_migration_restores_from_shard_slices() {
     ));
 
     // Coordinated snapshot: prepare quiesces in-flight handoffs before
-    // any slice is written, so the set on disk is consistent even though
-    // a migration was just in flight. (The coordinated ack carries the
-    // set's coordinator epoch, not a state seq.)
-    let epoch_at_snapshot = match client.snapshot().expect("snapshot") {
+    // any shard adds its part, so the cut on disk is consistent even
+    // though a migration was just in flight.
+    let seq_at_snapshot = match client.snapshot().expect("snapshot") {
         Response::Snapshotted { seq } => seq,
         other => panic!("expected snapshot ack, got {other:?}"),
     };
     let pre: Vec<Response> = (0..6).map(|p| client.query(p).expect("query")).collect();
 
-    // "kill -9": stash the whole snapshot set (manifest + slices), drain
-    // via a throwaway client to free the port (which writes a *newer*
-    // set and garbage-collects ours), then put the mid-run set back.
-    let manifest_bytes = std::fs::read(&snap).expect("manifest bytes");
-    let manifest = mec_serve::shard::parse_manifest(
-        std::str::from_utf8(&manifest_bytes).expect("manifest utf8"),
-    )
-    .expect("manifest parses");
-    assert_eq!(manifest.shards, 2);
-    assert_eq!(manifest.epoch, epoch_at_snapshot);
-    let slice_paths: Vec<_> = (0..manifest.shards)
-        .map(|k| mec_serve::shard::shard_snapshot_path(&snap, manifest.epoch, k))
-        .collect();
-    let slice_bytes: Vec<_> = slice_paths
-        .iter()
-        .map(|p| std::fs::read(p).expect("slice bytes"))
-        .collect();
+    // "kill -9": stash the file, drain via a throwaway client to free the
+    // port (which writes a *newer* file), then put the mid-run file back.
+    let saved = std::fs::read(&snap).expect("snapshot bytes");
     let mut admin = Client::connect(handle.addr()).expect("admin");
     admin.shutdown().expect("shutdown");
     handle.join();
-    std::fs::remove_dir_all(&dir).expect("wipe");
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    std::fs::write(&snap, &manifest_bytes).expect("rewind manifest");
-    for (p, bytes) in slice_paths.iter().zip(&slice_bytes) {
-        std::fs::write(p, bytes).expect("rewind slice");
-    }
+    std::fs::write(&snap, &saved).expect("rewind snapshot");
 
-    // The set itself: every provider is claimed by exactly one shard's
-    // ownership mask, and the forwarded provider 4 moved to shard 1.
-    let slices: Vec<_> = slice_paths
-        .iter()
-        .map(|p| mec_core::load_snapshot(p).expect("slice parses"))
-        .collect();
-    let masks: Vec<&Vec<bool>> = slices
-        .iter()
-        .map(|s| &s.shard.as_ref().expect("slice has shard meta").owned)
-        .collect();
-    for p in 0..6 {
-        let claims = masks.iter().filter(|m| m[p]).count();
-        assert_eq!(claims, 1, "provider {p} claimed by {claims} shards");
-    }
-    assert!(masks[1][4], "forwarded provider must be owned by shard 1");
-    for s in &slices {
-        let meta = s.shard.as_ref().expect("meta");
-        assert_eq!(meta.epoch, manifest.epoch, "mixed-epoch set");
-        assert_eq!(meta.count, 2);
-    }
+    // The file itself: one whole market at the snapshot's seq, with the
+    // forwarded provider 4 active at shard 1's cloudlet.
+    let file = mec_core::load_snapshot(&snap).expect("snapshot parses");
+    assert_eq!(file.seq, seq_at_snapshot);
+    assert_eq!(file.active.iter().filter(|a| **a).count(), 4);
+    assert!(file.active[4], "forwarded provider must be in the cut");
+    assert_eq!(
+        file.profile.placement(mec_core::ProviderId(4)),
+        mec_core::Placement::Cloudlet(mec_topology::CloudletId(1))
+    );
 
-    // Daemon #2 boots from the per-shard slices: same seq, same
-    // placements, and fully operational — including fresh cross-shard
-    // forwarding after a slot frees up.
-    let slice_seq_sum: u64 = slices.iter().map(|s| s.seq).sum();
+    // Daemon #2 boots from the file: same seq, same placements, and fully
+    // operational — including fresh cross-shard forwarding after a slot
+    // frees up.
     let (handle2, mut client2) = boot_sharded(two_slot_market(6));
     let stats = client2.stats().expect("stats");
-    // Composite stats sum the per-shard seqs; each restored shard starts
-    // at its slice's seq.
-    assert_eq!(stats.seq, slice_seq_sum);
+    assert_eq!(stats.seq, seq_at_snapshot);
     assert_eq!(stats.active, 4);
     assert_eq!(stats.shards.len(), 2, "restored daemon reports both shards");
     for (p, before) in pre.iter().enumerate() {
@@ -503,10 +458,10 @@ fn concurrent_clients_admit_exactly_to_capacity() {
     // to a feasible equilibrium.
     let (handle, mut client) = boot(two_slot_market(8), None);
     let addr = handle.addr();
-    let results: Vec<Response> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|p| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut c = Client::connect(addr).expect("connect");
                     c.join(p).expect("join")
                 })
@@ -516,8 +471,7 @@ fn concurrent_clients_admit_exactly_to_capacity() {
             .into_iter()
             .map(|h| h.join().expect("thread"))
             .collect()
-    })
-    .expect("scope");
+    });
     let admitted = results
         .iter()
         .filter(|r| matches!(r, Response::Admitted { .. }))
@@ -635,10 +589,10 @@ fn restored_daemon_serves_its_snapshot_from_the_first_read() {
 }
 
 #[test]
-fn sharded_boot_resumes_each_shard_at_its_slice_seq() {
+fn sharded_boot_and_live_restore_agree_on_the_file() {
     // Two shards over the two-cloudlet market: even providers home to
     // shard 0 (cloudlet 0), odd ones to shard 1 (cloudlet 1). Shard 0
-    // settles two extra writes, so the slices carry different seqs; both
+    // settles two extra writes, so the shards' seqs differ; both
     // cloudlets end full, so no maintenance move or migration can change
     // a seq afterwards.
     let dir = std::env::temp_dir().join(format!("mec-serve-it-{}-{}", std::process::id(), line!()));
@@ -658,46 +612,209 @@ fn sharded_boot_resumes_each_shard_at_its_slice_seq() {
             Response::Admitted { .. }
         ));
     }
-    let epoch = match client.snapshot().expect("snapshot") {
+    let seq = match client.snapshot().expect("snapshot") {
         Response::Snapshotted { seq } => seq,
         other => panic!("expected snapshot ack, got {other:?}"),
     };
-    let slice_paths: Vec<_> = (0..2)
-        .map(|k| mec_serve::shard::shard_snapshot_path(&snap, epoch, k))
-        .collect();
-    let slice_seqs: Vec<u64> = slice_paths
-        .iter()
-        .map(|p| mec_core::load_snapshot(p).expect("slice parses").seq)
-        .collect();
-    assert_ne!(slice_seqs[0], slice_seqs[1], "slices must differ in seq");
+    assert_eq!(mec_core::load_snapshot(&snap).expect("parses").seq, seq);
 
-    // A live restore resumes each shard at its own slice's seq.
-    assert!(matches!(
+    // A live restore resumes the daemon at the file's seq: shard 0 takes
+    // it and shard 1 starts at 0.
+    assert_eq!(
         client.restore().expect("restore"),
-        Response::Restored { .. }
-    ));
+        Response::Restored { seq }
+    );
     let live = client.stats().expect("stats");
-    assert_eq!(live.seq, slice_seqs.iter().sum::<u64>());
+    assert_eq!(live.seq, seq);
+    assert_eq!(
+        live.shards.iter().map(|s| s.seq).collect::<Vec<_>>(),
+        [seq, 0]
+    );
 
-    // Booting from the same set must agree with the live restore. Stash
-    // the set first: the drain writes a newer one and collects this one.
-    let manifest_bytes = std::fs::read(&snap).expect("manifest bytes");
-    let slice_bytes: Vec<_> = slice_paths
-        .iter()
-        .map(|p| std::fs::read(p).expect("slice bytes"))
-        .collect();
+    // Booting from the same file must agree with the live restore. Stash
+    // the file first: the drain writes a newer one.
+    let saved = std::fs::read(&snap).expect("snapshot bytes");
     drain(handle, &mut client);
-    std::fs::write(&snap, &manifest_bytes).expect("rewind manifest");
-    for (p, bytes) in slice_paths.iter().zip(&slice_bytes) {
-        std::fs::write(p, bytes).expect("rewind slice");
-    }
+    std::fs::write(&snap, &saved).expect("rewind snapshot");
     let (handle, mut client) = boot_shards(two_slot_market(4), &snap, 2);
     let booted = client.stats().expect("stats");
     assert_eq!(booted.seq, live.seq, "boot and live restore disagree");
     let per_shard: Vec<u64> = booted.shards.iter().map(|s| s.seq).collect();
-    assert_eq!(per_shard, slice_seqs);
+    assert_eq!(per_shard, [seq, 0]);
     drain(handle, &mut client);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cloudlets` identical cloudlets with room for two of the identical
+/// `providers` each. A provider's cost depends only on its cloudlet's
+/// congestion, so no migration or maintenance move ever gains: every
+/// seq below comes from the client's own writes.
+fn even_market(cloudlets: usize, providers: usize) -> Market {
+    let mut b = Market::builder();
+    for _ in 0..cloudlets {
+        b = b.cloudlet(CloudletSpec::new(4.0, 20.0, 0.5, 0.5));
+    }
+    for _ in 0..providers {
+        b = b.provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0));
+    }
+    b.uniform_update_cost(0.2).build()
+}
+
+/// A fresh snapshot path under its own temp directory.
+fn snap_path(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("mec-serve-it-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let snap = dir.join("market.snap");
+    (dir, snap)
+}
+
+fn admit(client: &mut Client, p: usize) {
+    match client.join(p).expect("join") {
+        Response::Admitted { .. } => {}
+        other => panic!("provider {p}: expected admission, got {other:?}"),
+    }
+}
+
+fn placements(client: &mut Client, providers: usize) -> Vec<Response> {
+    (0..providers)
+        .map(|p| client.query(p).expect("query"))
+        .collect()
+}
+
+/// A restore whose file does not load, or covers another market's size,
+/// fails as a whole: every shard keeps its state, its seq and its
+/// placements.
+#[test]
+fn failed_restore_changes_no_shard() {
+    let (dir, snap) = snap_path("failed-restore");
+    let (handle, mut client) = boot_shards(even_market(2, 4), &snap, 2);
+    for p in [0, 1] {
+        admit(&mut client, p);
+    }
+    assert!(matches!(
+        client.snapshot().expect("snapshot"),
+        Response::Snapshotted { .. }
+    ));
+    // Provider 2 homes to shard 0 and provider 3 to shard 1.
+    for p in [2, 3] {
+        admit(&mut client, p);
+    }
+    let before = client.stats().expect("stats");
+    let placed = placements(&mut client, 4);
+    let seqs = |st: &mec_serve::StatsReport| st.shards.iter().map(|s| s.seq).collect::<Vec<_>>();
+    let spoilers: [(&str, &dyn Fn()); 2] = [
+        ("corrupt", &|| {
+            std::fs::write(&snap, "not a snapshot\n").expect("spoil the file")
+        }),
+        ("covers 2 cloudlets and 5 providers", &|| {
+            let other = even_market(2, 5);
+            let profile = mec_core::Profile::all_remote(5);
+            mec_core::save_snapshot(&snap, 9, &other, &profile, &[false; 5]).expect("save")
+        }),
+    ];
+    for (why, spoil) in spoilers {
+        spoil();
+        match client.restore().expect("restore") {
+            Response::Error { msg } => {
+                assert!(msg.contains("restore failed") && msg.contains(why), "{msg}")
+            }
+            other => panic!("{why}: expected a restore error, got {other:?}"),
+        }
+        let after = client.stats().expect("stats");
+        assert_eq!(after.seq, before.seq, "{why}");
+        assert_eq!(after.active, 4, "{why}");
+        assert_eq!(seqs(&after), seqs(&before), "{why}");
+        assert_eq!(placements(&mut client, 4), placed, "{why}");
+    }
+    drain(handle, &mut client);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `writer`-shard daemon admits two providers and drains, writing its
+/// snapshot; a `reader`-shard daemon then boots from the file and
+/// restores it live: boot, restore and `stats` must all read the seq the
+/// writer reported and its two admissions.
+fn restore_across_shard_counts(writer: usize, reader: usize) {
+    let (dir, snap) = snap_path(&format!("across-{writer}-{reader}"));
+    let (handle, mut client) = boot_shards(even_market(2, 4), &snap, writer);
+    for p in [0, 1] {
+        admit(&mut client, p);
+    }
+    let seq = client.stats().expect("stats").seq;
+    drain(handle, &mut client);
+
+    let (handle, mut client) = boot_shards(even_market(2, 4), &snap, reader);
+    let booted = client.stats().expect("stats");
+    assert_eq!(
+        booted.active, 2,
+        "{reader}-shard boot of a {writer}-shard file"
+    );
+    admit(&mut client, 2);
+    assert_eq!(
+        client.restore().expect("restore"),
+        Response::Restored { seq },
+        "{reader}-shard restore of a {writer}-shard file"
+    );
+    let live = client.stats().expect("stats");
+    assert_eq!((live.seq, live.active), (seq, 2));
+    assert_eq!(
+        booted.seq, seq,
+        "{reader}-shard boot of a {writer}-shard file"
+    );
+    drain(handle, &mut client);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_shard_daemon_restores_a_two_shard_file() {
+    restore_across_shard_counts(2, 1);
+}
+
+#[test]
+fn two_shard_daemon_restores_a_one_shard_file() {
+    restore_across_shard_counts(1, 2);
+}
+
+/// `snapshotted` reports the `stats` seq just before it and `restored`
+/// the `stats` seq just after it, at every shard count.
+#[test]
+fn snapshot_restore_and_stats_agree_on_seq() {
+    for shards in [1, 2, 4] {
+        let (dir, snap) = snap_path(&format!("seq-{shards}"));
+        // Four cloudlets with two slots each: providers 0..8 fill them,
+        // the leave frees one of shard 0's slots and provider 8 (home
+        // shard 0) takes it back.
+        let (handle, mut client) = boot_shards(even_market(4, 9), &snap, shards);
+        for p in 0..8 {
+            admit(&mut client, p);
+        }
+        assert_eq!(client.leave(0).expect("leave"), Response::Left);
+        admit(&mut client, 8);
+        let before = loop {
+            let stats = client.stats().expect("stats");
+            if stats.equilibrium {
+                break stats;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        let snapshotted = match client.snapshot().expect("snapshot") {
+            Response::Snapshotted { seq } => seq,
+            other => panic!("expected snapshot ack, got {other:?}"),
+        };
+        assert_eq!(snapshotted, before.seq, "{shards} shards: snapshotted");
+        assert_eq!(client.leave(1).expect("leave"), Response::Left);
+        let restored = match client.restore().expect("restore") {
+            Response::Restored { seq } => seq,
+            other => panic!("expected restore ack, got {other:?}"),
+        };
+        let after = client.stats().expect("stats");
+        assert_eq!(restored, after.seq, "{shards} shards: restored");
+        assert_eq!(restored, snapshotted, "{shards} shards: one state, one seq");
+        assert_eq!(after.active, 8, "{shards} shards: the leave is rewound");
+        drain(handle, &mut client);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Several I/O threads in front of two shards, each I/O thread applying
@@ -730,9 +847,9 @@ fn pipelined_clients_on_shared_providers_across_io_threads() {
     };
     let handle = serve(b.uniform_update_cost(0.2).build(), &cfg).expect("boot");
     let addr = handle.addr();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for c in 0..CLIENTS {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 client
                     .set_timeout(Some(Duration::from_secs(30)))
@@ -802,8 +919,7 @@ fn pipelined_clients_on_shared_providers_across_io_threads() {
                 }
             });
         }
-    })
-    .expect("clients");
+    });
     let mut client = Client::connect(addr).expect("connect");
     let outcome = drain(handle, &mut client);
     assert!(outcome.equilibrium);

@@ -18,9 +18,7 @@ use std::fmt;
 /// let n = NodeId(3);
 /// assert_eq!(n.index(), 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -46,9 +44,7 @@ impl From<usize> for NodeId {
 /// Identifier of an edge in a [`Graph`].
 ///
 /// Edge ids are dense indices in `0..graph.edge_count()`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize);
 
 impl EdgeId {

@@ -15,7 +15,7 @@ use rand::{RngExt, SeedableRng};
 use crate::graph::{Graph, NodeId};
 
 /// Role of a node in a transit-stub topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Core (transit-domain) node; data centers attach here.
     Transit,

@@ -13,9 +13,7 @@ use crate::gtitm::Topology;
 use crate::shortest_path::DistanceMatrix;
 
 /// Index of a cloudlet site in a [`MecNetwork`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CloudletId(pub usize);
 
 impl CloudletId {
@@ -33,9 +31,7 @@ impl std::fmt::Display for CloudletId {
 }
 
 /// Index of a data-center site in a [`MecNetwork`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataCenterId(pub usize);
 
 impl DataCenterId {

@@ -12,7 +12,7 @@
 //! > service's data volume."
 
 /// An inclusive uniform sampling range.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Range {
     /// Lower bound.
     pub lo: f64,
@@ -53,7 +53,7 @@ impl Range {
 ///
 /// Defaults reproduce Section IV-A. Every figure's sweep mutates exactly one
 /// field of this struct.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Params {
     /// Number of network service providers `|N|` (paper: 100).
     pub providers: usize,
@@ -215,13 +215,6 @@ mod tests {
         assert_approx_eq!(p.service_vms.hi, 8.0, 1e-12);
         let p = p.with_bandwidth_scale(2.0);
         assert!((p.bandwidth_per_request_mbps.lo - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn params_are_serde_data_structures() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<Range>();
-        assert_serde::<Params>();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`Finding`]s, and the engine filters out findings suppressed by the
 //! `// lint: allow(<rule>)` marker contract (inline on the offending
 //! line, or anywhere in the contiguous `//` comment block directly
-//! above it — the same contract `cargo xtask lint` has always had).
+//! above it).
 //!
 //! Rules (see [`rules`] for each one's full story):
 //!
@@ -324,6 +324,27 @@ mod tests {
         if let Err(e) = self_test() {
             panic!("{e}");
         }
+    }
+
+    #[test]
+    fn vendor_num_and_build_output_are_exempt() {
+        use rules::lintable;
+        assert!(!lintable("vendor/rand/src/lib.rs"));
+        assert!(!lintable("crates/num/src/lib.rs"));
+        assert!(!lintable("target/debug/build.rs"));
+        assert!(lintable("crates/core/src/game.rs"));
+        assert!(lintable("src/bin/mec.rs"));
+    }
+
+    #[test]
+    fn findings_render_with_location() {
+        let ws =
+            Workspace::from_fixtures(&[("crates/core/src/x.rs", "fn f() { panic!(\"x\") }\n")]);
+        let f = run_all(&ws);
+        assert_eq!(f.len(), 1);
+        let s = f[0].to_string();
+        assert!(s.contains("crates/core/src/x.rs:1"), "{s}");
+        assert!(s.contains("[panics]"), "{s}");
     }
 
     #[test]

@@ -410,6 +410,24 @@ pub fn after(x: Option<u32>) -> u32 {
     },
     Fixture {
         rule: "panics",
+        title: "panic! in library code fires",
+        files: &[(
+            "crates/core/src/seeded.rs",
+            "pub fn f() {\n    panic!(\"boom\");\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "panics",
+        title: "unwrap inside an inline #[cfg(test)] module is exempt",
+        files: &[(
+            "crates/core/src/seeded.rs",
+            "#[cfg(test)]\nmod tests {\n    fn f(x: Option<u32>) -> u32 { x.unwrap() }\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "panics",
         title: "mec-serve non-test code is now in scope",
         files: &[(
             "crates/serve/src/market.rs",
@@ -451,6 +469,34 @@ pub fn b(x: Option<u32>) -> u32 {
             "fn f(x: f64) -> bool {\n    x == 0.0\n}\n",
         )],
         expect: 1,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "float literals on either side of ==, != and assert_eq!/assert_ne! fire",
+        files: &[(
+            "crates/sim/src/x.rs",
+            "fn f(x: f64, cost: f64) {\n    let _ = 0.0 == x;\n    let _ = x != 1e-9;\n    assert_eq!(cost, 2.5 + 0.5);\n    assert_ne!(cost, -1.0);\n}\n",
+        )],
+        expect: 4,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "a comment-block marker suppresses; other operators and identifiers are fine",
+        files: &[
+            (
+                "crates/lp/src/revised.rs",
+                "fn skip_zero(v: f64) -> bool {\n    // Exact zero-skip while gathering the CSC columns.\n    // lint: allow(float-cmp)\n    v != 0.0\n}\n",
+            ),
+            (
+                "crates/core/src/x.rs",
+                "fn f(x: f64, a: f64, b: f64, n: u32) {\n    if x <= 1.0 { g(); }\n    if x >= 0.5 { g(); }\n    let y = x * 2.0;\n    let z = match n { 1 => 2.0, _ => 3.0 };\n    for i in 0..2 { g(); }\n    let _ = a == b;\n    assert_eq!(a, b);\n}\n",
+            ),
+            (
+                "crates/core/src/y.rs",
+                "fn f() {\n    let s = \"a == 1.0\";\n    // x.unwrap() == 2.0\n    /* x == 2.0\n       panic!(\"no\") */\n}\n",
+            ),
+        ],
+        expect: 0,
     },
     Fixture {
         rule: "float-cmp",
@@ -505,6 +551,24 @@ pub fn b(x: Option<u32>) -> u32 {
         files: &[(
             "crates/serve/src/server.rs",
             "fn f() {\n    // Daemon thread, joined via the handle.\n    // lint: allow(thread-spawn)\n    let h = std::thread::Builder::new().name(\"io-0\".into()).spawn(|| {});\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "thread-spawn",
+        title: "a marker inside the spawned closure does not suppress",
+        files: &[(
+            "crates/serve/src/server.rs",
+            "fn f() {\n    std::thread::spawn(|| {\n        // lint: allow(thread-spawn)\n    });\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "thread-spawn",
+        title: "a marker on the spawn line itself suppresses",
+        files: &[(
+            "crates/serve/src/chan.rs",
+            "fn f() {\n    let t = std::thread::spawn(move || 1); // lint: allow(thread-spawn)\n}\n",
         )],
         expect: 0,
     },

@@ -14,8 +14,7 @@ use super::SrcFile;
 
 /// `true` if the workspace path is first-party source the general rules
 /// apply to (not vendored stand-ins, build output, or the blessed
-/// float-helper crate) — the same predicate `xtask lint` has always
-/// used.
+/// float-helper crate).
 pub fn lintable(path: &str) -> bool {
     if !path.ends_with(".rs") {
         return false;

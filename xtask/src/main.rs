@@ -1,10 +1,9 @@
 //! `cargo xtask` — repository automation.
 //!
 //! ```text
-//! cargo xtask lint                  three-rule lint pass (exit 1 on findings)
-//! cargo xtask lint --self-test      prove the lint rules flag seeded violations
-//! cargo xtask analyze               full token-aware analysis: concurrency,
-//!                                   unsafe audit, growth, probe registry + lint
+//! cargo xtask analyze               token-aware analysis: concurrency,
+//!                                   unsafe audit, growth, probe registry and
+//!                                   the panics/float-cmp/thread-spawn rules
 //! cargo xtask analyze --self-test   run every rule against its seeded fixtures
 //! cargo xtask tailgate <report.json> [--op join] [--max-ratio 20]
 //!                                   fail if an op's p99/p50 exceeds the bound
@@ -19,10 +18,9 @@
 //!                                   probe registry (mec-obs)
 //! ```
 //!
-//! See [`analyze`] for the engine and the rule registry, [`lint`] for
-//! the legacy three-rule subset and the `// lint: allow(<rule>)` escape
-//! hatch, and [`tailgate`] for the tail-latency gate CI applies to the
-//! marketload smoke report.
+//! See [`analyze`] for the engine, the rule registry and the
+//! `// lint: allow(<rule>)` escape hatch, and [`tailgate`] for the
+//! tail-latency gate CI applies to the marketload smoke report.
 //!
 //! xtask's one dependency is the workspace's `mec-obs`, which has none of
 //! its own: `tailgate` reads reports with its JSON reader and
@@ -31,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 mod analyze;
-mod lint;
 mod tailgate;
 
 use std::path::PathBuf;
@@ -39,13 +36,12 @@ use std::path::PathBuf;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => cmd_lint(args.iter().any(|a| a == "--self-test")),
         Some("analyze") => cmd_analyze(args.iter().any(|a| a == "--self-test")),
         Some("tailgate") => cmd_tailgate(&args[1..]),
         Some("metrics-doc") => cmd_metrics_doc(),
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--self-test] | analyze [--self-test] | tailgate <report.json> [--op OP] [--max-ratio N] | metrics-doc>"
+                "usage: cargo xtask <analyze [--self-test] | tailgate <report.json> [--op OP] [--max-ratio N] | metrics-doc>"
             );
             std::process::exit(2);
         }
@@ -134,40 +130,6 @@ fn repo_root() -> PathBuf {
         .parent()
         .expect("xtask sits one level below the repo root")
         .to_path_buf()
-}
-
-fn cmd_lint(self_test: bool) {
-    if self_test {
-        match lint::self_test() {
-            Ok(()) => println!("xtask lint self-test: all seeded violations flagged"),
-            Err(e) => {
-                eprintln!("xtask lint self-test FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let root = repo_root();
-    match lint::lint_tree(&root) {
-        Ok(findings) if findings.is_empty() => {
-            println!("xtask lint: clean");
-        }
-        Ok(findings) => {
-            for f in &findings {
-                eprintln!("{f}");
-            }
-            eprintln!(
-                "xtask lint: {} finding(s). Fix them or suppress a justified \
-                 site with `// lint: allow(<rule>)`.",
-                findings.len()
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("xtask lint: I/O error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn cmd_analyze(self_test: bool) {
