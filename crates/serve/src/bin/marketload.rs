@@ -24,7 +24,8 @@
 //!   --obs PATH      capture an observability trace (needs --features obs)
 //!   --providers N   provider universe, smoke only (default 100)
 //!   --size N        network size, smoke only      (default 100)
-//!   --snapshot P    daemon snapshot file, smoke only
+//!   --snapshot P    smoke only: the drain writes its snapshot to P, which
+//!                   must not exist yet; the run then checks it
 //!   --shards N      market shards, smoke/direct   (default 1); regions
 //!                   derive from the scenario topology
 //!   --commands N    churn commands, direct only   (default 100000)
@@ -40,8 +41,9 @@
 //!
 //! In `--smoke` mode the exit code reflects the full acceptance check:
 //! non-zero if any session hit a transport error, any drained-placement
-//! certificate failed (with `--features verify`), or the final state was
-//! not an equilibrium of the active providers.
+//! certificate failed (with `--features verify`), the final state was
+//! not an equilibrium of the active providers, or (with `--snapshot`)
+//! the drain's snapshot does not hold the drained state.
 
 #![forbid(unsafe_code)]
 
@@ -249,8 +251,18 @@ fn run_remote(addr: &str, cfg: &LoadConfig, out_path: &str) -> i32 {
 }
 
 /// Boots an in-process daemon on an ephemeral port, drives it, drains it,
-/// and checks the drain certificates.
+/// and checks the drain certificates and the drain's snapshot.
 fn run_smoke(args: &[String], cfg: &LoadConfig, out_path: &str) -> i32 {
+    let snapshot_path = flag_value(args, "--snapshot").map(PathBuf::from);
+    if let Some(path) = snapshot_path.as_ref().filter(|p| p.exists()) {
+        // A daemon booted from it would start with the churn's providers
+        // admitted, and the script's joins would fail.
+        eprintln!(
+            "--snapshot {} already exists; the smoke run needs a fresh path",
+            path.display()
+        );
+        return 2;
+    }
     let providers: usize = parse_flag(args, "--providers", 100);
     let size: usize = parse_flag(args, "--size", 100);
     let scenario = gtitm_scenario(size, &Params::paper().with_providers(providers), cfg.seed);
@@ -263,7 +275,7 @@ fn run_smoke(args: &[String], cfg: &LoadConfig, out_path: &str) -> i32 {
     let admin_port: u16 = parse_flag(args, "--admin-port", 0);
     let scrape = args.iter().any(|a| a == "--scrape");
     let server_cfg = ServerConfig {
-        snapshot_path: flag_value(args, "--snapshot").map(PathBuf::from),
+        snapshot_path: snapshot_path.clone(),
         shards,
         regions,
         admin_addr: (admin_port != 0 || scrape).then(|| format!("127.0.0.1:{admin_port}")),
@@ -318,6 +330,31 @@ fn run_smoke(args: &[String], cfg: &LoadConfig, out_path: &str) -> i32 {
     for v in &outcome.violations {
         eprintln!("FAIL: certificate violation: {v}");
         status = 1;
+    }
+    // The drain's snapshot must hold the drained state.
+    if let Some(path) = &snapshot_path {
+        let drained = (outcome.seq, &outcome.profile, &outcome.active);
+        match mec_core::load_snapshot(path) {
+            Ok(snap) if (snap.seq, &snap.profile, &snap.active) == drained => {
+                println!("drain snapshot {} holds the drained state", path.display());
+            }
+            Ok(snap) => {
+                eprintln!(
+                    "FAIL: drain snapshot {} (seq {}) is not the drained state (seq {})",
+                    path.display(),
+                    snap.seq,
+                    outcome.seq
+                );
+                status = 1;
+            }
+            Err(e) => {
+                eprintln!(
+                    "FAIL: cannot load the drain snapshot {}: {e}",
+                    path.display()
+                );
+                status = 1;
+            }
+        }
     }
     status
 }

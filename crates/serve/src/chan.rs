@@ -51,8 +51,6 @@ pub(crate) fn fuzz() {
 struct ChanState<T> {
     buf: VecDeque<T>,
     cap: usize,
-    /// Live [`Sender`] clones; 0 with an empty buffer means disconnected.
-    senders: usize,
     /// Set when the receiver is dropped: sends fail immediately.
     closed: bool,
     /// Some thread holds the right to apply the queued commands.
@@ -166,15 +164,6 @@ pub enum TrySendError<T> {
     Closed(T),
 }
 
-/// Why a timed receive returned without a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeout {
-    /// No message arrived within the timeout.
-    Timeout,
-    /// Every sender is gone and the buffer is drained.
-    Disconnected,
-}
-
 /// What [`Receiver::claim_batch`] returned with, the claim held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Claimed {
@@ -203,7 +192,6 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
         state: Mutex::new(ChanState {
             buf: VecDeque::with_capacity(cap),
             cap,
-            senders: 1,
             closed: false,
             claimed: false,
             wanted: false,
@@ -318,52 +306,13 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        lock_ok(&self.chan.state).senders += 1;
         Sender {
             chan: self.chan.clone(),
         }
     }
 }
 
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut st = lock_ok(&self.chan.state);
-        st.senders -= 1;
-        if st.senders == 0 {
-            // Wake a receiver blocked on an empty buffer so it observes
-            // the disconnect.
-            self.chan.not_empty.notify_all();
-        }
-    }
-}
-
 impl<T> Receiver<T> {
-    /// Blocks up to `timeout` for a message. Takes no claim: the drain
-    /// linger uses it while the writer already holds the claim.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeout::Timeout`] if `timeout` elapsed with nothing queued;
-    /// [`RecvTimeout::Disconnected`] when every sender is gone and the
-    /// buffer is empty.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeout> {
-        let deadline = Instant::now() + timeout;
-        let mut st = lock_ok(&self.chan.state);
-        loop {
-            if let Some(v) = st.buf.pop_front() {
-                self.chan.notify_senders(&st, 1);
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                return Err(RecvTimeout::Disconnected);
-            }
-            if Instant::now() >= deadline {
-                return Err(RecvTimeout::Timeout);
-            }
-            st = self.chan.park(st, deadline);
-        }
-    }
-
     /// The writer thread's wait: blocks until the queue is unclaimed and
     /// either holds messages or was left `wanted` by a claimant — or
     /// until a whole `tick` passes in which nothing was queued and no
@@ -494,6 +443,12 @@ impl<T> OneReceiver<T> {
             st = wait_ok(&self.slot.filled, st);
         }
     }
+
+    /// The reply, if it has arrived, without waiting.
+    #[cfg(test)]
+    pub(crate) fn try_recv(&self) -> Option<T> {
+        lock_ok(&self.slot.state).value.take()
+    }
 }
 
 /// Locks a mutex, proceeding through poisoning: the daemon's shared state
@@ -517,55 +472,14 @@ mod tests {
     const WAIT: Duration = Duration::from_secs(5);
 
     #[test]
-    fn send_recv_fifo() {
-        let (tx, rx) = bounded(4);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv_timeout(WAIT), Ok(1));
-        assert_eq!(rx.recv_timeout(WAIT), Ok(2));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = bounded(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeout::Timeout)
-        );
-        tx.send(7).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(7));
-    }
-
-    #[test]
-    fn disconnect_when_all_senders_drop() {
-        let (tx, rx) = bounded::<u32>(1);
-        let tx2 = tx.clone();
-        drop(tx);
-        drop(tx2);
-        assert_eq!(rx.recv_timeout(WAIT), Err(RecvTimeout::Disconnected));
-    }
-
-    #[test]
     fn send_fails_after_receiver_drop() {
         let (tx, rx) = bounded(1);
         drop(rx);
         assert_eq!(tx.send(5), Err(SendError(5)));
     }
 
-    #[test]
-    fn bounded_blocks_and_resumes() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let t = std::thread::spawn(move || tx.send(2)); // lint: allow(thread-spawn)
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv_timeout(WAIT), Ok(1)); // frees the slot, unblocks the sender
-        assert_eq!(rx.recv_timeout(WAIT), Ok(2));
-        t.join().unwrap().unwrap();
-    }
-
-    /// `bounded_blocks_and_resumes` with the writer's batch drain: a send
-    /// blocked on a full queue is woken by the `claim_batch` that makes
-    /// room.
+    /// A send blocked on a full queue is woken by the writer's
+    /// `claim_batch` that makes room.
     #[test]
     fn bounded_blocks_and_resumes_on_claim_batch() {
         let (tx, rx) = bounded(1);
@@ -668,7 +582,7 @@ mod tests {
         let (tx, rx) = bounded(1);
         tx.try_send(1).unwrap();
         assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.recv_timeout(WAIT), Ok(1));
+        assert_eq!(rx.try_drain(), vec![1]);
         tx.try_send(3).unwrap();
         drop(rx);
         assert_eq!(tx.try_send(4), Err(TrySendError::Closed(4)));
@@ -822,16 +736,19 @@ mod loom_model_tests {
             drop(tx);
 
             let mut total = 0;
-            loop {
-                match rx.recv_timeout(Duration::from_secs(5)) {
-                    Ok(_) => total += 1,
-                    Err(RecvTimeout::Disconnected) => break,
-                    Err(RecvTimeout::Timeout) => panic!("senders wedged"),
-                }
+            let mut batch = Vec::new();
+            while total < SENDERS * PER_SENDER {
+                let Claimed::Batch { taken, .. } =
+                    rx.claim_batch(&mut batch, 4, Duration::from_secs(5))
+                else {
+                    panic!("senders wedged");
+                };
+                rx.release(false);
+                total += taken;
             }
             let sent: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+            assert!(rx.try_drain().is_empty(), "delivered twice");
             assert_eq!(total, sent);
-            assert_eq!(total, SENDERS * PER_SENDER);
         });
     }
 

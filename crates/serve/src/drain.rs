@@ -7,8 +7,8 @@
 //! boots the same `ShardSet` the daemon does, routes a seeded
 //! join/leave churn stream straight into the per-shard command queues
 //! (exactly how the I/O threads route, owner lookup through the router)
-//! *before* the writers start, and queues the drain behind it; the clock
-//! then runs from writer start to the end of the coordinated drain —
+//! *before* the writers start, and queues the shutdown behind it; the
+//! clock then runs from writer start to the end of the shutdown's drain —
 //! final equilibrium convergence included, since shrinking those
 //! maintenance sweeps is half the point of region sharding.
 //!
@@ -146,7 +146,6 @@ pub fn drain_bench(
         cfg.commands + 2,
         None,
         Arc::new(DemandTracker::disabled()),
-        1,
     )?;
     let shards = set.txs.len();
 
@@ -177,7 +176,7 @@ pub fn drain_bench(
         let k = set.router.owner(p).min(shards - 1);
         let _ = set.txs[k].send(cmd);
     }
-    // The coordinated drain rides at the back of every queue.
+    // The shutdown's prepare rides at the back of every queue.
     set.shutdown();
 
     let started = Instant::now();

@@ -70,7 +70,7 @@ use crate::chan::{lock_ok, Sender, TrySendError};
 use crate::demand::DemandTracker;
 use crate::market::{self, composite_stats, Command, Shard};
 use crate::proto::{self, FrameDecoder, Request, Response};
-use crate::shard::{CoordKind, CoordOp, DrainOp, Router, ShardGauges};
+use crate::shard::{CoordKind, CoordOp, Coordinator, Router, ShardGauges};
 use crate::view::SharedView;
 
 /// Stop reading from a connection whose unsent output exceeds this
@@ -221,6 +221,8 @@ pub(crate) struct IoShared {
     pub router: Arc<Router>,
     /// Per-shard queue-depth/write gauges folded into composite stats.
     pub gauges: Arc<ShardGauges>,
+    /// The shards' coordinator: hands out the daemon's one shutdown op.
+    pub coord: Arc<Coordinator>,
     /// Per-provider query counters: every answered query is noted here,
     /// and the shard writers fold the counts into demand EWMAs at each
     /// maintenance quantum (demand-driven re-caching).
@@ -659,12 +661,13 @@ fn dispatch(
 }
 
 /// Fans an admin request out to every shard queue, at any shard count:
-/// `shutdown` becomes a drain barrier (one member per shard), and
-/// `snapshot` and `restore` become a coordinated two-phase op (prepare
-/// now; the last prepare-acker enqueues the apply fan-out).
-/// The single client reply travels inside the shared op and the last
-/// shard to complete answers it, so the connection sees exactly one
-/// response in request order.
+/// `snapshot`, `restore` and `shutdown` each become a coordinated
+/// two-phase op (prepare now; the last prepare-acker enqueues the apply
+/// fan-out). The single client reply travels inside the shared op and
+/// the shard that completes it answers, so the connection sees exactly
+/// one response in request order. A `shutdown` after the first fans out
+/// nothing: it is answered `draining` once every shard has acked the
+/// first one's prepare.
 fn fan_out_admin(
     conn: &mut Conn,
     req_id: u64,
@@ -676,19 +679,14 @@ fn fan_out_admin(
     // Bounded by the read-pause backpressure, like every slot push.
     // lint: allow(growth)
     conn.pending.push_back(Slot::Waiting(req_id));
-    if matches!(req, Request::Shutdown) {
-        let op = Arc::new(DrainOp::new(shared.shards(), reply));
-        for k in 0..shared.shards() {
-            backlog.push_back((k, Command::DrainAll { op: op.clone() })); // lint: allow(growth) — BACKLOG_PAUSE bound
-        }
-        return;
-    }
-    let kind = if matches!(req, Request::Snapshot) {
-        CoordKind::Snapshot
-    } else {
-        CoordKind::Restore
+    let op = match req {
+        Request::Snapshot => Arc::new(CoordOp::new(CoordKind::Snapshot, shared.shards(), reply)),
+        Request::Restore => Arc::new(CoordOp::new(CoordKind::Restore, shared.shards(), reply)),
+        _ => match shared.coord.shutdown_op(reply) {
+            Some(op) => op,
+            None => return,
+        },
     };
-    let op = Arc::new(CoordOp::new(kind, shared.shards(), reply));
     for k in 0..shared.shards() {
         backlog.push_back((k, Command::Prepare { op: op.clone() })); // lint: allow(growth) — BACKLOG_PAUSE bound
     }

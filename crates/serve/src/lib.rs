@@ -30,8 +30,9 @@
 //! * [`shard`] — region-keyed market sharding: the one boot path for a
 //!   set of shard writers over a region map fixed at boot, the
 //!   provider→shard router, cross-shard migration bookkeeping, and the
-//!   coordinated snapshot/restore of one whole-market file, split among
-//!   the shards by the same ownership rule at boot and at restore;
+//!   one prepare/apply barrier behind `snapshot`, `restore` and
+//!   `shutdown`, over one whole-market file split among the shards by
+//!   the same ownership rule at boot and at restore;
 //! * [`admin`] — the std-only HTTP/1.1 admin surface: Prometheus
 //!   `/metrics`, live placement/residual/shard inspection, and the
 //!   histogram reset;

@@ -1,5 +1,5 @@
 //! The shard writer: batched admission control, preemptible equilibrium
-//! maintenance, snapshots, and graceful drain.
+//! maintenance, snapshots, and the shutdown drain.
 //!
 //! Each region has one shard: a [`GameState`] that owns the shard's copy
 //! of the [`Market`](mec_core::model::Market), plus the book-keeping of
@@ -19,10 +19,11 @@
 //! (`Shard::step`), run the one maintenance quantum a queue-emptying
 //! batch earns, publish a single [`MarketView`], then ack. An I/O
 //! thread's inline turn takes only the client writes (join, leave,
-//! update) at the head of the queue; every other command, maintenance
-//! the quantum left, idle rebalance ticks and the drain with its linger
-//! stay on the writer thread, which the releasing I/O thread wakes only
-//! when one of them is pending.
+//! update) at the head of the queue; every other command — the
+//! coordinated ops among them — the prepares an outbound retry
+//! unblocked, maintenance the quantum left and idle rebalance ticks stay
+//! on the writer thread, which the releasing I/O thread wakes only when
+//! one of them is pending.
 //!
 //! Read-your-writes is preserved batch-wide: the view covering a batch
 //! is published *before* any command in the batch is acknowledged, so a
@@ -54,7 +55,16 @@
 //! dynamics terminate once the queue goes quiet. At equilibrium with
 //! nothing queued the writer thread sleeps; a whole idle tick with no
 //! claim taken by anyone wakes it to rebalance across shards and to
-//! notice that the I/O side has gone.
+//! notice an abandoned set.
+//!
+//! A `shutdown` is the third coordinated op beside `snapshot` and
+//! `restore` (see [`crate::shard`]). From its prepare on, the shard
+//! refuses client writes, forwarded joins and the prepares of other
+//! coordinated ops (`daemon is draining`), still settles the migration
+//! traffic that resolves a handoff and the applies of the ops it acked
+//! before, and runs no maintenance until the apply, which runs it to
+//! equilibrium, certifies the result and finishes the writer with its
+//! [`MarketOutcome`].
 //!
 //! Because the state owns its market, commands that change the market
 //! itself apply in place: a demand update moves one provider's load in
@@ -72,7 +82,6 @@
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -86,7 +95,7 @@ use crate::chan::{lock_ok, Claimed, OneSender, Receiver, Sender, TrySendError};
 use crate::demand::{demand_order, DemandEwma, DemandTracker};
 use crate::eventloop::Completions;
 use crate::proto::{Request, Response, StatsReport};
-use crate::shard::{CoordKind, CoordOp, Coordinator, DrainOp, Router, ShardGauges};
+use crate::shard::{CoordKind, CoordOp, Coordinator, Router, ShardGauges};
 use crate::view::{MarketView, SharedView};
 
 /// Improving moves allowed per maintenance quantum.
@@ -97,7 +106,7 @@ pub const EPOCH_MOVES: usize = 32;
 pub const BATCH_MAX: usize = 256;
 
 /// How long an idle writer sleeps between housekeeping ticks (rebalance
-/// scans, noticing the I/O side went away).
+/// scans, noticing an abandoned set).
 const IDLE_TICK: Duration = Duration::from_millis(10);
 
 /// Same slack as [`mec_core::model::Market::fits`], used when debiting
@@ -111,11 +120,10 @@ const REBALANCE_TICKS: u64 = 8;
 /// worth the handoff (on top of [`IMPROVEMENT_TOL`]).
 const MIGRATION_MARGIN: f64 = 0.01;
 
-/// Backstop for the drain linger: if a peer shard wedges, stop waiting
-/// for the quiesce barrier after this long and finish anyway.
-const DRAIN_LINGER_MAX: Duration = Duration::from_secs(5);
-
 const NO_SNAPSHOT: &str = "daemon was started without --snapshot";
+
+/// What a draining shard answers the work it refuses.
+const DRAINING: &str = "daemon is draining";
 
 /// Where a command's response goes once the market thread settles it.
 pub enum Reply {
@@ -235,23 +243,18 @@ pub enum Command {
         /// Provider id.
         provider: usize,
     },
-    /// (coordinated) Phase 1 of a snapshot/restore, one member per shard:
-    /// pause migrations and ack once in-flight handoffs have resolved.
+    /// (coordinated) Phase 1 of a snapshot, restore or shutdown, one
+    /// member per shard: pause migrations and ack once the in-flight
+    /// handoff has resolved and the sends it made have left the outbound.
     Prepare {
         /// The coordinated operation.
         op: Arc<CoordOp>,
     },
-    /// (coordinated) Phase 2: add this shard's part to the cut, or take
-    /// its part of the loaded file.
+    /// (coordinated) Phase 2: add this shard's part to the cut, take its
+    /// part of the loaded file, or drain and finish.
     Apply {
         /// The coordinated operation.
         op: Arc<CoordOp>,
-    },
-    /// (coordinated) Graceful drain, one member per shard (a `shutdown`
-    /// request at any shard count).
-    DrainAll {
-        /// The shared drain barrier.
-        op: Arc<DrainOp>,
     },
 }
 
@@ -301,9 +304,8 @@ pub fn command_for(req: Request, reply: Reply) -> Result<Command, Response> {
 }
 
 /// Everything one shard's writer shares with the rest of the daemon: its
-/// region, the ownership router, peer queues and views, the coordination
-/// barriers and the I/O-side liveness counter. Only
-/// [`crate::shard::ShardSet`] builds one.
+/// region, the ownership router, peer queues and views, and the
+/// coordinator. Only [`crate::shard::ShardSet`] builds one.
 pub(crate) struct ShardCtx {
     /// This shard's index.
     pub(crate) index: usize,
@@ -311,26 +313,21 @@ pub(crate) struct ShardCtx {
     pub(crate) shards: usize,
     /// Provider→shard ownership map (shared with the I/O threads).
     pub(crate) router: Arc<Router>,
-    /// Command senders to every shard, self included. Because each
-    /// writer holds its own sender, its queue never disconnects: teardown
-    /// is signalled by [`ShardCtx::io_live`] instead.
+    /// Command senders to every shard, self included.
     pub(crate) peers: Vec<Sender<Command>>,
     /// Published views of every shard, self included: this shard
     /// publishes into its own and reads its peers' for cross-shard
     /// rebalance estimates.
     pub(crate) views: Vec<Arc<SharedView>>,
-    /// The fixed region map, shared epochs and drain/quiesce barriers.
+    /// The fixed region map and the teardown flags.
     pub(crate) coord: Arc<Coordinator>,
     /// Per-shard depth/write gauges read by `stats`.
     pub(crate) gauges: Arc<ShardGauges>,
-    /// Live I/O-side senders (the I/O threads, or one in-process driver);
-    /// at zero the shard self-drains.
-    pub(crate) io_live: Arc<AtomicUsize>,
     /// Per-provider query counters noted by the I/O side; folded into
     /// demand EWMAs at quantum start.
     pub(crate) demand: Arc<DemandTracker>,
-    /// Snapshot file; `None` disables `snapshot`/`restore` and the final
-    /// drain snapshot, and no shard builds a cut.
+    /// Snapshot file; `None` disables `snapshot`/`restore` and the
+    /// shutdown's snapshot, and no shard builds a cut.
     pub(crate) snapshot_path: Option<PathBuf>,
 }
 
@@ -343,11 +340,6 @@ impl ShardCtx {
     /// `true` if this shard currently owns provider `p`.
     fn owns(&self, p: usize) -> bool {
         self.shards == 1 || self.router.owner(p) == self.index
-    }
-
-    /// `true` once every I/O-side sender has exited.
-    fn io_gone(&self) -> bool {
-        self.io_live.load(Ordering::Acquire) == 0
     }
 }
 
@@ -385,8 +377,6 @@ struct Outgoing {
     provider: usize,
     target: usize,
     cloudlet: usize,
-    /// Set by a drain: answer the pending grant with an abort.
-    cancelled: bool,
 }
 
 /// A set of indices below a fixed bound: a membership mask plus the
@@ -594,8 +584,15 @@ struct Book {
     /// `true` between a coordinated prepare and its apply: no new
     /// migrations originate and no reservations are granted.
     paused: bool,
-    /// Prepare fan-outs deferred until the outgoing handoff resolves.
-    parked_preps: Vec<Arc<CoordOp>>,
+    /// `true` from a shutdown's prepare on: new work is refused and no
+    /// maintenance runs until the apply.
+    draining: bool,
+    /// Prepares awaiting their ack, oldest first: until the batch that
+    /// brought them has settled, the outgoing handoff has resolved and
+    /// the outbound has emptied.
+    parked_preps: VecDeque<Arc<CoordOp>>,
+    /// Set by the shutdown's apply: the writer returns it.
+    outcome: Option<MarketOutcome>,
     /// Idle housekeeping ticks (throttles rebalance scans).
     ticks: u64,
     /// The view the last publish replaced: two publishes old, it is the
@@ -652,7 +649,9 @@ impl Shard {
                 outgoing: None,
                 tombstones: Vec::new(),
                 paused: false,
-                parked_preps: Vec::new(),
+                draining: false,
+                parked_preps: VecDeque::new(),
+                outcome: None,
                 ticks: 0,
                 replaced: None,
                 touched: [touched, Touched::clean(m, n)],
@@ -663,12 +662,14 @@ impl Shard {
 
     /// Runs the writer thread to completion. Each claim of the queue
     /// brings a batch — possibly empty, when an I/O thread's inline turn
-    /// left maintenance behind — which runs as one [`Shard::turn`]; a
-    /// claim that comes after a whole idle tick runs a rebalance scan
-    /// instead. Returns when a drain command or the exit
-    /// of every I/O-side sender has drained the shard; the claim is then
-    /// held until the thread exits, so no I/O thread applies a command
-    /// to a drained shard.
+    /// left work behind — which runs as one [`Shard::turn`]; a claim that
+    /// comes after a whole idle tick retries the outbound and runs a
+    /// rebalance scan instead. Either way the writer then acks the parked
+    /// prepares nothing holds back any more ([`Shard::resolve_parked`]).
+    /// Returns at the shutdown's apply, or at an idle tick once the set
+    /// is abandoned; the claim is then held until the thread exits, so
+    /// no I/O thread applies a command to a finished shard, and whatever
+    /// is still queued is refused.
     pub(crate) fn run(slot: &Mutex<Shard>, rx: &Receiver<Command>) -> MarketOutcome {
         let mut batch: Vec<Command> = Vec::new();
         loop {
@@ -676,32 +677,26 @@ impl Shard {
             // A claimant that panics never gives the claim back, so no
             // one ever locks a poisoned shard.
             let mut shard = lock_ok(slot);
-            let taken = match claimed {
+            match claimed {
                 Claimed::Batch { taken, depth } => {
                     if taken > 0 {
                         mec_obs::counter_add("serve.turn.writer", 1);
                     }
-                    if let Some((op, rest)) = shard.turn(&mut batch, depth, EPOCH_MOVES) {
-                        if op.ack() {
-                            if let Some(reply) = op.take_reply() {
-                                reply.send(Response::Draining);
-                            }
-                        }
-                        return shard.drain_and_finish(rx, rest);
-                    }
-                    taken
+                    shard.turn(&mut batch, depth, EPOCH_MOVES);
+                }
+                Claimed::Idle if shard.ctx.coord.abandoned() => {
+                    shard.book.outcome = Some(shard.finish());
                 }
                 Claimed::Idle => {
                     shard.drain_outbound();
                     shard.maybe_rebalance();
-                    0
                 }
-            };
-            // The queue itself never disconnects: teardown is noticed
-            // whenever a claim brings no commands.
-            if taken == 0 && shard.ctx.io_gone() {
-                return shard.drain_and_finish(rx, Vec::new());
             }
+            if let Some(outcome) = shard.book.outcome.take() {
+                rx.try_drain().into_iter().for_each(refuse);
+                return outcome;
+            }
+            shard.resolve_parked();
             let wanted = shard.wants_writer();
             drop(shard);
             rx.release(wanted);
@@ -719,8 +714,7 @@ impl Shard {
         let (taken, depth) = tx.take_claimed(batch, BATCH_MAX, Command::is_client_write);
         if taken > 0 {
             mec_obs::counter_add("serve.turn.inline", 1);
-            // Client writes never carry a drain.
-            let _ = self.turn(batch, depth, EPOCH_MOVES);
+            self.turn(batch, depth, EPOCH_MOVES);
         }
         self.wants_writer()
     }
@@ -728,15 +722,11 @@ impl Shard {
     /// One turn, the same on either thread: retry the peer sends a full
     /// queue held back; apply `batch` (taken from a queue `depth` deep);
     /// if it emptied the queue and left dirt, run a quantum of at most
-    /// `moves` moves (none at 0); publish once; then ack. A drain command
-    /// met in the batch is handed back, with the commands batched behind
-    /// it, for the writer thread to run once the batch is settled.
-    pub(crate) fn turn(
-        &mut self,
-        batch: &mut Vec<Command>,
-        depth: usize,
-        moves: usize,
-    ) -> Option<(Arc<DrainOp>, Vec<Command>)> {
+    /// `moves` moves (none at 0, nor while draining); publish once; then
+    /// ack. Prepares are acked after the turn, by the writer thread only
+    /// ([`Shard::wants_writer`] asks for it when the retry unblocked
+    /// one): a restore's last ack loads the snapshot file.
+    pub(crate) fn turn(&mut self, batch: &mut Vec<Command>, depth: usize, moves: usize) {
         self.drain_outbound();
         let taken = batch.len();
         if taken > 0 {
@@ -745,43 +735,56 @@ impl Shard {
             mec_obs::gauge("serve.queue.depth", self.book.seq, depth as f64);
             self.ctx.gauges.set_depth(self.ctx.index, depth);
         }
-        let mut cmds = batch.drain(..);
-        let drain = cmds.by_ref().find_map(|cmd| self.step(cmd));
-        let rest: Vec<Command> = cmds.collect();
+        for cmd in batch.drain(..) {
+            self.step(cmd);
+        }
         // A batch that emptied the queue folds its maintenance quantum
         // into its one publish; behind a deeper queue, maintenance
         // waits until the queue empties.
-        if moves > 0 && drain.is_none() && taken == depth && !self.book.dirt.is_clean() {
+        if moves > 0 && !self.book.draining && taken == depth && !self.book.dirt.is_clean() {
             self.run_quantum(moves);
         }
         self.settle_batch();
-        drain.map(|op| (op, rest))
     }
 
-    /// `true` while maintenance the last quantum did not finish is left
-    /// for the writer thread. Peer sends a full queue held back are not:
-    /// every turn and every idle tick retries them, as the writer loop
-    /// always has, so a saturated peer does not spin the writer.
+    /// `true` while work only the writer thread does is left: a parked
+    /// prepare that nothing holds back any more, or maintenance the last
+    /// quantum did not finish — never while draining, which runs none.
+    /// Peer sends a full queue held back are not: every turn and every
+    /// idle tick retries them, so a saturated peer does not spin the
+    /// writer.
     fn wants_writer(&self) -> bool {
-        !self.book.dirt.is_clean()
+        let book = &self.book;
+        let unblocked = book.outgoing.is_none() && book.outbound.is_empty();
+        (unblocked && !book.parked_preps.is_empty()) || (!book.draining && !book.dirt.is_clean())
     }
 
     /// Ends a batch: one publish covering it, then its acks, then the
-    /// coordinated applies it settled.
+    /// coordinated applies it settled. A failed write of the shutdown's
+    /// cut goes into this shard's outcome.
     fn settle_batch(&mut self) {
         self.publish();
         for (reply, resp) in self.book.acks.drain(..) {
             reply.send(resp);
         }
         for op in std::mem::take(&mut self.book.applied) {
-            complete_apply(&op, self.ctx.snapshot_path.as_deref());
+            let done = complete_apply(&op, self.ctx.snapshot_path.as_deref());
+            if let (Err(msg), Some(outcome)) = (done, self.book.outcome.as_mut()) {
+                outcome.violations.push(msg);
+            }
         }
     }
 
     /// Applies one command. Client replies wait in the book until the
-    /// batch's view is published; a drain command is handed back for the
-    /// caller to run once the batch is settled.
-    fn step(&mut self, cmd: Command) -> Option<Arc<DrainOp>> {
+    /// batch's view is published. A draining shard refuses new work.
+    fn step(&mut self, cmd: Command) {
+        let refused = self.book.draining
+            && (cmd.is_client_write()
+                || matches!(cmd, Command::Prepare { .. } | Command::JoinForward { .. }));
+        if refused {
+            refuse(cmd);
+            return;
+        }
         match cmd {
             Command::Join {
                 provider,
@@ -853,9 +856,9 @@ impl Shard {
                 from,
             } => {
                 // Authoritative Eq. 4–5 admission on the target's own
-                // thread; never granted while a coordinated snapshot is
-                // between prepare and apply (a commit admitted then could
-                // land behind the apply and vanish from every slice).
+                // thread; never granted between a coordinated prepare and
+                // its apply (a commit admitted then could land behind the
+                // apply and be missing from the cut).
                 let granted = !self.book.paused
                     && provider < self.state.len()
                     && self.ctx.owns_cloudlet(cloudlet)
@@ -884,34 +887,36 @@ impl Shard {
             Command::MigrateAbort { provider } => self.abort(provider),
             Command::Prepare { op } => {
                 self.book.paused = true;
-                if self.book.outgoing.is_some() {
-                    // Ack only once the in-flight handoff has sent commit
-                    // or abort — that FIFO-orders any commit ahead of the
-                    // apply fan-out on the target.
-                    self.book.parked_preps.push(op);
-                } else {
-                    self.complete_prepare(&op);
-                }
+                self.book.draining |= op.kind == CoordKind::Shutdown;
+                self.book.parked_preps.push_back(op);
             }
             Command::Apply { op } => {
-                self.book.paused = false;
-                // A failed op changes no shard: the file did not load, or
-                // a shard is draining.
-                if !op.failed() {
-                    match op.kind {
-                        CoordKind::Snapshot => self.add_to_cut(&op.cut),
-                        CoordKind::Restore => {
-                            if let Some(snap) = lock_ok(&op.cut).as_ref() {
-                                self.restore(snap);
-                            }
+                self.book.paused = self.book.draining;
+                match op.kind {
+                    CoordKind::Shutdown => {
+                        debug_assert!(self.book.outbound.is_empty(), "a send outlives the shard");
+                        let outcome = self.finish();
+                        if self.ctx.snapshot_path.is_some() {
+                            self.add_to_cut(&op.cut);
+                        }
+                        self.book.outcome = Some(outcome);
+                    }
+                    // A failed op changes no shard: the file did not load,
+                    // or a shard refused the prepare because it was
+                    // draining. An op every shard acked before the
+                    // shutdown applies everywhere, a draining shard too:
+                    // its apply is queued ahead of the shutdown's.
+                    _ if op.failed() => {}
+                    CoordKind::Snapshot => self.add_to_cut(&op.cut),
+                    CoordKind::Restore => {
+                        if let Some(snap) = lock_ok(&op.cut).as_ref() {
+                            self.restore(snap);
                         }
                     }
                 }
                 self.book.applied.push(op);
             }
-            Command::DrainAll { op } => return Some(op),
         }
-        None
     }
 
     /// Queues the reply to a settled client write and counts it.
@@ -1059,13 +1064,14 @@ impl Shard {
 
     /// Enqueues a cross-shard command, never blocking: anything that does
     /// not fit the peer queue right now waits in `book.outbound` (global
-    /// FIFO, so per-target ordering is preserved) and is retried every
-    /// loop iteration.
+    /// FIFO, so per-target ordering is preserved) and is retried at every
+    /// turn and idle tick ([`Shard::drain_outbound`]).
     fn send_peer(&mut self, target: usize, cmd: Command) {
         self.book.outbound.push_back((target, cmd));
         self.drain_outbound();
     }
 
+    /// Retries the peer sends a full queue held back, oldest first.
     fn drain_outbound(&mut self) {
         while let Some((target, cmd)) = self.book.outbound.pop_front() {
             match self.ctx.peers[target].try_send(cmd) {
@@ -1124,8 +1130,7 @@ impl Shard {
             self.book.outgoing = Some(out);
             return;
         }
-        let usable = !out.cancelled
-            && self.book.active.get(provider).copied().unwrap_or(false)
+        let usable = self.book.active.get(provider).copied().unwrap_or(false)
             && self.ctx.router.owner(provider) == self.ctx.index;
         if granted && usable {
             let l = ProviderId(provider);
@@ -1149,7 +1154,6 @@ impl Shard {
         } else if granted {
             self.send_peer(out.target, Command::MigrateAbort { provider });
         }
-        self.resolve_parked();
     }
 
     /// Lands a migration commit on the receiving shard: drop its
@@ -1195,13 +1199,21 @@ impl Shard {
     }
 
     /// Acks a prepare; the last shard to ack loads the file a restore
-    /// needs, once for every shard, then fans the apply out to everyone
-    /// (through its outbound, so per-target FIFO holds).
+    /// needs, once for every shard, or answers a shutdown's clients, then
+    /// fans the apply out to everyone through its outbound, its own
+    /// last: per-target FIFO holds, and a shard that finishes at a
+    /// shutdown's apply leaves no send behind.
     fn complete_prepare(&mut self, op: &Arc<CoordOp>) {
         if !op.ack_prepare() {
             return;
         }
         match (self.ctx.snapshot_path.as_deref(), op.kind) {
+            (_, CoordKind::Shutdown) => {
+                if let Some(reply) = op.take_reply() {
+                    reply.send(Response::Draining);
+                }
+                self.ctx.coord.shutdown_prepared();
+            }
             (None, _) => op.push_error(NO_SNAPSHOT.to_string()),
             (Some(path), CoordKind::Restore) => match self.load_restorable(path) {
                 Ok(snap) => *lock_ok(&op.cut) = Some(snap),
@@ -1209,7 +1221,8 @@ impl Shard {
             },
             (Some(_), CoordKind::Snapshot) => {}
         }
-        for k in 0..self.ctx.shards {
+        let me = self.ctx.index;
+        for k in (0..self.ctx.shards).filter(|&k| k != me).chain([me]) {
             self.send_peer(k, Command::Apply { op: op.clone() });
         }
     }
@@ -1231,12 +1244,18 @@ impl Shard {
         Ok(snap)
     }
 
-    /// Fires deferred prepare-acks once the outgoing handoff has resolved.
+    /// Acks the parked prepares, oldest first, while no handoff is in
+    /// flight and no send waits in the outbound: every message this
+    /// shard sent before an ack — a commit included — is then on its
+    /// target's queue, ahead of the apply the last shard to ack enqueues.
+    /// Only the writer thread calls it, after a turn has settled its
+    /// batch, so the replies to the writes queued ahead of a shutdown
+    /// are sent before its `draining`, which stops the I/O threads.
     fn resolve_parked(&mut self) {
-        if self.book.outgoing.is_some() {
-            return;
-        }
-        for op in std::mem::take(&mut self.book.parked_preps) {
+        while self.book.outgoing.is_none() && self.book.outbound.is_empty() {
+            let Some(op) = self.book.parked_preps.pop_front() else {
+                return;
+            };
             self.complete_prepare(&op);
         }
     }
@@ -1327,7 +1346,6 @@ impl Shard {
             provider,
             target,
             cloudlet,
-            cancelled: false,
         });
         mec_obs::record("serve.shard.rebalance.moves", 1);
         let from = self.ctx.index;
@@ -1699,8 +1717,8 @@ impl Shard {
 
     /// Publishes this shard's view, recording the view-build latency when
     /// the probes are armed (`enabled()` is `const`, so the timer folds
-    /// away in no-op builds). Sharded daemons record per-shard probes
-    /// (`serve.publish.s<k>.ns`); `obsreport` folds them back together.
+    /// away in no-op builds), as one `serve.publish.ns` histogram with a
+    /// `shard` label at every shard count.
     ///
     /// The view the last publish replaced is two publishes old; once no
     /// reader holds it any more, it is patched with what the two
@@ -1729,103 +1747,13 @@ impl Shard {
         }
     }
 
-    /// Coordinated drain of one shard: announce quiesce (or cancel the
-    /// in-flight outgoing handoff first), keep servicing migration
-    /// traffic until every shard has quiesced, then finish independently.
-    /// `rest` is whatever was batched behind the drain command.
-    fn drain_and_finish(&mut self, rx: &Receiver<Command>, rest: Vec<Command>) -> MarketOutcome {
-        // Quiesce: this shard originates no further migrations. An
-        // in-flight outgoing handoff must resolve first (the pending grant
-        // is answered with an abort), so commits are never stranded.
-        if let Some(out) = self.book.outgoing.as_mut() {
-            out.cancelled = true;
-        } else {
-            self.ctx.coord.arrive_quiesced();
-        }
-        // Coordinated snapshots parked behind the handoff fail with the
-        // drain error — their barriers still complete so no client is
-        // stranded.
-        for op in std::mem::take(&mut self.book.parked_preps) {
-            op.push_error("daemon is draining".to_string());
-            self.complete_prepare(&op);
-        }
-        // Whatever was already batched rides through the drain handler so
-        // in-flight commits still land.
-        for cmd in rest {
-            self.drain_cmd(cmd);
-        }
-        // Linger until every shard has quiesced, servicing migration
-        // traffic (reservation requests are refused, commits/aborts
-        // applied). The deadline is a backstop against a wedged peer.
-        let deadline = Instant::now() + DRAIN_LINGER_MAX;
-        loop {
-            self.drain_outbound();
-            if self.book.outgoing.is_none() && self.ctx.coord.all_quiesced() {
-                break;
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            if let Ok(cmd) = rx.recv_timeout(Duration::from_millis(1)) {
-                self.drain_cmd(cmd);
-            }
-        }
-        self.drain_outbound();
-        for cmd in rx.try_drain() {
-            self.drain_cmd(cmd);
-        }
-        // Any reservation left now belongs to a handoff that died with its
-        // source; drop them (re-opening maintenance at the cloudlets they
-        // held) so the final equilibrium is unconstrained.
-        self.release(None);
-        self.finish()
-    }
-
-    /// Command handling during a drain: client traffic is refused,
-    /// migration traffic is settled so no provider is lost mid-handoff.
-    fn drain_cmd(&mut self, cmd: Command) {
-        match cmd {
-            Command::MigrateReserve { provider, from, .. } => {
-                self.send_peer(
-                    from,
-                    Command::MigrateGrant {
-                        provider,
-                        granted: false,
-                    },
-                );
-            }
-            Command::MigrateGrant { provider, granted } => {
-                let resolved = self
-                    .book
-                    .outgoing
-                    .as_ref()
-                    .is_some_and(|out| out.provider == provider);
-                if resolved {
-                    // `resolved` just witnessed `outgoing` is Some for this
-                    // provider; nothing between the check and the take.
-                    // lint: allow(panics)
-                    let out = self.book.outgoing.take().expect("outgoing checked above");
-                    if granted {
-                        self.send_peer(out.target, Command::MigrateAbort { provider });
-                    }
-                    self.ctx.coord.arrive_quiesced();
-                }
-            }
-            Command::MigrateCommit {
-                provider,
-                cloudlet,
-                compute,
-                bandwidth,
-            } => self.commit(provider, cloudlet, compute, bandwidth),
-            Command::MigrateAbort { provider } => self.abort(provider),
-            other => refuse(other),
-        }
-    }
-
-    /// Drain: run maintenance quanta until the active players reach
-    /// equilibrium, write the final snapshot, and (with the `verify`
-    /// feature) re-certify the placement from first principles.
+    /// Finishes the shard: drops the reservations left (each handoff has
+    /// resolved at a shutdown's apply; an abandoned set's may have died
+    /// with its source), runs maintenance quanta until the active players
+    /// reach equilibrium, and (with the `verify` feature) re-certifies
+    /// the placement from first principles.
     fn finish(&mut self) -> MarketOutcome {
+        self.release(None);
         // Equilibrium is guaranteed to be reached: best-response dynamics
         // on the exact-potential game terminate (Lemma 3). The cap is a
         // backstop against a cost-model bug turning the drain into a hot
@@ -1835,12 +1763,6 @@ impl Shard {
             self.run_quantum(usize::MAX);
             guard += 1;
         }
-        // A failed write must not abort the drain; the error goes into
-        // the outcome for the caller to report.
-        let violations = match self.write_final_snapshot() {
-            Ok(()) => self.certify(),
-            Err(msg) => vec![msg],
-        };
         MarketOutcome {
             seq: self.book.seq,
             profile: self.state.profile().clone(),
@@ -1848,24 +1770,7 @@ impl Shard {
             epochs: self.book.epochs,
             moves: self.book.moves,
             equilibrium: self.book.dirt.is_clean(),
-            violations,
-        }
-    }
-
-    /// The drain snapshot: every shard adds its part to the
-    /// coordinator's cut, and the last to finish writes it.
-    fn write_final_snapshot(&self) -> Result<(), String> {
-        let Some(path) = self.ctx.snapshot_path.as_deref() else {
-            return Ok(());
-        };
-        let coord = &self.ctx.coord;
-        self.add_to_cut(&coord.cut);
-        if !coord.arrive_finished() {
-            return Ok(());
-        }
-        match lock_ok(&coord.cut).take() {
-            Some(cut) => save_cut(path, &cut).map_err(|e| format!("final snapshot failed: {e}")),
-            None => Ok(()),
+            violations: self.certify(),
         }
     }
 
@@ -1951,25 +1856,32 @@ fn save_cut(path: &Path, cut: &MarketSnapshot) -> Result<(), mec_core::SnapshotE
     save_snapshot(path, cut.seq, &cut.market, &cut.profile, &cut.active)
 }
 
-/// Acks an apply; the last shard answers the client — for a snapshot,
-/// after it has written the cut.
-fn complete_apply(op: &Arc<CoordOp>, snapshot_path: Option<&Path>) {
+/// Acks an apply; the last shard completes the op: it writes a
+/// snapshot's or a shutdown's cut, and answers the client. A shutdown
+/// answered its client at prepare, so its failed write comes back
+/// instead, for the shard's outcome.
+fn complete_apply(op: &CoordOp, snapshot_path: Option<&Path>) -> Result<(), String> {
     if !op.ack_apply() {
-        return;
+        return Ok(());
     }
     let errors = op.take_errors();
-    let Some(reply) = op.take_reply() else { return };
     let cut = lock_ok(&op.cut).take();
-    let resp = match (op.kind, cut, snapshot_path) {
-        _ if !errors.is_empty() => error(&errors.join("; ")),
-        (CoordKind::Snapshot, Some(cut), Some(path)) => match save_cut(path, &cut) {
-            Ok(()) => Response::Snapshotted { seq: cut.seq },
-            Err(e) => error(&format!("snapshot failed: {e}")),
-        },
-        (CoordKind::Restore, Some(snap), _) => Response::Restored { seq: snap.seq },
-        _ => error(NO_SNAPSHOT),
+    let done = match (op.kind, cut, snapshot_path) {
+        _ if !errors.is_empty() => Err(errors.join("; ")),
+        (CoordKind::Restore, Some(snap), _) => Ok(Response::Restored { seq: snap.seq }),
+        (_, Some(cut), Some(path)) => save_cut(path, &cut)
+            .map(|()| Response::Snapshotted { seq: cut.seq })
+            .map_err(|e| format!("snapshot failed: {e}")),
+        (CoordKind::Shutdown, _, None) => Ok(Response::Draining),
+        _ => Err(NO_SNAPSHOT.to_string()),
     };
-    reply.send(resp);
+    match op.take_reply() {
+        Some(reply) => {
+            reply.send(done.unwrap_or_else(|msg| error(&msg)));
+            Ok(())
+        }
+        None => done.map(drop),
+    }
 }
 
 /// Builds the wire stats record from a published view.
@@ -2026,10 +1938,11 @@ pub fn composite_stats(views: &[Arc<SharedView>], gauges: &ShardGauges) -> Stats
     st
 }
 
-/// Answers a command with the draining error (used for everything queued
-/// behind a drain, and by I/O threads whose queue closed under them).
+/// Answers a command with the draining error (used for the work a
+/// draining shard refuses, and by I/O threads whose queue closed under
+/// them).
 pub(crate) fn refuse(cmd: Command) {
-    let draining = || error("daemon is draining");
+    let draining = || error(DRAINING);
     match cmd {
         Command::Join { reply, .. }
         | Command::Leave { reply, .. }
@@ -2043,21 +1956,18 @@ pub(crate) fn refuse(cmd: Command) {
         // Coordinated ops: fail this shard's share of the barrier so the
         // last arriver answers the client with the drain error.
         Command::Prepare { op } => {
-            op.push_error("daemon is draining".to_string());
-            let _ = op.ack_prepare();
-        }
-        Command::Apply { op } => {
-            op.push_error("daemon is draining".to_string());
-            if op.ack_apply() {
+            op.push_error(DRAINING.to_string());
+            if op.ack_prepare() {
                 if let Some(reply) = op.take_reply() {
                     reply.send(draining());
                 }
             }
         }
-        Command::DrainAll { op } => {
-            if op.ack() {
+        Command::Apply { op } => {
+            op.push_error(DRAINING.to_string());
+            if op.ack_apply() {
                 if let Some(reply) = op.take_reply() {
-                    reply.send(Response::Draining);
+                    reply.send(draining());
                 }
             }
         }
@@ -2071,6 +1981,7 @@ mod tests {
     use crate::demand::DEMAND_EWMA_ALPHA;
     use crate::shard::{fresh, ShardSet};
     use mec_core::model::{CloudletSpec, Market, ProviderSpec};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_market(providers: usize) -> Market {
         let mut b = Market::builder()
@@ -2083,13 +1994,13 @@ mod tests {
     }
 
     /// A one-shard set over a fresh `market`, its queue sized for `queue`
-    /// commands plus the drain.
+    /// commands plus the shutdown.
     fn one_shard(market: Market, queue: usize, demand: Arc<DemandTracker>) -> ShardSet {
-        ShardSet::boot(fresh(market), 1, None, queue + 1, None, demand, 1).unwrap()
+        ShardSet::boot(fresh(market), 1, None, queue + 1, None, demand).unwrap()
     }
 
     /// Drives a one-shard writer: every command is enqueued before the
-    /// thread starts, followed by the drain.
+    /// thread starts, followed by the shutdown.
     fn drive(market: Market, cmds: Vec<Command>) -> (Vec<Option<Response>>, MarketOutcome) {
         let mut set = one_shard(market, cmds.len(), Arc::new(DemandTracker::disabled()));
         let mut receivers = Vec::new();
@@ -2428,6 +2339,50 @@ mod tests {
         }
     }
 
+    /// A shutdown applies the writes queued ahead of it and refuses the
+    /// writes queued behind it, on every shard, with the draining error.
+    #[test]
+    fn shutdown_refuses_the_writes_queued_behind_it() {
+        for shards in [1, 2] {
+            let demand = Arc::new(DemandTracker::disabled());
+            let mut set =
+                ShardSet::boot(fresh(tiny_market(4)), shards, None, 8, None, demand).unwrap();
+            // Providers 0 and 2 home to shard 0, 1 and 3 to the last shard.
+            let send = |set: &ShardSet, p: usize| {
+                let (cmd, rx) = join(p);
+                set.txs[set.router.owner(p)]
+                    .send(cmd)
+                    .map_err(|_| ())
+                    .unwrap();
+                rx
+            };
+            let ahead: Vec<_> = (0..2).map(|p| send(&set, p)).collect();
+            let sd = set.shutdown();
+            let behind: Vec<_> = (2..4).map(|p| send(&set, p)).collect();
+            set.start(|| {}).unwrap();
+            let outcome = set.join();
+            assert_eq!(sd.recv(), Some(Response::Draining), "{shards} shards");
+            for r in ahead {
+                assert!(
+                    matches!(r.recv(), Some(Response::Admitted { .. })),
+                    "{shards} shards"
+                );
+            }
+            for r in behind {
+                assert_eq!(
+                    r.recv(),
+                    Some(error("daemon is draining")),
+                    "{shards} shards"
+                );
+            }
+            assert_eq!(
+                outcome.active,
+                [true, true, false, false],
+                "{shards} shards"
+            );
+        }
+    }
+
     /// A shard set stepped by hand on the test thread: queued commands
     /// are applied shard by shard until every queue is empty, so a run is
     /// a pure function of its inputs.
@@ -2454,7 +2409,15 @@ mod tests {
     }
 
     impl Sim {
-        fn boot(market: Market, profile: Profile, active: Vec<bool>, shards: usize) -> Sim {
+        /// Boots `shards` writers at `profile` and `active`, each behind a
+        /// queue of `queue` commands.
+        fn boot(
+            market: Market,
+            profile: Profile,
+            active: Vec<bool>,
+            shards: usize,
+            queue: usize,
+        ) -> Sim {
             static RUNS: AtomicUsize = AtomicUsize::new(0);
             let base = market.clone();
             let n = market.provider_count();
@@ -2475,10 +2438,9 @@ mod tests {
                 boot,
                 shards,
                 None,
-                4096,
+                queue,
                 Some(path.clone()),
                 demand.clone(),
-                1,
             )
             .unwrap();
             let shards = set.take_idle();
@@ -2556,33 +2518,44 @@ mod tests {
             (spec.compute_demand, spec.bandwidth_demand)
         }
 
-        /// Runs [`Shard::turn`] — what the writer thread and an inline
-        /// I/O thread both run — on every queued command, shard by shard,
-        /// with quanta of at most `moves` moves, until every queue is
-        /// empty; the last round's empty turns run the quanta that dirt
-        /// left behind. Each quantum gets its reference fold, and one that
-        /// leaves the dirt clean must leave the shard at equilibrium.
-        fn pump(&mut self, moves: usize) {
-            loop {
-                let mut idle = true;
-                for k in 0..self.shards.len() {
-                    let (shard, rx) = &mut self.shards[k];
-                    let mut batch = rx.try_drain();
-                    idle &= batch.is_empty();
-                    let (depth, epochs) = (batch.len(), shard.book.epochs);
-                    assert!(shard.turn(&mut batch, depth, moves).is_none());
-                    shard.drain_outbound();
-                    if shard.book.epochs > epochs {
-                        if shard.book.dirt.is_clean() {
-                            assert_settled(shard);
-                        }
-                        self.fold(k);
-                    }
-                }
-                if idle {
-                    return;
-                }
+        /// Runs a writer thread's claim on everything queued for shard
+        /// `k`: [`Shard::turn`], with quanta of at most `moves` moves,
+        /// then the acks of the parked prepares nothing holds back. Each
+        /// quantum gets its reference fold, and one that leaves the dirt
+        /// clean must leave the shard at equilibrium. A shard the
+        /// shutdown finished takes no command, as its writer has
+        /// returned. Returns whether the shard had anything queued or
+        /// held back in its outbound.
+        fn turn(&mut self, k: usize, moves: usize) -> bool {
+            let (shard, rx) = &mut self.shards[k];
+            let mut batch = rx.try_drain();
+            if shard.book.outcome.is_some() {
+                assert!(
+                    batch.is_empty(),
+                    "shard {k} was sent work after it finished"
+                );
+                return false;
             }
+            let busy = !batch.is_empty() || !shard.book.outbound.is_empty();
+            let (depth, epochs) = (batch.len(), shard.book.epochs);
+            shard.turn(&mut batch, depth, moves);
+            if shard.book.outcome.is_none() {
+                shard.resolve_parked();
+            }
+            if shard.book.epochs > epochs && shard.book.dirt.is_clean() {
+                assert_settled(shard);
+            }
+            for _ in epochs..shard.book.epochs {
+                self.fold(k);
+            }
+            busy
+        }
+
+        /// Turns the shards round-robin until no command is queued or held
+        /// back anywhere; the last round's empty turns run the quanta that
+        /// dirt left behind.
+        fn pump(&mut self, moves: usize) {
+            while (0..self.shards.len()).fold(false, |busy, k| self.turn(k, moves) | busy) {}
         }
 
         /// The whole-market cut the shards hold now: each provider's
@@ -2634,16 +2607,23 @@ mod tests {
             format!("{owners:?} {shards:?}")
         }
 
-        /// Sends a snapshot or restore op through every shard's queue,
-        /// runs it to its reply with no quantum, and returns the reply.
-        fn coordinated(&mut self, kind: CoordKind) -> Response {
+        /// Fans a coordinated op out as a prepare on every shard's queue;
+        /// the returned slot receives the op's reply.
+        fn fan_out(&self, kind: CoordKind) -> chan::OneReceiver<Response> {
             let (tx, rx) = chan::oneshot();
             let op = Arc::new(CoordOp::new(kind, self.txs.len(), tx.into()));
             for k in 0..self.txs.len() {
                 self.send(k, Command::Prepare { op: op.clone() });
             }
+            rx
+        }
+
+        /// Sends a coordinated op through every shard's queue, runs it to
+        /// its reply with no quantum, and returns the reply.
+        fn coordinated(&mut self, kind: CoordKind) -> Response {
+            let rx = self.fan_out(kind);
             self.pump(0);
-            rx.recv().expect("the last shard to apply answers")
+            rx.recv().expect("the op answers its client")
         }
 
         /// A restore: from the saved cut, every provider's placement,
@@ -2680,7 +2660,7 @@ mod tests {
             // A view held since the last step is released when this one
             // ends.
             let _released = self.held.take();
-            match kind % 14 {
+            match kind % 15 {
                 0 => self.send(
                     owner,
                     Command::Join {
@@ -2703,7 +2683,7 @@ mod tests {
                 // overflows) ...
                 3 | 4 => {
                     let spec = self.base.provider(ProviderId(p));
-                    let grow = if kind % 14 == 3 { 100.0 } else { 1.0 };
+                    let grow = if kind % 15 == 3 { 100.0 } else { 1.0 };
                     self.send(
                         owner,
                         Command::Update {
@@ -2792,7 +2772,26 @@ mod tests {
                 11 => self.note(p, c as u64 + 1),
                 // ... and a reader holding the owner's view until the
                 // next step ends.
-                _ => self.held = Some(self.shards[owner].0.ctx.views[owner].load()),
+                12 => self.held = Some(self.shards[owner].0.ctx.views[owner].load()),
+                // The owner's rebalance scan, its tick throttle met, then a
+                // snapshot fanned out before any shard runs: a handoff the
+                // scan starts parks the owner's prepare, and the cut is
+                // the state after the handoff resolves.
+                _ => {
+                    let source = &mut self.shards[owner].0;
+                    source.book.ticks = REBALANCE_TICKS - 1;
+                    source.maybe_rebalance();
+                    let handoff = source.book.outgoing.is_some();
+                    let rx = self.fan_out(CoordKind::Snapshot);
+                    self.turn(owner, 0);
+                    let parked = !self.shards[owner].0.book.parked_preps.is_empty();
+                    assert_eq!(parked, handoff, "the prepare parks behind the handoff");
+                    self.pump(0);
+                    let cut = self.cut();
+                    assert_eq!(rx.recv(), Some(Response::Snapshotted { seq: cut.seq }));
+                    assert_same_cut(&load_snapshot(&self.path).unwrap(), &cut);
+                    self.saved = Some(cut);
+                }
             }
             self.pump(match budget % 4 {
                 3 => EPOCH_MOVES,
@@ -2833,18 +2832,25 @@ mod tests {
             }
         }
 
-        /// Drains every shard as the daemon does (leftover reservations
-        /// dropped, quanta to equilibrium) and certifies what is left.
+        /// Shuts the set down through the real op: every shard's apply
+        /// drops its leftover reservations and runs quanta to
+        /// equilibrium, and the file the last one writes is the shards'
+        /// cut. Each shard's outcome is its final state: an equilibrium,
+        /// capacity-feasible and Nash over its region.
         fn finish(mut self) {
-            for k in 0..self.shards.len() {
-                self.shards[k].0.release(None);
-                self.run_quantum(k, usize::MAX);
-                let shard = &self.shards[k].0;
-                assert!(shard.book.dirt.is_clean());
+            assert_eq!(self.coordinated(CoordKind::Shutdown), Response::Draining);
+            assert_same_cut(&load_snapshot(&self.path).unwrap(), &self.cut());
+            for (k, (shard, _)) in self.shards.iter().enumerate() {
+                let outcome = shard.book.outcome.as_ref().expect("every shard finished");
+                assert!(outcome.equilibrium, "shard {k}");
+                assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+                assert_eq!(outcome.seq, shard.book.seq);
+                assert_eq!(&outcome.profile, shard.state.profile());
+                assert_eq!(outcome.active, shard.book.active);
                 assert_settled(shard);
                 let market = shard.state.market();
-                let capacity = mec_core::check_capacity(market, shard.state.profile());
-                assert!(capacity.is_empty(), "{capacity:?}");
+                let capacity = mec_core::check_capacity(market, &outcome.profile);
+                assert!(capacity.is_empty(), "shard {k}: {capacity:?}");
                 let nash = shard.certify_region_nash();
                 assert!(nash.is_empty(), "{nash:?}");
             }
@@ -2947,7 +2953,7 @@ mod tests {
     fn a_restored_shard_hands_its_other_providers_to_their_owners() {
         // Provider 0 homes to shard 0; the file caches it at cloudlet 1,
         // in shard 1's region.
-        let mut sim = Sim::boot(tiny_market(2), Profile::all_remote(2), vec![false; 2], 2);
+        let mut sim = Sim::boot(tiny_market(2), Profile::all_remote(2), vec![false; 2], 2, 4);
         let mut file = sim.cut();
         file.profile
             .set(ProviderId(0), Placement::Cloudlet(CloudletId(1)));
@@ -2956,15 +2962,213 @@ mod tests {
         let op = Arc::new(CoordOp::new(CoordKind::Restore, 2, tx.into()));
         *lock_ok(&op.cut) = Some(file);
         assert_eq!(sim.router.owner(0), 0);
-        assert!(sim.shards[0].0.step(Command::Apply { op }).is_none());
+        sim.shards[0].0.step(Command::Apply { op });
         assert_eq!(sim.router.owner(0), 1);
+    }
+
+    /// A prepare acks only once the sends its shard made have left the
+    /// outbound. Two shards behind queues of one command: shard 0's
+    /// rebalance hands provider 0 to shard 1's cheap cloudlet, the op's
+    /// prepare parks behind the handoff, and shard 1's own prepare fills
+    /// its queue, so the commit waits in shard 0's outbound when the
+    /// grant resolves the handoff. Were shard 0 to ack then, shard 1 —
+    /// the last to ack — would apply ahead of the commit and write the
+    /// admitted provider inactive. A shutdown parks the same way, so the
+    /// handoff it meets completes and the drained file holds the
+    /// provider at its target.
+    #[test]
+    fn a_prepare_waits_for_the_commit_in_its_outbound() {
+        for kind in [CoordKind::Snapshot, CoordKind::Shutdown] {
+            let market = Market::builder()
+                .cloudlet(CloudletSpec::new(4.0, 20.0, 3.0, 3.0))
+                .cloudlet(CloudletSpec::new(4.0, 20.0, 0.1, 0.1))
+                .provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0))
+                .uniform_update_cost(0.2)
+                .build();
+            let mut profile = Profile::all_remote(1);
+            profile.set(ProviderId(0), Placement::Cloudlet(CloudletId(0)));
+            let mut sim = Sim::boot(market, profile, vec![true], 2, 1);
+            let source = &mut sim.shards[0].0;
+            source.book.ticks = REBALANCE_TICKS - 1;
+            source.maybe_rebalance();
+            assert!(source.book.outgoing.is_some(), "the scan starts a handoff");
+            let (tx, rx) = chan::oneshot();
+            let op = Arc::new(CoordOp::new(kind, 2, tx.into()));
+            sim.send(0, Command::Prepare { op: op.clone() });
+            sim.turn(0, 0);
+            sim.turn(1, 0);
+            sim.send(1, Command::Prepare { op });
+            sim.turn(0, 0);
+            assert_eq!(sim.shards[0].0.book.outbound.len(), 1, "the commit waits");
+            // Shard 1 takes its prepare; an I/O thread's inline turn on
+            // shard 0 then sends the commit, and leaves the prepare it
+            // unblocked to the writer thread.
+            sim.turn(1, 0);
+            let source = &mut sim.shards[0].0;
+            source.turn(&mut Vec::new(), 0, 0);
+            assert!(source.book.outbound.is_empty(), "the commit is sent");
+            assert_eq!(source.book.parked_preps.len(), 1, "{kind:?}");
+            assert!(source.wants_writer(), "the prepare asks for the writer");
+            sim.pump(0);
+            let cut = sim.cut();
+            let reply = match kind {
+                CoordKind::Shutdown => Response::Draining,
+                _ => Response::Snapshotted { seq: cut.seq },
+            };
+            assert_eq!(rx.recv(), Some(reply));
+            let file = load_snapshot(&sim.path).unwrap();
+            assert!(
+                file.active[0],
+                "{kind:?}: the migrated provider is admitted"
+            );
+            assert_eq!(
+                file.profile.placement(ProviderId(0)),
+                Placement::Cloudlet(CloudletId(1)),
+                "{kind:?}"
+            );
+            assert_same_cut(&file, &cut);
+        }
+    }
+
+    /// A coordinated op queued behind the shutdown fails with the
+    /// draining error, which the last shard to refuse it answers.
+    #[test]
+    fn an_op_queued_behind_the_shutdown_is_refused() {
+        for shards in [1, 2] {
+            let demand = Arc::new(DemandTracker::disabled());
+            let mut set =
+                ShardSet::boot(fresh(tiny_market(2)), shards, None, 4, None, demand).unwrap();
+            let sd = set.shutdown();
+            let (tx, rx) = chan::oneshot();
+            let op = Arc::new(CoordOp::new(CoordKind::Snapshot, shards, tx.into()));
+            for q in &set.txs {
+                q.send(Command::Prepare { op: op.clone() })
+                    .map_err(|_| ())
+                    .unwrap();
+            }
+            set.start(|| {}).unwrap();
+            set.join();
+            assert_eq!(sd.recv(), Some(Response::Draining));
+            assert_eq!(rx.recv(), Some(error(DRAINING)), "{shards} shards");
+        }
+    }
+
+    /// One drain per daemon: a second shutdown fans out nothing, and it
+    /// is answered `draining` only once every shard has acked the first
+    /// one's prepare. Until then a copy of that prepare may still wait
+    /// in an I/O thread's backlog for room in a full queue, and a
+    /// `draining` reply stops the I/O threads, which drop their
+    /// backlogs.
+    #[test]
+    fn a_second_shutdown_joins_the_first() {
+        let mut sim = Sim::boot(tiny_market(2), Profile::all_remote(2), vec![false; 2], 2, 4);
+        let coord = sim.shards[0].0.ctx.coord.clone();
+        let (tx, first) = chan::oneshot();
+        let op = coord
+            .shutdown_op(tx.into())
+            .expect("the first shutdown fans out");
+        sim.send(0, Command::Prepare { op: op.clone() });
+        sim.pump(0);
+        let (tx, second) = chan::oneshot();
+        assert!(
+            coord.shutdown_op(tx.into()).is_none(),
+            "one drain per daemon"
+        );
+        assert_eq!(second.try_recv(), None, "shard 1 has not acked the prepare");
+        sim.send(1, Command::Prepare { op });
+        sim.pump(0);
+        assert_eq!(first.recv(), Some(Response::Draining));
+        assert_eq!(second.recv(), Some(Response::Draining));
+        let (tx, third) = chan::oneshot();
+        assert!(coord.shutdown_op(tx.into()).is_none());
+        assert_eq!(third.recv(), Some(Response::Draining), "every shard acked");
+        assert!(sim.shards.iter().all(|(s, _)| s.book.outcome.is_some()));
+    }
+
+    /// A restore every shard acked before the shutdown's prepare rewinds
+    /// every shard, a draining one too. Shard 0 acks the restore and
+    /// then takes the shutdown's prepare; shard 1, the last to ack,
+    /// restores while its copy of the shutdown's prepare is still on the
+    /// way, and the restore's apply reaches shard 0 behind that prepare.
+    #[test]
+    fn a_restore_acked_before_the_shutdown_rewinds_every_shard() {
+        let mut sim = Sim::boot(tiny_market(4), Profile::all_remote(4), vec![false; 4], 2, 4);
+        for p in 0..4 {
+            let (cmd, _rx) = join(p);
+            sim.send(sim.router.owner(p), cmd);
+        }
+        sim.pump(EPOCH_MOVES);
+        let saved = sim.cut();
+        assert!(matches!(
+            sim.coordinated(CoordKind::Snapshot),
+            Response::Snapshotted { .. }
+        ));
+        for p in 0..4 {
+            let (tx, _rx) = chan::oneshot();
+            sim.send(
+                sim.router.owner(p),
+                Command::Leave {
+                    provider: p,
+                    reply: tx.into(),
+                },
+            );
+        }
+        sim.pump(0);
+        let (tx, restored) = chan::oneshot();
+        let restore = Arc::new(CoordOp::new(CoordKind::Restore, 2, tx.into()));
+        let (tx, drained) = chan::oneshot();
+        let shutdown = Arc::new(CoordOp::new(CoordKind::Shutdown, 2, tx.into()));
+        for k in 0..2 {
+            sim.send(
+                k,
+                Command::Prepare {
+                    op: restore.clone(),
+                },
+            );
+        }
+        sim.turn(0, 0);
+        sim.send(
+            0,
+            Command::Prepare {
+                op: shutdown.clone(),
+            },
+        );
+        sim.turn(1, 0);
+        sim.turn(1, 0);
+        sim.turn(0, 0);
+        assert_eq!(restored.recv(), Some(Response::Restored { seq: saved.seq }));
+        assert_same_cut(&sim.cut(), &saved);
+        sim.send(1, Command::Prepare { op: shutdown });
+        sim.pump(0);
+        assert_eq!(drained.recv(), Some(Response::Draining));
+        assert!(sim.shards.iter().all(|(s, _)| s.book.outcome.is_some()));
+    }
+
+    /// A set abandoned without a shutdown finishes each writer alone at
+    /// its next idle tick and writes no cut.
+    #[test]
+    fn an_abandoned_set_finishes_without_a_cut() {
+        let path = std::env::temp_dir().join(format!("mec-abandoned-{}.snap", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let demand = Arc::new(DemandTracker::disabled());
+        let boot = fresh(tiny_market(2));
+        let mut set = ShardSet::boot(boot, 2, None, 4, Some(path.clone()), demand).unwrap();
+        let (j, jr) = join(0);
+        set.txs[0].send(j).map_err(|_| ()).unwrap();
+        set.start(|| {}).unwrap();
+        assert!(matches!(jr.recv(), Some(Response::Admitted { .. })));
+        set.coord.abandon();
+        let outcome = set.join();
+        assert!(outcome.equilibrium);
+        assert!(outcome.active[0]);
+        assert!(!path.exists(), "an abandoned set writes no snapshot");
     }
 
     /// Renormalising the EWMAs' shared scale rewrites every entry, so the
     /// publishes after it must rewrite every view entry too.
     #[test]
     fn ewma_renormalisation_republishes_every_entry() {
-        let mut sim = Sim::boot(tiny_market(3), Profile::all_remote(3), vec![true; 3], 1);
+        let mut sim = Sim::boot(tiny_market(3), Profile::all_remote(3), vec![true; 3], 1, 4);
         sim.note(1, 3);
         // ~800 quanta take the scale across its floor.
         for _ in 0..1000 {
@@ -2999,7 +3203,7 @@ mod tests {
             shards in 1usize..5,
             cloudlets in proptest::collection::vec((1u8..4, 1u8..10), 2..5),
             providers in proptest::collection::vec((1u8..3, 0u8..6, 2u8..12, 0u8..7), 3..9),
-            ops in proptest::collection::vec((0u8..14, 0usize..16, 0usize..8, 0u8..4), 1..60),
+            ops in proptest::collection::vec((0u8..15, 0usize..16, 0usize..8, 0u8..4), 1..60),
         ) {
             let mut b = Market::builder();
             for &(slots, price) in &cloudlets {
@@ -3032,7 +3236,7 @@ mod tests {
                 }
             }
             let profile = state.into_profile();
-            let mut sim = Sim::boot(market, profile, active, shards);
+            let mut sim = Sim::boot(market, profile, active, shards, 4096);
             for op in ops {
                 sim.apply(op);
             }

@@ -106,9 +106,8 @@ pub fn run_scenario(market: Market, trace: &Trace) -> ScenarioReport {
     );
 
     let demand = Arc::new(DemandTracker::new(n));
-    // Queue sized for one epoch's worth of churn plus the drain; this
-    // driver is the writer's one I/O-side sender.
-    let mut set = ShardSet::boot(fresh(market), 1, None, n + 8, None, demand.clone(), 1)
+    // Queue sized for one epoch's worth of churn plus the shutdown.
+    let mut set = ShardSet::boot(fresh(market), 1, None, n + 8, None, demand.clone())
         // lint: allow(panics) — one shard needs no region map, so boot cannot fail.
         .expect("one-shard boot has no region map to reject");
     let tx = set.txs[0].clone();

@@ -1,5 +1,5 @@
 //! The TCP front half of the daemon: acceptor, event-loop I/O threads,
-//! boot and drain plumbing.
+//! boot and teardown plumbing.
 //!
 //! Threading model (one applier *per region* at a time / multi-reader):
 //!
@@ -27,17 +27,17 @@
 //! acknowledged — so the common write costs no thread handoff. The
 //! shard's writer thread applies everything else: peer and admin
 //! commands, writes queued while another thread held the claim,
-//! maintenance left after a quantum, idle rebalance ticks and the drain.
+//! maintenance left after a quantum and idle rebalance ticks.
 //!
 //! The writers boot through one `ShardSet` at every shard count: each
-//! region gets its own writer thread, every shard's first view is
-//! published before the listener accepts, and `shutdown` is a coordinated
-//! drain with one member per shard. Teardown is signalled by the
-//! `io_live` counter of I/O threads (each writer holds its own and its
-//! peers' senders, so its queue never disconnects). `snapshot` and
-//! `restore` fan out as coordinated two-phase ops (see [`crate::shard`])
-//! over one whole-market file at every shard count; boot restores the
-//! same file through the same ownership rule.
+//! region gets its own writer thread, and every shard's first view is
+//! published before the listener accepts. `snapshot`, `restore` and
+//! `shutdown` fan out as one coordinated two-phase op (see
+//! [`crate::shard`]) at every shard count; a snapshot, and a shutdown's
+//! when a file is set, is one whole-market file, which boot restores
+//! through the same ownership rule. A writer finishes at the shutdown's
+//! apply; a boot that fails after starting threads abandons the set
+//! instead, and each writer finishes alone.
 //!
 //! Every daemon thread is named by its role — `shard-<k>`, `io-<k>`,
 //! `acceptor`, `admin` — so per-thread CPU can be read apart. An
@@ -197,7 +197,6 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         QUEUE_LEN,
         cfg.snapshot_path.clone(),
         demand.clone(),
-        io_count,
     )?;
 
     let listener = TcpListener::bind(&cfg.addr)?;
@@ -225,6 +224,7 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             views: shards.views.clone(),
             router: shards.router.clone(),
             gauges: shards.gauges.clone(),
+            coord: shards.coord.clone(),
             demand: demand.clone(),
             addr,
         }));
@@ -246,32 +246,26 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
     })?;
     // A spawn that fails from here on stops what already runs: the stop
     // flag and a wake end the started I/O threads (and the admin thread),
-    // and the I/O threads never started are counted out of the writers'
-    // senders, so every writer drains.
-    let abandon = |e: std::io::Error, unstarted: usize| {
+    // and the abandoned set's writers finish alone, with no snapshot —
+    // no request was served yet.
+    let abandon = |e: std::io::Error| {
         stop.store(true, Ordering::SeqCst);
         for c in &wakers {
             c.wake();
         }
-        shards.io_live.fetch_sub(unstarted, Ordering::AcqRel);
+        shards.coord.abandon();
         e
     };
 
     let mut io = Vec::with_capacity(io_count);
     for (k, shared) in io_shared.iter().enumerate() {
         let shared = shared.clone();
-        let io_live = shards.io_live.clone();
         // One poll loop per I/O thread, joined through the ServerHandle.
         // lint: allow(thread-spawn)
         let spawned = std::thread::Builder::new()
             .name(format!("io-{k}"))
-            .spawn(move || {
-                run_io(&shared);
-                // Signal the shard threads: one fewer I/O-side sender. At
-                // zero every writer self-drains.
-                io_live.fetch_sub(1, Ordering::AcqRel);
-            });
-        io.push(spawned.map_err(|e| abandon(e, io_count - k))?);
+            .spawn(move || run_io(&shared));
+        io.push(spawned.map_err(abandon)?);
     }
 
     let mut admin_addr = None;
@@ -286,7 +280,7 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             stop: stop.clone(),
             providers: n,
         });
-        admin = Some(crate::admin::spawn_admin(admin_l, shared).map_err(|e| abandon(e, 0))?);
+        admin = Some(crate::admin::spawn_admin(admin_l, shared).map_err(abandon)?);
     }
 
     let stop_a = stop.clone();
@@ -297,7 +291,7 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         .spawn(move || {
             accept_loop(&listener, &io_shared, &stop_a, &live);
         })
-        .map_err(|e| abandon(e, 0))?;
+        .map_err(abandon)?;
 
     Ok(ServerHandle {
         addr,

@@ -1,6 +1,6 @@
 //! Shard plumbing for the partitioned market: the `ShardSet` every
 //! caller boots its writers through, provider→shard routing, the
-//! coordinated snapshot/restore/drain state, and per-shard gauges.
+//! coordinated snapshot/restore/shutdown state, and per-shard gauges.
 //!
 //! The market is partitioned by *topology region*: each shard owns a
 //! disjoint set of cloudlets (a spatial cluster from
@@ -25,27 +25,33 @@
 //! two-phase reserve→commit migration handoff) is debited on the target's
 //! own thread, so concurrent admissions can never oversubscribe.
 //!
-//! # Snapshots
+//! # Snapshot, restore and shutdown
 //!
 //! A snapshot is one whole-market [`MarketSnapshot`] file at every shard
 //! count, and boot and a live `restore` split it among the shards by one
 //! rule: a cached provider belongs to its cloudlet's region, any other
-//! to its home shard `p % N`. Both verbs are two-phase ops: a *prepare*
-//! fan-out pauses new migrations and waits for every in-flight handoff to
-//! resolve (each shard defers its prepare-ack until its outgoing
-//! migration has sent `commit` or `abort`), then an *apply* fan-out has
-//! every shard act. For a snapshot, each shard adds its owned providers
-//! and its seq to one cut the op carries, and the last to apply writes
-//! the cut with tmp + fsync + rename. For a restore, the shard that
-//! completes prepare loads the file once, and each shard takes its part
-//! at apply. Because a commit is enqueued on the target's FIFO queue
-//! *before* the source acks prepare, and the apply command is enqueued
-//! *after* every ack, every migrated provider lands in the cut exactly
-//! once. The drain builds its cut the same way, behind the
-//! coordinator's finish barrier.
+//! to its home shard `p % N`. `snapshot`, `restore` and `shutdown` are
+//! one two-phase op ([`CoordOp`]): a *prepare* fan-out pauses new
+//! migrations, then an *apply* fan-out has every shard act. A shard acks
+//! its prepare on its writer thread, after the batch that brought it has
+//! settled, and only once its outgoing handoff has resolved and no send
+//! waits in its outbound for room in a full peer queue, so every message
+//! it sent before the ack — a migration commit included — is already on
+//! its target's FIFO queue; the last shard to ack enqueues the apply
+//! fan-out after every ack, so each target applies after those
+//! messages, and every migrated provider lands in the cut exactly once.
+//! For a snapshot, each shard adds its owned providers and its seq to
+//! one cut the op carries, and the last to apply writes the cut with
+//! tmp + fsync + rename. For a restore, the shard that completes prepare
+//! loads the file once, and each shard takes its part at apply. A
+//! shutdown's prepare also starts the drain: the shard refuses new work,
+//! and the last to ack answers `draining`, to any later `shutdown` too.
+//! At its apply each shard runs maintenance to equilibrium, certifies,
+//! adds its part to the cut when a snapshot file is set, and finishes;
+//! the last to apply writes the cut.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -54,7 +60,7 @@ use mec_core::{load_snapshot, GameState, MarketSnapshot, Placement, Profile, Pro
 
 use crate::chan::{self, lock_ok, OneReceiver, Receiver, Sender};
 use crate::demand::DemandTracker;
-use crate::market::{Command, MarketOutcome, Shard, ShardCtx};
+use crate::market::{Command, MarketOutcome, Reply, Shard, ShardCtx};
 use crate::proto::Response;
 use crate::view::{MarketView, SharedView};
 
@@ -62,7 +68,7 @@ use crate::view::{MarketView, SharedView};
 ///
 /// I/O threads read it to route writes and queries; shard threads write
 /// it, but only for providers they currently own (or, during a restore,
-/// for providers their snapshot slice assigns to them). Relaxed ordering
+/// for providers the snapshot file assigns to them). Relaxed ordering
 /// is enough: a stale read routes a command to the previous owner, which
 /// forwards it — correctness never depends on routing freshness.
 pub struct Router {
@@ -162,12 +168,21 @@ pub struct Coordinator {
     pub shards: usize,
     /// Cloudlet→shard region map, fixed at boot ([`Self::regions`]).
     regions: Vec<usize>,
-    /// Shards past their last cross-shard send during a drain.
-    quiesced: AtomicUsize,
-    /// Shards that have not yet added their part to the drain's cut.
-    unfinished: AtomicUsize,
-    /// The drain's whole-market cut, built by the finishing shards.
-    pub(crate) cut: Mutex<Option<MarketSnapshot>>,
+    /// Where the daemon's one shutdown stands ([`Self::shutdown_op`]).
+    drain: Mutex<Drain>,
+    /// Set by a teardown that is not a shutdown ([`Self::abandon`]).
+    abandoned: AtomicBool,
+}
+
+/// Where the daemon's one shutdown stands.
+enum Drain {
+    /// No shutdown has fanned out.
+    Serving,
+    /// The shutdown's prepare is fanning out; the replies of later
+    /// shutdowns wait for its last ack.
+    Preparing(Vec<Reply>),
+    /// Every shard has acked the shutdown's prepare.
+    Draining,
 }
 
 impl Coordinator {
@@ -176,9 +191,8 @@ impl Coordinator {
         Coordinator {
             shards,
             regions,
-            quiesced: AtomicUsize::new(0),
-            unfinished: AtomicUsize::new(shards),
-            cut: Mutex::new(None),
+            drain: Mutex::new(Drain::Serving),
+            abandoned: AtomicBool::new(false),
         }
     }
 
@@ -216,21 +230,54 @@ impl Coordinator {
         (profile, active, if k == 0 { snap.seq } else { 0 })
     }
 
-    /// Marks the calling shard as quiesced (no further cross-shard sends
-    /// will originate from it during the drain).
-    pub fn arrive_quiesced(&self) {
-        self.quiesced.fetch_add(1, Ordering::AcqRel);
+    /// The daemon's one shutdown op, for the caller to fan out as a
+    /// prepare to every shard. A later call returns `None`, and its
+    /// client is answered `draining` once every shard has acked the
+    /// op's prepare ([`Self::shutdown_prepared`]): a second op could
+    /// split the shards between two drains, and an earlier `draining`
+    /// stops the I/O threads, which would drop a copy of the prepare
+    /// still waiting in one's backlog for room in a full queue.
+    pub(crate) fn shutdown_op(&self, reply: Reply) -> Option<Arc<CoordOp>> {
+        let mut drain = lock_ok(&self.drain);
+        match &mut *drain {
+            Drain::Serving => *drain = Drain::Preparing(Vec::new()),
+            Drain::Preparing(later) => {
+                later.push(reply);
+                return None;
+            }
+            Drain::Draining => {
+                reply.send(Response::Draining);
+                return None;
+            }
+        }
+        Some(Arc::new(CoordOp::new(
+            CoordKind::Shutdown,
+            self.shards,
+            reply,
+        )))
     }
 
-    /// `true` once every shard has quiesced.
-    pub fn all_quiesced(&self) -> bool {
-        self.quiesced.load(Ordering::Acquire) >= self.shards
+    /// Called by the shard that completes the shutdown's prepare: answers
+    /// the later shutdowns `draining`.
+    pub(crate) fn shutdown_prepared(&self) {
+        let drain = std::mem::replace(&mut *lock_ok(&self.drain), Drain::Draining);
+        if let Drain::Preparing(later) = drain {
+            for reply in later {
+                reply.send(Response::Draining);
+            }
+        }
     }
 
-    /// Marks the calling shard's part of the drain's cut as added;
-    /// returns `true` for the last shard, which writes the cut.
-    pub fn arrive_finished(&self) -> bool {
-        self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1
+    /// Tears the set down without a shutdown (a thread that failed to
+    /// spawn): each writer finishes alone at its next idle tick, with no
+    /// cut.
+    pub(crate) fn abandon(&self) {
+        self.abandoned.store(true, Ordering::Release);
+    }
+
+    /// `true` once [`Self::abandon`] was called.
+    pub(crate) fn abandoned(&self) -> bool {
+        self.abandoned.load(Ordering::Acquire)
     }
 }
 
@@ -241,33 +288,37 @@ pub enum CoordKind {
     Snapshot,
     /// Rewind every shard to its part of the snapshot file.
     Restore,
+    /// Drain every shard to equilibrium and finish it, writing the
+    /// shards' cut to the snapshot file when one is set.
+    Shutdown,
 }
 
-/// One in-flight coordinated snapshot/restore: prepare fan-out, apply
-/// fan-out, the whole-market state it carries, and the single client
-/// reply.
+/// One in-flight coordinated snapshot, restore or shutdown: prepare
+/// fan-out, apply fan-out, the whole-market state it carries, and the
+/// single client reply.
 ///
 /// Shards interact through [`CoordOp::ack_prepare`] /
 /// [`CoordOp::ack_apply`]; whichever shard arrives last at each barrier
-/// drives the next step (load the file and enqueue the apply fan-out;
-/// write the cut and answer the client).
+/// drives the next step (load the file, or answer a shutdown, and
+/// enqueue the apply fan-out; write the cut and answer the client).
 pub struct CoordOp {
-    /// Snapshot vs. restore.
+    /// Snapshot, restore or shutdown.
     pub kind: CoordKind,
     prepare_left: AtomicUsize,
     apply_left: AtomicUsize,
-    /// The cut the applying shards build (snapshot), or the file the
-    /// shard completing prepare loaded (restore).
+    /// The cut the applying shards build (snapshot, shutdown), or the
+    /// file the shard completing prepare loaded (restore).
     pub(crate) cut: Mutex<Option<MarketSnapshot>>,
-    /// Client reply, taken by the shard that completes the apply phase.
-    reply: Mutex<Option<crate::market::Reply>>,
+    /// Client reply, taken by the shard that completes the apply phase
+    /// (a shutdown's by the shard that completes prepare).
+    reply: Mutex<Option<Reply>>,
     /// Errors collected across shards; a non-empty set fails the op.
     errors: Mutex<Vec<String>>,
 }
 
 impl CoordOp {
     /// A fresh op awaiting `shards` prepare-acks and apply-acks.
-    pub fn new(kind: CoordKind, shards: usize, reply: crate::market::Reply) -> CoordOp {
+    pub fn new(kind: CoordKind, shards: usize, reply: Reply) -> CoordOp {
         CoordOp {
             kind,
             prepare_left: AtomicUsize::new(shards),
@@ -285,7 +336,7 @@ impl CoordOp {
     }
 
     /// Acks the apply phase; `true` for the last shard, which writes the
-    /// cut (snapshot) and answers the client.
+    /// cut (snapshot, shutdown) and answers the client.
     pub fn ack_apply(&self) -> bool {
         self.apply_left.fetch_sub(1, Ordering::AcqRel) == 1
     }
@@ -307,35 +358,7 @@ impl CoordOp {
     }
 
     /// Takes the client reply (present exactly once).
-    pub fn take_reply(&self) -> Option<crate::market::Reply> {
-        lock_ok(&self.reply).take()
-    }
-}
-
-/// Coordinated shutdown: every shard acks the drain announcement, then
-/// quiesces cross-shard traffic, then finishes independently.
-pub struct DrainOp {
-    ack_left: AtomicUsize,
-    reply: Mutex<Option<crate::market::Reply>>,
-}
-
-impl DrainOp {
-    /// A drain op awaiting `shards` acks before announcing `Draining`.
-    pub fn new(shards: usize, reply: crate::market::Reply) -> DrainOp {
-        DrainOp {
-            ack_left: AtomicUsize::new(shards),
-            reply: Mutex::new(Some(reply)),
-        }
-    }
-
-    /// Acks the drain; `true` for the last shard, which sends the single
-    /// `Draining` response (the event loop stops accepting on it).
-    pub fn ack(&self) -> bool {
-        self.ack_left.fetch_sub(1, Ordering::AcqRel) == 1
-    }
-
-    /// Takes the client reply.
-    pub fn take_reply(&self) -> Option<crate::market::Reply> {
+    pub fn take_reply(&self) -> Option<Reply> {
         lock_ok(&self.reply).take()
     }
 }
@@ -418,9 +441,9 @@ pub(crate) fn boot_state(market: Market, path: Option<&Path>) -> std::io::Result
 /// One booted set of shard writers and everything they share with the
 /// I/O side: the command queues, the shards themselves (an I/O thread
 /// whose push claims a queue applies its client writes inline), the
-/// router, the published views, the gauges, the coordinator and the
-/// I/O-liveness counter. The daemon, the drain bench and the trace
-/// replay all boot their writers here.
+/// router, the published views, the gauges and the coordinator. The
+/// daemon, the drain bench and the trace replay all boot their writers
+/// here.
 ///
 /// Every shard's first view is published before [`ShardSet::boot`]
 /// returns, so a reader never sees a pre-boot view. The writers start
@@ -438,10 +461,8 @@ pub(crate) struct ShardSet {
     pub(crate) router: Arc<Router>,
     /// Per-shard depth/write/migration gauges.
     pub(crate) gauges: Arc<ShardGauges>,
-    /// Region map, epochs and drain barriers.
+    /// Region map and teardown flags.
     pub(crate) coord: Arc<Coordinator>,
-    /// Live I/O-side senders; every writer drains once it reaches zero.
-    pub(crate) io_live: Arc<AtomicUsize>,
     /// The receiving ends of the queues, until the writers start.
     idle: Vec<Receiver<Command>>,
     /// Started writer threads.
@@ -452,9 +473,7 @@ impl ShardSet {
     /// Boots `shards` writers (clamped to the cloudlet count) over
     /// `boot`, each behind a command queue of `queue_len` messages.
     /// `regions` is the cloudlet→shard map (`None` derives a
-    /// contiguous split); `io_senders` counts the I/O-side senders whose
-    /// exit drains the set (an in-process driver counts as one until it
-    /// calls [`ShardSet::shutdown`]).
+    /// contiguous split).
     ///
     /// # Errors
     ///
@@ -466,7 +485,6 @@ impl ShardSet {
         queue_len: usize,
         snapshot_path: Option<PathBuf>,
         demand: Arc<DemandTracker>,
-        io_senders: usize,
     ) -> std::io::Result<ShardSet> {
         let n = boot.market.provider_count();
         let m = boot.market.cloudlet_count();
@@ -480,7 +498,6 @@ impl ShardSet {
             .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
             .collect();
         let gauges = Arc::new(ShardGauges::new(shards));
-        let io_live = Arc::new(AtomicUsize::new(io_senders));
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| chan::bounded(queue_len)).unzip();
         let mut slots = Vec::with_capacity(shards);
         for k in 0..shards {
@@ -492,7 +509,6 @@ impl ShardSet {
                 views: views.clone(),
                 coord: coord.clone(),
                 gauges: gauges.clone(),
-                io_live: io_live.clone(),
                 demand: demand.clone(),
                 snapshot_path: snapshot_path.clone(),
             };
@@ -508,7 +524,6 @@ impl ShardSet {
             router,
             gauges,
             coord,
-            io_live,
             slots,
             idle: rxs,
             running: Vec::new(),
@@ -516,13 +531,13 @@ impl ShardSet {
     }
 
     /// Starts one writer thread per shard, named `shard-<k>`; each runs
-    /// `on_exit` on its own thread once it has drained.
+    /// `on_exit` on its own thread once it has finished.
     ///
     /// # Errors
     ///
-    /// Returns a failed thread spawn. The writers already started then
-    /// drain themselves at their next idle tick, as if the I/O side had
-    /// gone.
+    /// Returns a failed thread spawn. The set is then abandoned
+    /// ([`Coordinator::abandon`]): the writers already started finish at
+    /// their next idle tick.
     pub(crate) fn start(
         &mut self,
         on_exit: impl Fn() + Clone + Send + 'static,
@@ -545,7 +560,7 @@ impl ShardSet {
             match spawned {
                 Ok(handle) => self.running.push(handle),
                 Err(e) => {
-                    self.io_live.store(0, Ordering::Release);
+                    self.coord.abandon();
                     return Err(e);
                 }
             }
@@ -566,26 +581,26 @@ impl ShardSet {
         slots.zip(std::mem::take(&mut self.idle)).collect()
     }
 
-    /// Drains the set on behalf of an in-process driver: one `DrainAll`
-    /// member per queue, after which the driver no longer counts as an
-    /// I/O sender. The returned slot receives the `draining` reply.
+    /// Shuts the set down on behalf of an in-process driver: the shutdown
+    /// op's prepare at the back of every queue. The returned slot
+    /// receives the `draining` reply.
     pub(crate) fn shutdown(&self) -> OneReceiver<Response> {
         let (tx, rx) = chan::oneshot();
-        let op = Arc::new(DrainOp::new(self.txs.len(), tx.into()));
-        for q in &self.txs {
-            // A writer that already exited answers nothing; its dropped
-            // share releases the reply slot instead.
-            let _ = q.send(Command::DrainAll { op: op.clone() });
+        if let Some(op) = self.coord.shutdown_op(tx.into()) {
+            for q in &self.txs {
+                // A writer that already exited answers nothing; its
+                // dropped share releases the reply slot instead.
+                let _ = q.send(Command::Prepare { op: op.clone() });
+            }
         }
-        self.io_live.fetch_sub(1, Ordering::AcqRel);
         rx
     }
 
     /// Waits for every writer and folds their outcomes into one. Counters
     /// sum, equilibrium ANDs, violations concatenate; a provider's
     /// placement and admission flag come from whichever shard holds it
-    /// active (unique after a drain — migrations are quiesced before
-    /// shards finish).
+    /// active (unique after a shutdown — no handoff is in flight at its
+    /// apply).
     ///
     /// # Panics
     ///
@@ -685,8 +700,21 @@ mod tests {
 /// after every command the target settles.
 #[cfg(all(test, feature = "loom-model"))]
 mod loom_model_tests {
-    use crate::chan;
+    use crate::chan::{self, Claimed};
     use std::time::Duration;
+
+    /// Takes the next message off `rx`; a whole 5 s tick with none fails
+    /// the model.
+    fn recv<T>(rx: &chan::Receiver<T>, what: &str) -> T {
+        let mut buf = Vec::new();
+        let got = rx.claim_batch(&mut buf, 1, Duration::from_secs(5));
+        rx.release(false);
+        assert!(
+            matches!(got, Claimed::Batch { taken: 1, .. }),
+            "{what} must arrive"
+        );
+        buf.pop().expect("one message taken")
+    }
 
     /// Messages of the modelled protocol, one queue per shard — a
     /// stripped-down `Command` with only the capacity-relevant variants.
@@ -719,9 +747,7 @@ mod loom_model_tests {
             let source = loom::thread::spawn(move || {
                 loom::fuzz_yield();
                 src_tx.send(Msg::Reserve { provider: 0 }).unwrap();
-                let granted = grant_rx
-                    .recv_timeout(Duration::from_secs(5))
-                    .expect("grant must arrive");
+                let granted = recv(&grant_rx, "the grant");
                 if granted {
                     loom::fuzz_yield();
                     src_tx.send(Msg::Commit { provider: 0 }).unwrap();
@@ -746,9 +772,7 @@ mod loom_model_tests {
             let mut expect = 2usize;
             let mut seen = 0usize;
             while seen < expect {
-                let msg = target_rx
-                    .recv_timeout(Duration::from_secs(5))
-                    .expect("all protocol messages must arrive");
+                let msg = recv(&target_rx, "every protocol message");
                 seen += 1;
                 match msg {
                     Msg::Reserve { provider } => {

@@ -925,3 +925,58 @@ fn pipelined_clients_on_shared_providers_across_io_threads() {
     assert!(outcome.equilibrium);
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
 }
+
+/// Two `shutdown`s pipelined behind more writes than a shard queue
+/// holds: the first one's prepare waits in the I/O thread's backlog for
+/// room in the full queue, and the second is answered only once every
+/// shard has acked that prepare. Any `draining` reply stops the I/O
+/// threads, which drop their backlogs: answered earlier, the second
+/// would drop the first one's prepare, and the daemon would never
+/// drain.
+#[test]
+fn two_shutdowns_behind_a_full_queue_drain_once() {
+    use mec_serve::Request;
+    for shards in [1, 2] {
+        let cfg = ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        };
+        let handle = serve(two_slot_market(1), &cfg).expect("boot");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        client
+            .set_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let churn = [
+            Request::Join {
+                provider: 0,
+                cloudlet: None,
+            },
+            Request::Leave { provider: 0 },
+        ];
+        let mut reqs: Vec<Request> = (0..1500).flat_map(|_| churn.clone()).collect();
+        reqs.extend([Request::Shutdown, Request::Shutdown]);
+        let resps = client.pipeline(&reqs).expect("every request is answered");
+        let (writes, shutdowns) = resps.split_at(2 * 1500);
+        for pair in writes.chunks(2) {
+            assert!(
+                matches!(pair[0].0, Response::Admitted { .. }),
+                "{shards} shards: {:?}",
+                pair[0].0
+            );
+            assert_eq!(pair[1].0, Response::Left, "{shards} shards");
+        }
+        for (resp, _) in shutdowns {
+            assert_eq!(*resp, Response::Draining, "{shards} shards");
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Joins the daemon off the test thread, so a drain that never
+        // finishes fails the test instead of hanging it.
+        // lint: allow(thread-spawn)
+        std::thread::spawn(move || tx.send(handle.join()));
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the daemon drains");
+        assert!(outcome.equilibrium, "{shards} shards");
+        assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+    }
+}
