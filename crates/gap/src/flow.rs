@@ -15,10 +15,10 @@
 //! reduced cost non-negative despite the early exit: no node is raised by
 //! more than `dist[t]`, which is what every unsettled node gets, so an arc
 //! out of an unsettled node loses no slack; and an arc `u → v` out of a
-//! settled node was relaxed, so `v`'s raise is at most
-//! `dist[u] + rc(u, v)`. Forward arcs are uncapacitated (a source's own
-//! supply bounds them), and a bin's reverse arcs exist only for the arcs
-//! that carry flow into it.
+//! settled node was relaxed (or is dominated by one that was, below), so
+//! `v`'s raise is at most `dist[u] + rc(u, v)`. Forward arcs are
+//! uncapacitated (a source's own supply bounds them), and a bin's reverse
+//! arcs exist only for the arcs that carry flow into it.
 //!
 //! The final potentials are returned with the flow: they are an optimal
 //! dual solution of the transportation LP, which is how the relaxation
@@ -27,21 +27,46 @@
 //! cost 0. No bin ever rises above the sink: all start at 0, and each
 //! search raises the sink by `dist[t]` and no node by more. A bin's load
 //! never falls (a path adds load only at its last bin), so its sink arc
-//! is residual from the start until the bin fills, and its reduced cost
-//! `pi[bin] - pi[t]` stays non-negative all that time. So every bin with
-//! room sits exactly at the sink's potential, and a full bin at or below
-//! it.
+//! is residual from the start until the bin fills. So every bin with room
+//! sits exactly at the sink's potential, and a full bin at or below it.
 //!
-//! That makes an earlier stop exact. A popped bin relaxes its sink arc
-//! before its reverse arcs, so the first bin with room that a search pops
-//! fixes `dist[t]` at its own key, and the search ends there. Settling
-//! the nodes tied at that key, as a search that runs until the sink pops
-//! does, would change nothing: from a key `≥ dist[t]` they could only set
-//! tentative distances `≥ dist[t]`, which the `min(dist[v], dist[t])`
-//! update ignores, and they could re-route no node already settled. So
-//! the stop leaves every flow, potential and cost bit as it was.
+//! That shapes the search. Every item's arcs are sorted once per solve,
+//! in cost order with ties in arc order, and a settled item at distance
+//! `d` scans them in that order. An arc into a full bin is relaxed as
+//! usual. The first arc into a bin with room offers the sink `d + rc`
+//! directly and ends the scan: the bin's sink arc has reduced cost
+//! exactly 0, so that is the distance the bin would have passed on had it
+//! been pushed and popped. Every dearer arc is dominated. An arc of cost
+//! `c' ≥ c` into a bin `j'` has `c' + π_u − π_j' ≥ c + π_u − π_t`, because
+//! no bin sits above the sink (`π_j' ≤ π_t`), and rounding is monotone,
+//! so this holds in floating point too. Such an arc offers the sink
+//! nothing cheaper, and it reaches a full bin no nearer than the sink,
+//! where no search goes on. So bins with room never enter the heap and
+//! never get a tentative distance. The update raises each by exactly
+//! `dist[t]`, as it raises the sink, so they stay bit-equal to it. That
+//! is what makes an item's cheapest bin with room by cost also its
+//! cheapest by reduced cost.
+//!
+//! So a popped bin is always full and relaxes only its reverse arcs. A
+//! relaxation pushes nothing at or past the sink's tentative distance:
+//! such an entry could never pop, and the tentative distance it leaves
+//! behind is at least `dist[t]`, which the update ignores. When the popped
+//! key reaches `dist[t]`, every node nearer than the sink has settled.
+//! Settling the nodes tied at that key would change nothing: from a key
+//! `≥ dist[t]` they could only set tentative distances `≥ dist[t]`, and
+//! they could re-route no node already settled.
+//!
+//! An exhaustive scan (every arc relaxed, bins with room pushed, and the
+//! first such bin popped ending the search) computes the same shortest
+//! distances. Its result can differ from this one only where two
+//! candidate distances fall within `EPS` of each other: a relaxation
+//! wins only by more than `EPS`, and the two scans meet the candidates in
+//! different orders (the sink takes offers in the order items settle,
+//! where the exhaustive scan compared its bins' tentative distances). On
+//! the `lcf_solve` relaxation every flow and potential is bit-identical
+//! (DESIGN.md §3d).
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Tolerance for saturation and for distance improvements.
@@ -93,27 +118,6 @@ pub struct TransportFlow {
     pub potential: Vec<f64>,
 }
 
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: usize,
-}
-impl Eq for HeapEntry {}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl Transportation {
     /// Creates a network with one bin per entry of `capacity` and no items.
     ///
@@ -163,8 +167,9 @@ impl Transportation {
     /// decide whether that is an error). The cost is optimal in any order,
     /// but the order sets how many searches it takes.
     ///
-    /// Records the counters `gap.flow.searches` (shortest-path searches)
-    /// and `gap.flow.settled` (nodes whose arcs a search scanned).
+    /// Records the counters `gap.flow.searches` (shortest-path searches),
+    /// `gap.flow.settled` (nodes a search settled) and `gap.flow.relaxed`
+    /// (arcs relaxed, forward and reverse, plus offers to the sink).
     pub fn solve(&self) -> TransportFlow {
         let n = self.supply.len();
         let m = self.capacity.len();
@@ -176,20 +181,33 @@ impl Transportation {
         for i in 0..n {
             item_of[self.start[i]..self.start[i + 1]].fill(i);
         }
+        // Every item's arcs as `(cost, bin, arc)`, in cost order with ties
+        // in arc order (the sort is stable): the order a settled item scans
+        // them.
+        let index = |x: usize| u32::try_from(x).expect("arc and bin indices fit in u32");
+        let mut by_cost: Vec<(f64, u32, u32)> = (0..self.bin.len())
+            .map(|a| (self.cost[a], index(self.bin[a]), index(a)))
+            .collect();
+        for i in 0..n {
+            by_cost[self.start[i]..self.start[i + 1]].sort_by(|x, y| x.0.total_cmp(&y.0));
+        }
         // Per bin, the arcs carrying flow into it: its only reverse arcs.
         let mut carried: Vec<Vec<usize>> = vec![Vec::new(); m];
         // Johnson potentials: every arc cost is >= 0, so pi = 0 is a valid
         // start.
         let mut pi = vec![0.0; sink + 1];
         let mut dist = vec![f64::INFINITY; sink + 1];
-        // The arc a node was reached by: for a bin, the forward arc into
-        // it; for an item, the carried arc it was reached back along; for
-        // the sink, the bin it was reached from.
+        // The arc a node was reached by: for a full bin, the forward arc
+        // into it; for an item, the carried arc it was reached back along;
+        // for the sink, the forward arc into the bin with room it was
+        // offered through.
         let mut pred = vec![0; sink + 1];
+        // Keyed by a distance's bits, which order as the distances do
+        // because no distance is negative.
         let mut heap = BinaryHeap::new();
         let mut routed = 0.0;
         let mut total_cost = 0.0;
-        let (mut searches, mut settled) = (0u64, 0u64);
+        let (mut searches, mut settled, mut relaxed) = (0u64, 0u64, 0u64);
 
         for src in 0..n {
             let mut residual = self.supply[src];
@@ -198,11 +216,9 @@ impl Transportation {
                 dist.fill(f64::INFINITY);
                 dist[src] = 0.0;
                 heap.clear();
-                heap.push(HeapEntry {
-                    dist: 0.0,
-                    node: src,
-                });
-                while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+                heap.push(Reverse((0.0f64.to_bits(), src)));
+                while let Some(Reverse((key, u))) = heap.pop() {
+                    let d = f64::from_bits(key);
                     // Every node nearer than the sink has settled, so
                     // `dist[sink]` is final (module docs).
                     if d >= dist[sink] {
@@ -214,27 +230,35 @@ impl Transportation {
                     settled += 1;
                     let mut relax = |dist: &mut [f64], v: usize, rc: f64, via: usize| {
                         debug_assert!(rc > -1e-6, "negative reduced cost {rc}");
+                        relaxed += 1;
                         let nd = d + rc.max(0.0);
                         if nd < dist[v] - EPS {
                             dist[v] = nd;
                             pred[v] = via;
-                            heap.push(HeapEntry { dist: nd, node: v });
+                            // An entry at or past the sink could never pop.
+                            if nd < dist[sink] {
+                                heap.push(Reverse((nd.to_bits(), v)));
+                            }
                         }
                     };
                     if u < n {
-                        for a in self.start[u]..self.start[u + 1] {
-                            let v = n + self.bin[a];
-                            relax(&mut dist, v, self.cost[a] + pi[u] - pi[v], a);
-                        }
-                    } else {
-                        let j = u - n;
-                        if self.capacity[j] - load[j] > EPS {
-                            relax(&mut dist, sink, pi[u] - pi[sink], j);
-                            if d >= dist[sink] {
+                        for &(cost, j, a) in &by_cost[self.start[u]..self.start[u + 1]] {
+                            let (j, a) = (j as usize, a as usize);
+                            let v = n + j;
+                            let rc = cost + pi[u] - pi[v];
+                            if self.capacity[j] - load[j] > EPS {
+                                // The first bin with room sits at the
+                                // sink's potential: offer the sink
+                                // directly. Every dearer arc is dominated.
+                                relax(&mut dist, sink, rc, a);
                                 break;
                             }
+                            relax(&mut dist, v, rc, a);
                         }
-                        for &a in &carried[j] {
+                    } else {
+                        // A popped bin is full: only bins without room
+                        // enter the heap.
+                        for &a in &carried[u - n] {
                             let v = item_of[a];
                             relax(&mut dist, v, pi[u] - pi[v] - self.cost[a], a);
                         }
@@ -250,7 +274,9 @@ impl Transportation {
 
                 // Bottleneck: the residual supply, the last bin's room and
                 // the flow on every reverse arc of the path.
-                let last = pred[sink];
+                let last = self.bin[pred[sink]];
+                // The last bin has room, so the search never reached it.
+                pred[n + last] = pred[sink];
                 let mut push = residual.min(self.capacity[last] - load[last]);
                 let mut v = n + last;
                 while v != src {
@@ -296,6 +322,7 @@ impl Transportation {
         }
         mec_obs::counter_add("gap.flow.searches", searches);
         mec_obs::counter_add("gap.flow.settled", settled);
+        mec_obs::counter_add("gap.flow.relaxed", relaxed);
         TransportFlow {
             routed,
             cost: total_cost,
@@ -410,6 +437,21 @@ mod tests {
         assert_approx_eq!(r.routed, 2.0, 1e-12);
         assert_approx_eq!(r.cost, 11.0, 1e-12);
         assert_eq!(r.flow, vec![0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn displaces_through_a_full_bin_cheaper_than_the_first_with_room() {
+        // Bins A, B (capacity 1) and C (capacity 10). Item 0 takes A. For
+        // item 1 the full A (1.0) is cheaper than B, its first bin with
+        // room (3.0), and pushing item 0 on from A to C costs only 0.2
+        // more: optimum {0 -> C, 1 -> A} at cost 1.2 + 1.0.
+        let mut t = Transportation::new(vec![1.0, 1.0, 10.0]);
+        t.add_item(1.0, [(0, 1.0), (2, 1.2)]);
+        t.add_item(1.0, [(0, 1.0), (1, 3.0)]);
+        let r = t.solve();
+        assert_approx_eq!(r.routed, 2.0, 1e-12);
+        assert_approx_eq!(r.cost, 2.2, 1e-12);
+        assert_eq!(r.flow, vec![0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]

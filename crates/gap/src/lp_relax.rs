@@ -42,9 +42,9 @@
 //! admissible bins, with ties in index order. This is Vogel's rule for
 //! transportation problems: the items with the most to lose claim their
 //! cheap bins first, so later searches displace fewer of them. On the
-//! `lcf_solve` benchmark market it cuts the searches by 30 %, and the
-//! settled nodes by 40 % on top of the flow's own exact stop (DESIGN.md
-//! §3d).
+//! `lcf_solve` benchmark market it cuts the searches by 30 %, the settled
+//! nodes by 41 % and the relaxed arcs by 45 %, on top of the flow's own
+//! exact stop and cost-ordered scan (DESIGN.md §3d).
 
 use crate::flow::Transportation;
 use crate::instance::GapInstance;

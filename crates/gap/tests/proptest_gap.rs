@@ -16,7 +16,11 @@
 //!   instance reaches the same objective and passes the certificate, and
 //!   where the optimum is a vertex (Appro-shaped, distinct weights) the
 //!   same support with the same fractions; the transportation flow's cost
-//!   does not depend on the order its sources are added either.
+//!   does not depend on the order its sources are added either;
+//! * the transportation flow's final potentials keep the invariants its
+//!   cost-ordered scan relies on: every bin with room bit-equal to the
+//!   sink, no bin above it, every forward arc's reduced cost non-negative
+//!   and every arc carrying flow tight.
 
 mod oracle;
 
@@ -400,5 +404,84 @@ proptest! {
                     "index order {:?}, permuted {:?}", x, y);
             }
         }
+    }
+}
+
+/// The transportation network of `inst`'s relaxation, as
+/// [`lp_relax::solve_relaxation`] builds it (weightless items left out, a
+/// unit of `y_ij` costing `c_ij / w_i`), sources in index order. Also
+/// returns the number of sources and every arc as `(source, bin, cost)`,
+/// in arc order.
+fn relaxation_network(inst: &GapInstance) -> (Transportation, usize, Vec<(usize, usize, f64)>) {
+    let mut net = Transportation::new((0..inst.bins()).map(|j| inst.capacity(j)).collect());
+    let mut arcs = Vec::new();
+    let mut sources = 0;
+    for i in (0..inst.items()).filter(|&i| inst.weight(i) > 1e-12) {
+        let w = inst.weight(i);
+        let own: Vec<(usize, f64)> = (0..inst.bins())
+            .filter(|&j| inst.is_allowed(i, j))
+            .map(|j| (j, inst.cost(i, j) / w))
+            .collect();
+        arcs.extend(own.iter().map(|&(j, c)| (sources, j, c)));
+        net.add_item(w, own);
+        sources += 1;
+    }
+    (net, sources, arcs)
+}
+
+/// Solves `inst`'s relaxation network and checks the invariants of its
+/// final potentials that the flow's cost-ordered scan relies on (the
+/// `mec_gap::flow` module docs): every bin with room sits bit-equal to the
+/// sink, no bin above it, every forward arc keeps a reduced cost
+/// `>= -1e-9`, and every arc carrying flow is tight within 1e-9.
+fn check_flow_potentials(inst: &GapInstance) {
+    let (net, n, arcs) = relaxation_network(inst);
+    let m = inst.bins();
+    let res = net.solve();
+    let pi = &res.potential;
+    let sink = pi[n + m];
+    let mut load = vec![0.0; m];
+    for (a, &(i, j, c)) in arcs.iter().enumerate() {
+        let rc = c + pi[i] - pi[n + j];
+        assert!(rc >= -1e-9, "arc {a} ({i} -> {j}): reduced cost {rc}");
+        if res.flow[a] > 1e-12 {
+            assert!(
+                rc.abs() <= 1e-9,
+                "arc {a} ({i} -> {j}) carries flow at reduced cost {rc}"
+            );
+        }
+        load[j] += res.flow[a];
+    }
+    for (j, &l) in load.iter().enumerate() {
+        assert!(
+            pi[n + j] <= sink,
+            "bin {j} at {} above the sink at {sink}",
+            pi[n + j]
+        );
+        if inst.capacity(j) - l > 1e-9 {
+            assert!(
+                pi[n + j].to_bits() == sink.to_bits(),
+                "bin {j} has room at {} but the sink is at {sink}",
+                pi[n + j]
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flow's potential invariants hold on random instances, where
+    /// most bins keep room.
+    #[test]
+    fn flow_potentials_hold_on_random_instances(r in rand_inst()) {
+        check_flow_potentials(&build(&r));
+    }
+
+    /// The flow's potential invariants hold on Appro-shaped instances,
+    /// where unit slots fill and displacement chains run through them.
+    #[test]
+    fn flow_potentials_hold_on_appro_shaped(r in appro_shaped()) {
+        check_flow_potentials(&build_appro_shaped(&r));
     }
 }

@@ -156,6 +156,11 @@ pub const REGISTRY: &[Probe] = &[
     },
     // GAP rounding (crates/gap)
     Probe {
+        name: "gap.flow.relaxed",
+        kind: ProbeKind::Counter,
+        help: "Arcs relaxed (forward and reverse) plus offers to the sink by the transportation flow's searches.",
+    },
+    Probe {
         name: "gap.flow.searches",
         kind: ProbeKind::Counter,
         help: "Shortest-path searches of the transportation flow (relaxation and rounding).",
@@ -163,7 +168,7 @@ pub const REGISTRY: &[Probe] = &[
     Probe {
         name: "gap.flow.settled",
         kind: ProbeKind::Counter,
-        help: "Nodes settled (arcs scanned) by the transportation flow's searches.",
+        help: "Nodes settled by the transportation flow's searches (a settled item scans only its arcs up to its cheapest bin with room).",
     },
     Probe {
         name: "gap.lp_relax",

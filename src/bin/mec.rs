@@ -12,8 +12,10 @@
 //! mec dot <gtitm|waxman|as1755> [size]     Graphviz DOT of a placed network
 //! mec serve [--port P] [--admin-port P] [--snapshot PATH] [--providers N] [--size N] [--shards N]
 //!                                 run the live service-market daemon
-//! mec load <addr> [--sessions N] [--epochs N] [--seed S] [--out PATH]
+//! mec load <addr> [--sessions N] [--epochs N] [--seed S] [--out PATH] [--shutdown]
 //!                                 drive a running daemon with marketload
+//!                                 (report to BENCH_serve.local.json unless
+//!                                 --out is given)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -310,7 +312,8 @@ fn cmd_serve(rest: &[String]) {
 fn cmd_load(rest: &[String]) {
     let Some(addr) = rest.first().filter(|a| !a.starts_with("--")).cloned() else {
         eprintln!(
-            "usage: mec load <addr> [--sessions N] [--epochs N] [--seed S] [--out PATH] [--shutdown]"
+            "usage: mec load <addr> [--sessions N] [--epochs N] [--seed S] [--out PATH] [--shutdown]\n\
+             (--out defaults to BENCH_serve.local.json)"
         );
         std::process::exit(2);
     };
@@ -341,7 +344,9 @@ fn cmd_load(rest: &[String]) {
         report.ops_per_sec(),
         report.rejected
     );
-    let out = flag_value(rest, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    // The tracked BENCH_serve.json is `marketload`'s release artifact; a
+    // one-off load run writes beside it, to a git-ignored file.
+    let out = flag_value(rest, "--out").unwrap_or_else(|| "BENCH_serve.local.json".to_string());
     if let Err(e) = std::fs::write(&out, format!("{}\n", report.to_json())) {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);

@@ -8,8 +8,10 @@
 //! benchmark median. Change a row only with a deliberate change of the
 //! mechanism's output, and say why where the change is recorded.
 //!
-//! The `lcf_solve` benchmark market is `#[ignore]`d to keep the default
-//! debug run short; CI runs it in release, self-certified:
+//! The `lcf_solve` benchmark market runs in the default debug run too
+//! (about half a second), so every arc the flow relaxes and every offer
+//! it makes to the sink passes its negative-reduced-cost
+//! `debug_assert`. CI also runs the file in release, self-certified:
 //!
 //! ```text
 //! cargo test --release --features verify --test pinned_mechanism -- --include-ignored
@@ -102,7 +104,6 @@ fn appro_and_lcf_are_pinned_on_gtitm_markets() {
 /// The `lcf_solve` benchmark market (`perfbench`: GT-ITM 250, 300
 /// providers, seed 1).
 #[test]
-#[ignore = "the benchmark market; CI runs it in release under verify"]
 fn appro_and_lcf_are_pinned_on_the_lcf_solve_market() {
     let pin = Pin {
         size: 250,
